@@ -174,11 +174,17 @@ def _get(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _bbox_numbers(raw: Any, where: str) -> tuple[float, float, float, float]:
+    """Check that ``raw`` is an [x, y, w, h] list of 4 numbers."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise FormatError(f"{where}: must be a list of 4 numbers, got {raw!r}")
+    x, y, w, h = (_as_number(v, where) for v in raw)
+    return x, y, w, h
+
+
 def _clamped_bbox(raw: Any, img: ImageInfo, where: str) -> BBox:
     """Parse an [x, y, w, h] list and clamp it to the image rectangle."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise FormatError(f"{where}: bbox must be a list of 4 numbers")
-    x, y, w, h = (_as_number(v, f"{where}.bbox") for v in raw)
+    x, y, w, h = _bbox_numbers(raw, f"{where}.bbox")
     x0, y0 = max(x, 0.0), max(y, 0.0)
     x1, y1 = min(x + w, float(img.width)), min(y + h, float(img.height))
     if x1 - x0 <= 0 or y1 - y0 <= 0:
@@ -364,7 +370,7 @@ def _parse_box_record(rec: dict, source_to_dense: dict[int, int], where: str) ->
     cat = _as_int(_get(rec, "category_id", where), f"{where}.category_id")
     if cat not in source_to_dense:
         raise DanglingReferenceError(f"{where}: unknown category_id {cat}")
-    x, y, w, h = (_as_number(v, f"{where}.bbox") for v in _get(rec, "bbox", where))
+    x, y, w, h = _bbox_numbers(_get(rec, "bbox", where), f"{where}.bbox")
     return AnnotatedBox(
         id=_as_int(_get(rec, "id", where), f"{where}.id"),
         image_id=_as_int(_get(rec, "image_id", where), f"{where}.image_id"),
@@ -531,13 +537,20 @@ def load_report(path: str | Path) -> list[BoxVerdict]:
 
     data = _read_json(path)
     raw = _get(data, "verdicts", str(path))
+    if not isinstance(raw, list):
+        raise FormatError(f"{path}: 'verdicts' must be a list")
     verdicts = []
     for i, rec in enumerate(raw):
         where = f"verdicts[{i}]"
+        if not isinstance(rec, dict):
+            raise FormatError(f"{where}: must be a JSON object, got {rec!r}")
+        ann_id = rec.get("annotation_id")
         region = rec.get("region")
         verdicts.append(
             BoxVerdict(
-                annotation_id=rec.get("annotation_id"),
+                annotation_id=(
+                    _as_int(ann_id, f"{where}.annotation_id") if ann_id is not None else None
+                ),
                 cluster_id=_as_int(_get(rec, "cluster_id", where), f"{where}.cluster_id"),
                 image_id=_as_int(_get(rec, "image_id", where), f"{where}.image_id"),
                 quality_score=_as_number(
@@ -546,7 +559,9 @@ def load_report(path: str | Path) -> list[BoxVerdict]:
                 flagged=bool(rec.get("flagged", False)),
                 flagged_classes=tuple(),
                 verdict_kind=str(_get(rec, "verdict_kind", where)),
-                region=BBox(*region) if region is not None else None,
+                region=(
+                    BBox(*_bbox_numbers(region, f"{where}.region")) if region is not None else None
+                ),
             )
         )
     return verdicts

@@ -8,6 +8,15 @@ verdicts: flagged regions are greedily matched one-to-one to removed records
 of the same image by descending IoU; a matched record is a true positive, an
 unmatched record a false negative, and an unmatched flagged region a false
 positive.
+
+The sweep is single-pass (Fawcett, "An introduction to ROC analysis", 2006):
+annotation scores are sorted once, and a cumulative sum of the perturbed ones
+read at each cutoff gives its counts. Region matches are counted per image,
+with IoUs from one vectorized matrix; each image replays its greedy match
+only at its own distinct region scores, and the changes in matched count are
+summed the same way. A sweep over every distinct score therefore costs about
+one sort, not one greedy replay per cutoff. ``confusion_at`` is the sweep at
+a single cutoff.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ import numpy as np
 
 from boxaudit.confident_learning import BoxVerdict
 from boxaudit.errors import EmptyLedgerError, InvalidInputError
-from boxaudit.geometry import iou
-from boxaudit.noise_injection import NoiseKind, NoiseLedger
+from boxaudit.geometry import BBox, iou_matrix
+from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
 __all__ = [
     "RocPoint",
@@ -68,66 +77,111 @@ class Confusion:
         return self.tp / total if total else 0.0
 
 
-class _Prepared:
-    """Verdicts and ledger cross-indexed once so each sweep threshold is a
-    cheap pass."""
+def _sweep(
+    verdicts: list[BoxVerdict],
+    ledger: NoiseLedger,
+    thresholds: list[float],
+    match_iou: float,
+) -> list[Confusion]:
+    """Confusion counts at every threshold, from one pass over the inputs."""
+    removed = [e for e in ledger.entries if e.kind == NoiseKind.MISSING]
+    positive_ids = {
+        e.annotation_id for e in ledger.entries if e.kind != NoiseKind.MISSING
+    }
 
-    def __init__(self, verdicts: list[BoxVerdict], ledger: NoiseLedger, match_iou: float):
-        removed = [e for e in ledger.entries if e.kind == NoiseKind.MISSING]
-        positive_ids = {
-            e.annotation_id for e in ledger.entries if e.kind != NoiseKind.MISSING
-        }
-
-        ann = [v for v in verdicts if v.annotation_id is not None]
-        regions = [v for v in verdicts if v.annotation_id is None]
-        known_ids = {v.annotation_id for v in ann}
-        stray = positive_ids - known_ids
-        if stray:
-            raise InvalidInputError(
-                f"ledger references annotations absent from the verdicts "
-                f"(e.g. {sorted(stray)[:3]}); verdicts and ledger must come "
-                f"from the same dataset"
-            )
-
-        self.ann_scores = np.array([v.quality_score for v in ann], dtype=np.float64)
-        self.ann_positive = np.array(
-            [v.annotation_id in positive_ids for v in ann], dtype=bool
+    ann = [v for v in verdicts if v.annotation_id is not None]
+    regions = [v for v in verdicts if v.annotation_id is None]
+    known_ids = {v.annotation_id for v in ann}
+    stray = positive_ids - known_ids
+    if stray:
+        raise InvalidInputError(
+            f"ledger references annotations absent from the verdicts "
+            f"(e.g. {sorted(stray)[:3]}); verdicts and ledger must come "
+            f"from the same dataset"
         )
-        self.region_scores = np.array([v.quality_score for v in regions], dtype=np.float64)
-        self.n_removed = len(removed)
 
-        pairs = []
-        for ri, rv in enumerate(regions):
-            if rv.region is None:
-                continue
-            for mi, entry in enumerate(removed):
-                if entry.original is None or entry.original.image_id != rv.image_id:
-                    continue
-                overlap = iou(rv.region, entry.original.bbox)
-                if overlap >= match_iou:
-                    pairs.append((overlap, ri, mi))
-        # descending IoU, deterministic tie-break by verdict then record order
-        self.pairs = sorted(pairs, key=lambda t: (-t[0], t[1], t[2]))
+    taus = np.asarray(thresholds, dtype=np.float64)
+    ann_scores = np.array([v.quality_score for v in ann], dtype=np.float64)
+    ann_positive = np.array([v.annotation_id in positive_ids for v in ann], dtype=bool)
+    order = np.argsort(ann_scores)
+    flagged = np.searchsorted(ann_scores[order], taus, side="right")
+    tp = np.concatenate(([0], np.cumsum(ann_positive[order])))[flagged]
+    fp = flagged - tp
+    n_positive = int(np.count_nonzero(ann_positive))
+    n_negative = len(ann) - n_positive
 
-    def confusion(self, tau: float) -> Confusion:
-        flagged = self.ann_scores <= tau
-        tp = int(np.count_nonzero(flagged & self.ann_positive))
-        fp = int(np.count_nonzero(flagged & ~self.ann_positive))
-        tn = int(np.count_nonzero(~flagged & ~self.ann_positive))
-        fn = int(np.count_nonzero(~flagged & self.ann_positive))
+    region_scores = np.sort(np.array([v.quality_score for v in regions], dtype=np.float64))
+    flagged_regions = np.searchsorted(region_scores, taus, side="right")
+    matched = _matched_counts(regions, removed, taus, match_iou)
 
-        flagged_regions = self.region_scores <= tau
-        used_regions: set[int] = set()
-        used_removed: set[int] = set()
-        for _, ri, mi in self.pairs:
-            if flagged_regions[ri] and ri not in used_regions and mi not in used_removed:
-                used_regions.add(ri)
-                used_removed.add(mi)
-        matched = len(used_removed)
-        tp += matched
-        fn += self.n_removed - matched
-        fp += int(np.count_nonzero(flagged_regions)) - len(used_regions)
-        return Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
+    counts = zip(
+        (tp + matched).tolist(),
+        (fp + flagged_regions - matched).tolist(),
+        (n_negative - fp).tolist(),
+        (n_positive - tp + len(removed) - matched).tolist(),
+    )
+    return [Confusion(tp=t, fp=f, tn=n, fn=m) for t, f, n, m in counts]
+
+
+def _matched_counts(
+    regions: list[BoxVerdict],
+    removed: list[LedgerEntry],
+    taus: np.ndarray,
+    match_iou: float,
+) -> np.ndarray:
+    """Greedy one-to-one region matches at every threshold.
+
+    Matching never crosses images, so each image replays its greedy match
+    only at its own distinct region scores and records the change in matched
+    count there; the count at a threshold is the sum of the changes at or
+    below it.
+    """
+    by_image: dict[int, tuple[list[BoxVerdict], list[BBox]]] = {}
+    for v in regions:
+        if v.region is not None:
+            by_image.setdefault(v.image_id, ([], []))[0].append(v)
+    for e in removed:
+        if e.original is not None and e.original.image_id in by_image:
+            by_image[e.original.image_id][1].append(e.original.bbox)
+
+    event_scores: list[float] = []
+    event_deltas: list[int] = []
+    for image_regions, image_removed in by_image.values():
+        if not image_removed:
+            continue
+        n = len(image_regions)
+        boxes = [v.region.as_list() for v in image_regions]
+        boxes += [b.as_list() for b in image_removed]
+        ious = iou_matrix(boxes)[:n, n:]
+        ri, mi = np.nonzero(ious >= match_iou)
+        # descending IoU; nonzero's row-major order breaks ties by region,
+        # then record
+        order = np.argsort(-ious[ri, mi], kind="stable")
+        pairs = list(zip(ri[order].tolist(), mi[order].tolist()))
+        scores = np.array([v.quality_score for v in image_regions], dtype=np.float64)
+        before = 0
+        for tau in np.unique(scores[ri]).tolist():
+            now = _greedy_matches(pairs, (scores <= tau).tolist())
+            if now != before:
+                event_scores.append(tau)
+                event_deltas.append(now - before)
+                before = now
+
+    order = np.argsort(event_scores)
+    cum_matched = np.concatenate(([0], np.cumsum(np.array(event_deltas, dtype=np.int64)[order])))
+    return cum_matched[np.searchsorted(np.array(event_scores)[order], taus, side="right")]
+
+
+def _greedy_matches(pairs: list[tuple[int, int]], flagged: list[bool]) -> int:
+    """Size of the greedy one-to-one match over ``pairs`` (best first) among
+    flagged regions."""
+    used_regions: set[int] = set()
+    used_removed: set[int] = set()
+    for ri, mi in pairs:
+        if flagged[ri] and ri not in used_regions and mi not in used_removed:
+            used_regions.add(ri)
+            used_removed.add(mi)
+    return len(used_removed)
 
 
 def confusion_at(
@@ -138,7 +192,7 @@ def confusion_at(
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> Confusion:
     """Confusion counts of the noisy-box classifier at cutoff ``tau``."""
-    return _Prepared(verdicts, ledger, match_iou).confusion(tau)
+    return _sweep(verdicts, ledger, [tau], match_iou)[0]
 
 
 def roc_curve(
@@ -161,11 +215,10 @@ def roc_curve(
     if not thresholds or thresholds[0] != 0.0 or thresholds[-1] != 1.0:
         raise InvalidInputError("thresholds must contain the endpoints 0 and 1")
 
-    prepared = _Prepared(verdicts, ledger, match_iou)
-    points = []
-    for tau in thresholds:
-        c = prepared.confusion(tau)
-        points.append(RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr))
+    points = [
+        RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr)
+        for tau, c in zip(thresholds, _sweep(verdicts, ledger, thresholds, match_iou))
+    ]
     return RocCurve(points=points, auroc=auroc([(p.fpr, p.tpr) for p in points]))
 
 

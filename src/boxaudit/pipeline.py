@@ -49,6 +49,8 @@ class PipelineConfig:
             )
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
+        if not 0.0 < self.match_iou <= 1.0:
+            raise InvalidSpecError(f"match iou must lie in (0, 1], got {self.match_iou}")
         self.output_dir = Path(self.output_dir)
 
 

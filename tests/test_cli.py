@@ -319,3 +319,82 @@ def test_roc_stage_matches_eval(tmp_path):
     eval_auroc = json.loads((eval_out / "roc.json").read_text())["auroc"]
     assert roc_auroc == pytest.approx(eval_auroc)
     assert roc_auroc >= 0.9
+
+
+def _roc_inputs(tmp_path):
+    """A missing-noise injection and a full score_threshold report over it."""
+    gt, preds = write_synthetic(tmp_path, num_images=10, boxes_per_image=5, seed=16)
+    inj, det = tmp_path / "inj", tmp_path / "det"
+    main(
+        ["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
+         "--fraction", "0.2", "--seed", "5", "--output-dir", str(inj)]
+    )
+    main(
+        ["detect", "--ground-truth", str(inj / "noisy.json"),
+         "--predictions", str(preds), "--mode", "score_threshold", "--tau", "1.0",
+         "--output-dir", str(det)]
+    )
+    return inj / "noisy.json", det / "report.json", inj / "ledger.json", preds
+
+
+def _roc(noisy, report, ledger, out, *extra):
+    return main(
+        ["roc", "--ground-truth", str(noisy), "--report", str(report),
+         "--ledger", str(ledger), "--output-dir", str(out), *extra]
+    )
+
+
+def _single_error_line(capsys, category):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{category}]:"), err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _set_verdict(key, value):
+    return lambda mirror: mirror["verdicts"][0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda mirror: mirror.__setitem__("verdicts", 5), id="verdicts-not-a-list"),
+        pytest.param(lambda mirror: mirror["verdicts"].__setitem__(0, 5), id="verdict-not-an-object"),
+        pytest.param(_set_verdict("region", [1, 2]), id="region-two-numbers"),
+        pytest.param(_set_verdict("region", "abc"), id="region-string"),
+        pytest.param(_set_verdict("annotation_id", [1]), id="annotation-id-list"),
+    ],
+)
+def test_roc_rejects_malformed_report(tmp_path, capsys, mutate):
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    mirror = json.loads(report.read_text())
+    mutate(mirror)
+    write_json(report, mirror)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
+    _single_error_line(capsys, "malformed-syntax")
+
+
+def test_roc_rejects_ledger_bbox_of_three_numbers(tmp_path, capsys):
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    payload = json.loads(ledger.read_text())
+    payload["entries"][0]["original"]["bbox"] = [1, 2, 3]
+    write_json(ledger, payload)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
+    _single_error_line(capsys, "malformed-syntax")
+
+
+@pytest.mark.parametrize("match_iou", ["0", "-1", "1.5"])
+def test_match_iou_outside_unit_interval_rejected(tmp_path, capsys, match_iou):
+    noisy, report, ledger, preds = _roc_inputs(tmp_path)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc", "--match-iou", match_iou) == 1
+    _single_error_line(capsys, "invalid-spec")
+    rc = main(
+        ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
+         "--ledger", str(ledger), "--match-iou", match_iou,
+         "--output-dir", str(tmp_path / "ev")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "roc").exists() and not (tmp_path / "ev").exists()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from boxaudit.geometry import BBox
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
 from conftest import original_box
+from evaluation_reference import reference_confusion_at, reference_roc_curve
 
 # the published ROC sweep this evaluator is meant to reproduce: 11 operating
 # points of a uniform-label-noise box classifier
@@ -284,3 +286,103 @@ def test_auroc_invariant_under_monotone_score_transform():
         (p.fpr, p.tpr) for p in transformed.points
     }
     assert transformed.auroc == pytest.approx(base.auroc)
+
+
+# --- single-pass sweep vs. the per-threshold reference ----------------------------
+
+# a small score pool makes scores repeat and land exactly on grid thresholds
+SCORE_POOL = [0.0, 0.1, 0.3, 0.5, 0.5, 0.7, 1.0]
+
+
+def _random_case(rng):
+    """Verdicts and a mixed label/missing ledger over a few images, with
+    duplicated boxes (IoU ties), several regions around one removed box and
+    several removed boxes under one region, ``region=None`` verdicts and
+    ``original=None`` records."""
+    verdicts, entries = [], []
+    ann_id, cluster_id = 0, 0
+
+    def score():
+        return rng.choice(SCORE_POOL) if rng.random() < 0.6 else rng.random()
+
+    for image_id in range(1, rng.randint(1, 4) + 1):
+        anchors = [(rng.randint(0, 3) * 40, rng.randint(0, 3) * 40) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 6)):
+            ann_id += 1
+            verdicts.append(ann_verdict(ann_id, score(), image_id=image_id))
+            if rng.random() < 0.3:
+                entries.append(label_entry(ann_id))
+        for _ in range(rng.randint(0, 5)):
+            ax, ay = rng.choice(anchors)
+            ann_id += 1
+            entries.append(
+                missing_entry(ann_id, ax + rng.choice([0, 0, 2, 5]), ay + rng.choice([0, 3]), 20, 20, image_id=image_id)
+            )
+        for _ in range(rng.randint(0, 5)):
+            ax, ay = rng.choice(anchors)
+            cluster_id += 1
+            bbox = BBox(ax + rng.choice([0, 0, 2, 5]), ay + rng.choice([0, 3]), 20, rng.choice([20, 24]))
+            verdicts.append(
+                region_verdict(score(), bbox if rng.random() < 0.9 else None, image_id=image_id, cluster_id=cluster_id)
+            )
+    if rng.random() < 0.3:
+        ann_id += 1
+        entries.append(LedgerEntry(annotation_id=ann_id, kind=NoiseKind.MISSING))
+    if not entries:
+        ann_id += 1
+        entries.append(missing_entry(ann_id, 0, 0, 20, 20))
+    rng.shuffle(verdicts)
+    return verdicts, NoiseLedger(entries=entries)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_sweep_equals_per_threshold_reference(seed):
+    rng = random.Random(seed)
+    verdicts, ledger = _random_case(rng)
+    match_iou = rng.choice([0.3, 0.5, 0.7, 1.0])
+    for thresholds in (DEFAULT_THRESHOLDS, dense_thresholds(verdicts)):
+        got = roc_curve(verdicts, ledger, thresholds, match_iou=match_iou)
+        want = reference_roc_curve(verdicts, ledger, thresholds, match_iou=match_iou)
+        assert got.points == want.points
+        assert got.auroc == want.auroc
+    scores = [v.quality_score for v in verdicts]
+    for tau in [rng.random(), rng.choice(SCORE_POOL), *rng.sample(scores, min(3, len(scores)))]:
+        assert confusion_at(verdicts, ledger, tau, match_iou=match_iou) == reference_confusion_at(
+            verdicts, ledger, tau, match_iou=match_iou
+        )
+
+
+def test_dense_sweep_over_many_regions_is_fast():
+    # the per-threshold replay took ~2 minutes here on a 2-core host: 10k x 10k
+    # scalar IoUs, then a walk over every matched pair at each of ~40k thresholds
+    rng = random.Random(101)
+    verdicts, entries = [], []
+    ann_id = 0
+    for image_id in range(1, 5001):
+        for _ in range(6):
+            ann_id += 1
+            verdicts.append(ann_verdict(ann_id, rng.random(), image_id=image_id))
+            if rng.random() < 0.2:
+                entries.append(label_entry(ann_id))
+        for k in range(2):
+            ann_id += 1
+            x, y = 100 * k + rng.uniform(0, 20), rng.uniform(0, 500)
+            entries.append(missing_entry(ann_id, x, y, 40, 40, image_id=image_id))
+            verdicts.append(
+                region_verdict(
+                    rng.random(),
+                    BBox(x + rng.uniform(-4, 4), y + rng.uniform(-4, 4), 40, 40),
+                    image_id=image_id,
+                    cluster_id=ann_id,
+                )
+            )
+    ledger = NoiseLedger(entries=entries)
+    thresholds = dense_thresholds(verdicts)
+
+    start = time.time()
+    curve = roc_curve(verdicts, ledger, thresholds)
+    elapsed = time.time() - start
+
+    assert len(curve.points) == len(thresholds) > 40000
+    assert curve.points[-1].tpr == 1.0
+    assert elapsed < 30.0, f"dense sweep took {elapsed:.2f}s"
