@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from boxaudit.errors import (
     DanglingReferenceError,
@@ -27,6 +28,7 @@ from boxaudit.errors import (
 from boxaudit.geometry import BBox
 
 if TYPE_CHECKING:
+    from boxaudit.clustering import Cluster
     from boxaudit.confident_learning import BoxVerdict
     from boxaudit.evaluation import RocCurve
     from boxaudit.noise_injection import NoiseLedger
@@ -128,7 +130,6 @@ class PredictionSet:
     """
 
     boxes: list[AnnotatedBox]
-    note: str = ""
 
 
 @dataclass
@@ -141,6 +142,18 @@ class DetectionReport:
 
 
 # --- JSON plumbing -----------------------------------------------------------
+#
+# Error messages name the offending value, e.g. "detections[12].bbox". The
+# ``where`` arguments are callables that build that name, so the text is
+# formatted only on the way to raising. Type tests compare ``type(v)`` with
+# int and float: json.load yields exactly those (and bool, which is
+# rejected), never subclasses of them.
+
+_INT = "an integer"
+_NUMBER = "a number"
+_ANY = None
+_MISSING = object()
+_BBOX_FIELD = (("bbox", _ANY),)
 
 
 def _read_json(path: str | Path) -> Any:
@@ -156,45 +169,62 @@ def _read_json(path: str | Path) -> Any:
         ) from e
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _fields(obj: Any, spec: tuple, where: Callable[[], str]) -> list:
+    """The values of JSON object ``obj`` under the keys of ``spec``, a tuple
+    of (key, kind) pairs, checked in order: kind ``_INT`` takes an integer,
+    ``_NUMBER`` a number (returned as a float), ``_ANY`` any value. The first
+    missing key or wrong type raises a :class:`FormatError`."""
+    if type(obj) is not dict:
+        raise FormatError(f"{where()}: missing required key '{spec[0][0]}'")
+    values = []
+    for key, kind in spec:
+        value = obj.get(key, _MISSING)
+        if value is _MISSING:
+            raise FormatError(f"{where()}: missing required key '{key}'")
+        if kind is not _ANY and type(value) is not int:
+            if kind is _INT or type(value) is not float:
+                raise FormatError(f"{where()}.{key}: expected {kind}, got {value!r}")
+        values.append(float(value) if kind is _NUMBER else value)
+    return values
 
 
-def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _get(obj: dict, key: str, where: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise FormatError(f"{where}: missing required key '{key}'")
-    return obj[key]
-
-
-def _bbox_numbers(raw: Any, where: str) -> tuple[float, float, float, float]:
-    """Check that ``raw`` is an [x, y, w, h] list of 4 numbers."""
+def _bbox_numbers(
+    raw: Any, where: Callable[[], str], key: str
+) -> tuple[float, float, float, float]:
+    """Check that ``raw``, the value under ``key``, is an [x, y, w, h] list
+    of 4 numbers."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise FormatError(f"{where}: must be a list of 4 numbers, got {raw!r}")
-    x, y, w, h = (_as_number(v, where) for v in raw)
-    return x, y, w, h
+        raise FormatError(f"{where()}.{key}: must be a list of 4 numbers, got {raw!r}")
+    for v in raw:
+        if type(v) is not float and type(v) is not int:
+            raise FormatError(f"{where()}.{key}: expected a number, got {v!r}")
+    x, y, w, h = raw
+    return float(x), float(y), float(w), float(h)
 
 
-def _clamped_bbox(raw: Any, img: ImageInfo, where: str) -> BBox:
-    """Parse an [x, y, w, h] list and clamp it to the image rectangle."""
-    x, y, w, h = _bbox_numbers(raw, f"{where}.bbox")
-    x0, y0 = max(x, 0.0), max(y, 0.0)
-    x1, y1 = min(x + w, float(img.width)), min(y + h, float(img.height))
+def _clamped_bbox(entry: dict, img: ImageInfo, where: Callable[[], str]) -> BBox:
+    """Parse the entry's [x, y, w, h] ``bbox`` and clamp it to the image
+    rectangle. (The conditional expressions are ``max(x, 0.0)`` and
+    ``min(x + w, width)`` without the call overhead.)"""
+    (raw,) = _fields(entry, _BBOX_FIELD, where)
+    x, y, w, h = _bbox_numbers(raw, where, "bbox")
+    width, height = float(img.width), float(img.height)
+    x0 = 0.0 if 0.0 > x else x
+    y0 = 0.0 if 0.0 > y else y
+    x1 = width if width < x + w else x + w
+    y1 = height if height < y + h else y + h
     if x1 - x0 <= 0 or y1 - y0 <= 0:
         raise InvalidInputError(
-            f"{where}: zero-area box after clamping to image {img.id} bounds"
+            f"{where()}: zero-area box after clamping to image {img.id} bounds"
         )
     return BBox(x0, y0, x1 - x0, y1 - y0)
 
 
 # --- ground truth ------------------------------------------------------------
+
+_IMAGE_FIELDS = (("id", _INT), ("width", _INT), ("height", _INT), ("file_name", _ANY))
+_CATEGORY_FIELDS = (("id", _INT), ("name", _ANY))
+_ANNOTATION_FIELDS = (("id", _INT), ("image_id", _INT), ("category_id", _INT))
 
 
 def load_ground_truth(path: str | Path) -> Dataset:
@@ -208,34 +238,29 @@ def load_ground_truth(path: str | Path) -> Dataset:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
-    raw_images = _get(data, "images", str(path))
-    raw_cats = _get(data, "categories", str(path))
-    raw_anns = _get(data, "annotations", str(path))
+    raw_images, raw_cats, raw_anns = _fields(
+        data,
+        (("images", _ANY), ("categories", _ANY), ("annotations", _ANY)),
+        lambda: str(path),
+    )
     for key, raw in (("images", raw_images), ("categories", raw_cats), ("annotations", raw_anns)):
         if not isinstance(raw, list):
             raise FormatError(f"{path}: '{key}' must be a list")
 
     images: list[ImageInfo] = []
     for i, entry in enumerate(raw_images):
-        where = f"images[{i}]"
-        img = ImageInfo(
-            id=_as_int(_get(entry, "id", where), f"{where}.id"),
-            width=_as_int(_get(entry, "width", where), f"{where}.width"),
-            height=_as_int(_get(entry, "height", where), f"{where}.height"),
-            file_name=str(_get(entry, "file_name", where)),
-        )
-        if img.width <= 0 or img.height <= 0:
-            raise FormatError(f"{where}: image dimensions must be positive")
-        images.append(img)
+        where = lambda: f"images[{i}]"
+        img_id, width, height, file_name = _fields(entry, _IMAGE_FIELDS, where)
+        if width <= 0 or height <= 0:
+            raise FormatError(f"{where()}: image dimensions must be positive")
+        images.append(ImageInfo(id=img_id, width=width, height=height, file_name=str(file_name)))
     _check_unique((img.id for img in images), "image")
     image_map = {img.id: img for img in images}
 
     sources: list[tuple[int, str]] = []
     for i, entry in enumerate(raw_cats):
-        where = f"categories[{i}]"
-        sources.append(
-            (_as_int(_get(entry, "id", where), f"{where}.id"), str(_get(entry, "name", where)))
-        )
+        cat_id, name = _fields(entry, _CATEGORY_FIELDS, lambda: f"categories[{i}]")
+        sources.append((cat_id, str(name)))
     _check_unique((cid for cid, _ in sources), "category")
     names = dict(sources)
     categories = [
@@ -246,21 +271,18 @@ def load_ground_truth(path: str | Path) -> Dataset:
 
     annotations: list[AnnotatedBox] = []
     for i, entry in enumerate(raw_anns):
-        where = f"annotations[{i}]"
-        ann_id = _as_int(_get(entry, "id", where), f"{where}.id")
-        image_id = _as_int(_get(entry, "image_id", where), f"{where}.image_id")
-        cat_id = _as_int(_get(entry, "category_id", where), f"{where}.category_id")
+        where = lambda: f"annotations[{i}]"
+        ann_id, image_id, cat_id = _fields(entry, _ANNOTATION_FIELDS, where)
         if image_id not in image_map:
-            raise DanglingReferenceError(f"{where}: unknown image_id {image_id}")
+            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
         if cat_id not in source_to_dense:
-            raise DanglingReferenceError(f"{where}: unknown category_id {cat_id}")
-        bbox = _clamped_bbox(_get(entry, "bbox", where), image_map[image_id], where)
+            raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
         annotations.append(
             AnnotatedBox(
                 id=ann_id,
                 image_id=image_id,
                 category_id=source_to_dense[cat_id],
-                bbox=bbox,
+                bbox=_clamped_bbox(entry, image_map[image_id], where),
                 source=BoxSource.ORIGINAL,
             )
         )
@@ -279,6 +301,8 @@ def _check_unique(ids, kind: str) -> None:
 
 # --- predictions --------------------------------------------------------------
 
+_DETECTION_FIELDS = (("image_id", _INT), ("category_id", _INT), ("score", _NUMBER))
+
 
 def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     """Load a COCO detection-results file against an already-loaded dataset.
@@ -293,28 +317,25 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     source_to_dense = ds.source_to_dense()
     boxes: list[AnnotatedBox] = []
     for i, entry in enumerate(data):
-        where = f"detections[{i}]"
-        image_id = _as_int(_get(entry, "image_id", where), f"{where}.image_id")
-        cat_id = _as_int(_get(entry, "category_id", where), f"{where}.category_id")
-        score = _as_number(_get(entry, "score", where), f"{where}.score")
+        where = lambda: f"detections[{i}]"
+        image_id, cat_id, score = _fields(entry, _DETECTION_FIELDS, where)
         if image_id not in image_map:
-            raise DanglingReferenceError(f"{where}: unknown image_id {image_id}")
+            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
         if cat_id not in source_to_dense:
-            raise DanglingReferenceError(f"{where}: unknown category_id {cat_id}")
+            raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
         if not 0.0 <= score <= 1.0:
-            raise InvalidScoreError(f"{where}: score {score} outside [0, 1]")
-        bbox = _clamped_bbox(_get(entry, "bbox", where), image_map[image_id], where)
+            raise InvalidScoreError(f"{where()}: score {score} outside [0, 1]")
         boxes.append(
             AnnotatedBox(
                 id=i + 1,
                 image_id=image_id,
                 category_id=source_to_dense[cat_id],
-                bbox=bbox,
+                bbox=_clamped_bbox(entry, image_map[image_id], where),
                 source=BoxSource.PREDICTED,
                 score=score,
             )
         )
-    return PredictionSet(boxes=boxes, note=str(path))
+    return PredictionSet(boxes=boxes)
 
 
 # --- dataset persistence -------------------------------------------------------
@@ -366,14 +387,18 @@ def _box_record(box: AnnotatedBox, dense_to_source: dict[int, int]) -> dict:
     return rec
 
 
-def _parse_box_record(rec: dict, source_to_dense: dict[int, int], where: str) -> AnnotatedBox:
-    cat = _as_int(_get(rec, "category_id", where), f"{where}.category_id")
+def _parse_box_record(
+    rec: dict, source_to_dense: dict[int, int], where: Callable[[], str]
+) -> AnnotatedBox:
+    (cat,) = _fields(rec, (("category_id", _INT),), where)
     if cat not in source_to_dense:
-        raise DanglingReferenceError(f"{where}: unknown category_id {cat}")
-    x, y, w, h = _bbox_numbers(_get(rec, "bbox", where), f"{where}.bbox")
+        raise DanglingReferenceError(f"{where()}: unknown category_id {cat}")
+    (raw_bbox,) = _fields(rec, _BBOX_FIELD, where)
+    x, y, w, h = _bbox_numbers(raw_bbox, where, "bbox")
+    ann_id, image_id = _fields(rec, (("id", _INT), ("image_id", _INT)), where)
     return AnnotatedBox(
-        id=_as_int(_get(rec, "id", where), f"{where}.id"),
-        image_id=_as_int(_get(rec, "image_id", where), f"{where}.image_id"),
+        id=ann_id,
+        image_id=image_id,
         category_id=source_to_dense[cat],
         bbox=BBox(x, y, w, h),
         source=BoxSource.ORIGINAL,
@@ -399,38 +424,38 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
     from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
     data = _read_json(path)
-    raw_entries = _get(data, "entries", str(path))
+    (raw_entries,) = _fields(data, (("entries", _ANY),), lambda: str(path))
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: 'entries' must be a list")
     source_to_dense = ds.source_to_dense()
     entries = []
     for i, rec in enumerate(raw_entries):
-        where = f"entries[{i}]"
-        kind_raw = _get(rec, "noise_type", where)
+        where = lambda: f"entries[{i}]"
+        (kind_raw,) = _fields(rec, (("noise_type", _ANY),), where)
         try:
             kind = NoiseKind(kind_raw)
         except ValueError:
-            raise FormatError(f"{where}: unknown noise_type {kind_raw!r}") from None
+            raise FormatError(f"{where()}: unknown noise_type {kind_raw!r}") from None
+        (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
+        original, perturbed = (
+            _parse_box_record(rec[side], source_to_dense, lambda: f"{where()}.{side}")
+            if rec.get(side) is not None
+            else None
+            for side in ("original", "perturbed")
+        )
         entries.append(
-            LedgerEntry(
-                annotation_id=_as_int(_get(rec, "annotation_id", where), f"{where}.annotation_id"),
-                kind=kind,
-                original=(
-                    _parse_box_record(rec["original"], source_to_dense, f"{where}.original")
-                    if rec.get("original") is not None
-                    else None
-                ),
-                perturbed=(
-                    _parse_box_record(rec["perturbed"], source_to_dense, f"{where}.perturbed")
-                    if rec.get("perturbed") is not None
-                    else None
-                ),
-            )
+            LedgerEntry(annotation_id=ann_id, kind=kind, original=original, perturbed=perturbed)
         )
     return NoiseLedger(entries=entries)
 
 
 # --- report persistence ---------------------------------------------------------
+#
+# report.json is streamed one record at a time, each record a string built
+# straight from the verdict, cluster and box objects, in exactly the layout of
+# json.dump(mirror, sort_keys=True, indent=2). Before Python 3.13 an indented
+# json.dump runs the pure-Python encoder with one write per token, and the
+# mirror it encodes would hold every record of the report as a dict.
 
 REPORT_COLUMNS = [
     "cluster_id",
@@ -441,10 +466,127 @@ REPORT_COLUMNS = [
     "flagged_class_ids",
 ]
 
+_json_str = json.encoder.encode_basestring_ascii
+_json_int = int.__repr__
 
-def _flagged_class_labels(classes, categories: list[Category]) -> list[str]:
-    dense_to_source = {c.id: c.source_id for c in categories}
-    background = len(categories) + 1
+
+def _json_number(v: float) -> str:
+    """An int or a float, spelled as json.dump spells it."""
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+    return int.__repr__(v)
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """Encoded ``items`` as an indented JSON list whose closing bracket sits
+    ``indent`` spaces in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_object(keys: tuple[str, ...], indent: int) -> str:
+    """A ``str.format`` template of an indented JSON object with ``keys``
+    (given sorted), one field per value, whose closing brace sits ``indent``
+    spaces in."""
+    pad = "\n" + " " * indent
+    return "{{" + ",".join(f'{pad}  "{k}": {{}}' for k in keys) + pad + "}}"
+
+
+def _nested_json(value: Any) -> str:
+    """A small value encoded by json itself, to sit under a top-level key."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+# Templates of the records at the depth each sits at in report.json.
+_BOX = _json_object(("bbox", "category_id", "id", "image_id"), 8)
+_SCORED_BOX = _json_object(("bbox", "category_id", "id", "image_id", "score"), 8)
+_FINDING = _json_object(
+    (
+        "annotation_ids",
+        "cluster_id",
+        "flagged_classes",
+        "image_id",
+        "original_members",
+        "predicted_members",
+        "quality_score",
+        "region",
+        "verdict_kind",
+    ),
+    4,
+)
+_VERDICT = _json_object(
+    ("annotation_id", "cluster_id", "flagged", "image_id", "quality_score", "region", "verdict_kind"),
+    4,
+)
+
+
+def _bbox_json(bbox: BBox | None, indent: int) -> str:
+    if bbox is None:
+        return "null"
+    return _json_list([_json_number(v) for v in bbox.as_list()], indent)
+
+
+def _box_json(box: AnnotatedBox, dense_to_source: dict[int, int]) -> str:
+    """A finding's member box: the fields of :func:`_box_record`."""
+    values = (
+        _bbox_json(box.bbox, 10),
+        _json_int(dense_to_source[box.category_id]),
+        _json_int(box.id),
+        _json_int(box.image_id),
+    )
+    if box.score is None:
+        return _BOX.format(*values)
+    return _SCORED_BOX.format(*values, _json_number(box.score))
+
+
+def _finding_json(
+    cluster_id: int,
+    cluster: Cluster,
+    first: BoxVerdict,
+    ann_ids: list[int],
+    class_labels: list[str],
+    region: BBox | None,
+    dense_to_source: dict[int, int],
+) -> str:
+    """A flagged cluster: its first flagged verdict's kind, score and
+    classes, the flagged annotation ids and every member box."""
+    return _FINDING.format(
+        _json_list([_json_int(a) for a in ann_ids], 6),
+        _json_int(cluster_id),
+        _json_list([_json_str(c) for c in class_labels], 6),
+        _json_int(cluster.image_id),
+        _json_list([_box_json(b, dense_to_source) for b in cluster.original_members], 6),
+        _json_list([_box_json(b, dense_to_source) for b in cluster.predicted_members], 6),
+        _json_number(first.quality_score),
+        _bbox_json(region, 6),
+        _json_str(first.verdict_kind),
+    )
+
+
+def _verdict_json(v: BoxVerdict) -> str:
+    return _VERDICT.format(
+        "null" if v.annotation_id is None else _json_int(v.annotation_id),
+        _json_int(v.cluster_id),
+        "true" if v.flagged else "false",
+        _json_int(v.image_id),
+        _json_number(v.quality_score),
+        _bbox_json(v.region, 6),
+        _json_str(v.verdict_kind),
+    )
+
+
+def _write_records(fh, records) -> None:
+    """Write an iterable of encoded records as a list under a top-level key."""
+    sep = "["
+    for record in records:
+        fh.write(sep + "\n    " + record)
+        sep = ","
+    fh.write("[]" if sep == "[" else "\n  ]")
+
+
+def _flagged_class_labels(classes, dense_to_source: dict[int, int], background: int) -> list[str]:
     return [
         "background" if m == background else str(dense_to_source.get(m, m)) for m in classes
     ]
@@ -456,78 +598,61 @@ def save_report(report: DetectionReport, path: str | Path) -> None:
     path = Path(path)
     cluster_by_id = {c.id: c for c in report.clusters}
     dense_to_source = {c.id: c.source_id for c in report.categories}
+    background = len(report.categories) + 1
     flagged_by_cluster: dict[int, list] = {}
     for v in report.verdicts:
         if v.flagged:
             flagged_by_cluster.setdefault(v.cluster_id, []).append(v)
 
-    rows = []
     findings = []
+    flagged_annotations = missing_regions = 0
     for cluster_id in sorted(flagged_by_cluster):
-        cluster = cluster_by_id[cluster_id]
         members = flagged_by_cluster[cluster_id]
-        kind = members[0].verdict_kind
-        score = members[0].quality_score
-        flagged_classes = members[0].flagged_classes
+        first = members[0]
         ann_ids = [v.annotation_id for v in members if v.annotation_id is not None]
-        class_labels = _flagged_class_labels(flagged_classes, report.categories)
-        rows.append(
-            [
-                cluster_id,
-                cluster.image_id,
-                ";".join(str(i) for i in ann_ids),
-                kind,
-                f"{score:.6f}",
-                ";".join(class_labels),
-            ]
-        )
+        class_labels = _flagged_class_labels(first.flagged_classes, dense_to_source, background)
         region = next((v.region for v in members if v.region is not None), None)
-        findings.append(
-            {
-                "cluster_id": cluster_id,
-                "image_id": cluster.image_id,
-                "verdict_kind": kind,
-                "quality_score": score,
-                "flagged_classes": class_labels,
-                "annotation_ids": ann_ids,
-                "region": region.as_list() if region is not None else None,
-                "original_members": [
-                    _box_record(b, dense_to_source) for b in cluster.original_members
-                ],
-                "predicted_members": [
-                    _box_record(b, dense_to_source) for b in cluster.predicted_members
-                ],
-            }
-        )
+        findings.append((cluster_id, cluster_by_id[cluster_id], first, ann_ids, class_labels, region))
+        flagged_annotations += len(ann_ids)
+        if first.verdict_kind == "missing_region":
+            missing_regions += 1
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        writer.writerows(rows)
+        for cluster_id, cluster, first, ann_ids, class_labels, _ in findings:
+            writer.writerow(
+                [
+                    cluster_id,
+                    cluster.image_id,
+                    ";".join(str(i) for i in ann_ids),
+                    first.verdict_kind,
+                    f"{first.quality_score:.6f}",
+                    ";".join(class_labels),
+                ]
+            )
 
-    mirror = {
-        "summary": {
-            "clusters": len(report.clusters),
-            "flagged_clusters": len(findings),
-            "flagged_annotations": sum(len(f["annotation_ids"]) for f in findings),
-            "missing_regions": sum(1 for f in findings if f["verdict_kind"] == "missing_region"),
-        },
-        "findings": findings,
-        "verdicts": [
-            {
-                "annotation_id": v.annotation_id,
-                "cluster_id": v.cluster_id,
-                "image_id": v.image_id,
-                "quality_score": v.quality_score,
-                "flagged": v.flagged,
-                "verdict_kind": v.verdict_kind,
-                "region": v.region.as_list() if v.region is not None else None,
-            }
-            for v in report.verdicts
-        ],
-        "categories": [{"id": c.source_id, "name": c.name} for c in report.categories],
+    categories = [{"id": c.source_id, "name": c.name} for c in report.categories]
+    summary = {
+        "clusters": len(report.clusters),
+        "flagged_clusters": len(findings),
+        "flagged_annotations": flagged_annotations,
+        "missing_regions": missing_regions,
     }
-    _write_json(mirror, path.with_suffix(".json"), indent=2)
+    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
+        fh.write('{\n  "categories": ' + _nested_json(categories) + ',\n  "findings": ')
+        _write_records(fh, (_finding_json(*f, dense_to_source) for f in findings))
+        fh.write(',\n  "summary": ' + _nested_json(summary) + ',\n  "verdicts": ')
+        _write_records(fh, map(_verdict_json, report.verdicts))
+        fh.write("\n}\n")
+
+
+_VERDICT_FIELDS = (
+    ("cluster_id", _INT),
+    ("image_id", _INT),
+    ("quality_score", _NUMBER),
+    ("verdict_kind", _ANY),
+)
 
 
 def load_report(path: str | Path) -> list[BoxVerdict]:
@@ -536,31 +661,30 @@ def load_report(path: str | Path) -> list[BoxVerdict]:
     from boxaudit.confident_learning import BoxVerdict
 
     data = _read_json(path)
-    raw = _get(data, "verdicts", str(path))
+    (raw,) = _fields(data, (("verdicts", _ANY),), lambda: str(path))
     if not isinstance(raw, list):
         raise FormatError(f"{path}: 'verdicts' must be a list")
     verdicts = []
     for i, rec in enumerate(raw):
-        where = f"verdicts[{i}]"
+        where = lambda: f"verdicts[{i}]"
         if not isinstance(rec, dict):
-            raise FormatError(f"{where}: must be a JSON object, got {rec!r}")
+            raise FormatError(f"{where()}: must be a JSON object, got {rec!r}")
         ann_id = rec.get("annotation_id")
+        if ann_id is not None:
+            (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
+        cluster_id, image_id, quality_score, verdict_kind = _fields(rec, _VERDICT_FIELDS, where)
         region = rec.get("region")
         verdicts.append(
             BoxVerdict(
-                annotation_id=(
-                    _as_int(ann_id, f"{where}.annotation_id") if ann_id is not None else None
-                ),
-                cluster_id=_as_int(_get(rec, "cluster_id", where), f"{where}.cluster_id"),
-                image_id=_as_int(_get(rec, "image_id", where), f"{where}.image_id"),
-                quality_score=_as_number(
-                    _get(rec, "quality_score", where), f"{where}.quality_score"
-                ),
+                annotation_id=ann_id,
+                cluster_id=cluster_id,
+                image_id=image_id,
+                quality_score=quality_score,
                 flagged=bool(rec.get("flagged", False)),
                 flagged_classes=tuple(),
-                verdict_kind=str(_get(rec, "verdict_kind", where)),
+                verdict_kind=str(verdict_kind),
                 region=(
-                    BBox(*_bbox_numbers(region, f"{where}.region")) if region is not None else None
+                    BBox(*_bbox_numbers(region, where, "region")) if region is not None else None
                 ),
             )
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, ImageInfo
@@ -191,19 +191,19 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
         original = annotations[i]
         if spec.kind == NoiseKind.UNIFORM_LABEL:
             others = [c for c in range(1, num_classes + 1) if c != original.category_id]
-            perturbed = _replace(original, category_id=rng.choice(others))
+            perturbed = replace(original, category_id=rng.choice(others))
         elif spec.kind == NoiseKind.LOCATION:
             angle = rng.uniform(0.0, 2.0 * math.pi)
             bbox = displace_box(
                 original.bbox, angle, spec.amplitude, image_map[original.image_id]
             )
-            perturbed = _replace(original, bbox=bbox)
+            perturbed = replace(original, bbox=bbox)
         else:  # scale
             grow = rng.random() < 0.5
             bbox = rescale_box(
                 original.bbox, grow, spec.amplitude, image_map[original.image_id]
             )
-            perturbed = _replace(original, bbox=bbox)
+            perturbed = replace(original, bbox=bbox)
         annotations[i] = perturbed
         ledger.entries.append(
             LedgerEntry(
@@ -214,19 +214,6 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
             )
         )
     return _with_annotations(ds, annotations), ledger
-
-
-def _replace(box: AnnotatedBox, **changes) -> AnnotatedBox:
-    fields = {
-        "id": box.id,
-        "image_id": box.image_id,
-        "category_id": box.category_id,
-        "bbox": box.bbox,
-        "source": box.source,
-        "score": box.score,
-    }
-    fields.update(changes)
-    return AnnotatedBox(**fields)
 
 
 def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:

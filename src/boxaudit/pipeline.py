@@ -51,6 +51,15 @@ class PipelineConfig:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.match_iou <= 1.0:
             raise InvalidSpecError(f"match iou must lie in (0, 1], got {self.match_iou}")
+        if self.tau is not None and self.cl_mode != cl.MODE_SCORE_THRESHOLD:
+            raise InvalidSpecError(
+                f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.cl_mode}"
+            )
+        if self.noise is not None and self.ledger_path is not None:
+            raise InvalidSpecError(
+                "give either a noise spec (--noise-kind ...) or an existing ledger "
+                "(--ledger), not both"
+            )
         self.output_dir = Path(self.output_dir)
 
 
@@ -116,7 +125,7 @@ def cmd_detect(config: PipelineConfig) -> Path:
         verdicts=result.verdicts, clusters=result.clusters, categories=ds.categories
     )
     dataset_io.save_report(report, report_path)
-    flagged_rows = sum(1 for r in result.rows if _row_flagged(r, config))
+    flagged_rows = len({v.cluster_id for v in result.verdicts if v.flagged})
     flagged_annotations = sum(
         1 for v in result.verdicts if v.flagged and v.annotation_id is not None
     )
@@ -129,12 +138,6 @@ def cmd_detect(config: PipelineConfig) -> Path:
     print(f"missing regions: {missing_regions}")
     print(f"report written to {report_path}")
     return report_path
-
-
-def _row_flagged(row: RowAssessment, config: PipelineConfig) -> bool:
-    if config.cl_mode == cl.MODE_SCORE_THRESHOLD:
-        return row.quality_score <= (config.tau if config.tau is not None else 1.0)
-    return row.flagged
 
 
 def _sweep_thresholds(verdicts: list[BoxVerdict], sweep: str) -> list[float] | None:

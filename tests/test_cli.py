@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boxaudit
 from boxaudit.cli import main
 
 from conftest import coco_payload, write_json
@@ -187,6 +192,64 @@ def test_detect_report_json_mirror_has_membership(tmp_path):
     assert len(mirror["verdicts"]) >= 30
 
 
+def _noisy_synthetic(tmp_path):
+    """Synthetic inputs with one flipped label and two removed annotations,
+    so that detect finds both wrong labels and missing regions."""
+    gt, preds = build_synthetic(num_images=8, boxes_per_image=6, seed=9)
+    gt["annotations"][3]["category_id"] = gt["annotations"][3]["category_id"] % 12 + 1
+    del gt["annotations"][20], gt["annotations"][10]
+    return write_json(tmp_path / "gt.json", gt), write_json(tmp_path / "preds.json", preds)
+
+
+@pytest.mark.parametrize(
+    "mode_flags", [[], ["--mode", "score_threshold", "--tau", "1.0"]], ids=["cj", "st"]
+)
+def test_detect_flagged_rows_match_report_summary(tmp_path, capsys, mode_flags):
+    gt, preds = _noisy_synthetic(tmp_path)
+    out = tmp_path / "out"
+    rc = main(
+        ["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+         "--output-dir", str(out), *mode_flags]
+    )
+    assert rc == 0
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["flagged_clusters"] > 0
+    assert f"flagged rows: {summary['flagged_clusters']}\n" in capsys.readouterr().out
+
+
+def test_detect_rejects_tau_in_confident_joint_mode(tmp_path, capsys):
+    gt = _small_gt(tmp_path)
+    preds = _perfect_predictions(tmp_path, gt)
+    rc = main(
+        ["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+         "--tau", "0.5", "--output-dir", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_is_byte_identical_across_hash_seeds(tmp_path):
+    gt, preds = _noisy_synthetic(tmp_path)
+    src = str(Path(boxaudit.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "boxaudit", "detect", "--ground-truth", str(gt),
+             "--predictions", str(preds), "--output-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports.append([(out / name).read_bytes() for name in ("report.csv", "report.json")])
+    assert reports[0] == reports[1]
+    assert b"missing_region" in reports[0][0] and b"wrong_label" in reports[0][0]
+
+
 # --- eval -------------------------------------------------------------------------
 
 
@@ -258,6 +321,19 @@ def test_eval_with_existing_ledger(tmp_path):
     assert rc == 0
     mirror = json.loads((out / "roc.json").read_text())
     assert mirror["auroc"] >= 0.95
+
+
+def test_eval_rejects_ledger_with_noise_spec(tmp_path, capsys):
+    gt, preds = write_synthetic(tmp_path, num_images=4, boxes_per_image=5, seed=2)
+    ledger = write_json(tmp_path / "ledger.json", {"entries": []})
+    rc = main(
+        ["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+         "--ledger", str(ledger), "--noise-kind", "missing", "--fraction", "0.2",
+         "--output-dir", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_without_noise_or_ledger_fails(tmp_path, capsys):

@@ -1,9 +1,15 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from boxaudit.clustering import Cluster
+from boxaudit.confident_learning import BoxVerdict
 from boxaudit.dataset_io import (
+    AnnotatedBox,
     BoxSource,
+    Category,
     DetectionReport,
     load_ground_truth,
     load_ledger,
@@ -20,9 +26,11 @@ from boxaudit.errors import (
     InvalidScoreError,
     MissingFileError,
 )
+from boxaudit.geometry import BBox
 from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
 
 from conftest import coco_payload, write_json
+from report_reference import save_report as reference_save_report
 
 
 def test_minimal_file_loads(tiny_coco_path):
@@ -259,3 +267,105 @@ def test_empty_report_has_header_only(tmp_path):
     assert lines == ["cluster_id,image_id,annotation_ids,verdict_kind,quality_score,flagged_class_ids"]
     mirror = json.loads((tmp_path / "report.json").read_text())
     assert mirror["findings"] == []
+
+
+# --- report writer vs. the json.dump reference --------------------------------
+
+_NAMES = ["car", 'say "hi"', "back\\slash", "naïve 猫", "tab\tnew\nline", "🐱", ""]
+_KINDS = ["wrong_label", "ok", "missing_region", 'odd "kind" \\ ü']
+_IDS = [0, 1, 7, 2**63 + 5, 10**30]
+_COORDS = [0, 3, 0.0, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**20]
+_SIZES = [1, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**18]
+_SCORES = [0.0, 1.0, 0, 1, 0.1 + 0.2, 1e-17, 0.5]
+
+
+def _pick(rng, choices, spread=1e3):
+    """One of ``choices``, or else a random float in [0, spread)."""
+    return rng.choice(choices) if rng.random() < 0.7 else rng.random() * spread
+
+
+def _random_bbox(rng):
+    return BBox(_pick(rng, _COORDS), _pick(rng, _COORDS), _pick(rng, _SIZES), _pick(rng, _SIZES))
+
+
+def _random_box(rng, box_id, image_id, num_classes, predicted):
+    return AnnotatedBox(
+        id=box_id,
+        image_id=image_id,
+        category_id=rng.randint(1, num_classes),
+        bbox=_random_bbox(rng),
+        source=BoxSource.PREDICTED if predicted else BoxSource.ORIGINAL,
+        score=_pick(rng, _SCORES, spread=1.0) if predicted else None,
+    )
+
+
+def _random_report(rng, seen):
+    """A report of random clusters and verdicts, shaped like detect's but
+    with awkward values: huge ints, floats without a short repr, int
+    coordinates, escaped and non-ASCII names, unknown class ids."""
+    num_classes = rng.randint(0, 4)
+    source_ids = rng.sample(_IDS + [12, 99], num_classes)
+    categories = [
+        Category(id=m, name=rng.choice(_NAMES), source_id=src)
+        for m, src in enumerate(source_ids, start=1)
+    ]
+    clusters, verdicts = [], []
+    cluster_offset = rng.choice([0, 2**40])
+    for k in range(rng.randint(0, 6)):
+        image_id = rng.choice(_IDS)
+        sizes = (rng.randint(0, 3), rng.randint(0, 3)) if num_classes else (0, 0)
+        cluster = Cluster(
+            id=k + cluster_offset,
+            image_id=image_id,
+            original_members=[
+                _random_box(rng, rng.choice(_IDS) + j, image_id, num_classes, False)
+                for j in range(sizes[0])
+            ],
+            predicted_members=[
+                _random_box(rng, j + 1, image_id, num_classes, True) for j in range(sizes[1])
+            ],
+        )
+        clusters.append(cluster)
+        flagged = rng.random() < 0.5
+        quality = _pick(rng, _SCORES, spread=1.0)
+        classes = tuple(rng.sample(range(1, num_classes + 3), rng.randint(0, 2))) if flagged else ()
+        ann_ids = [b.id for b in cluster.original_members] or [None]
+        for ann_id in ann_ids:
+            region = _random_bbox(rng) if rng.random() < 0.4 else None
+            verdicts.append(
+                BoxVerdict(
+                    annotation_id=ann_id,
+                    cluster_id=cluster.id,
+                    image_id=image_id,
+                    quality_score=quality,
+                    flagged=flagged,
+                    flagged_classes=classes,
+                    verdict_kind=rng.choice(_KINDS),
+                    region=region,
+                )
+            )
+            seen["region"] += region is not None
+            seen["no region"] += region is None
+        seen["background cluster"] += cluster.is_background and bool(cluster.predicted_members)
+        seen["flagged, no classes"] += flagged and not classes
+        seen["annotation_id None"] += ann_ids == [None]
+    rng.shuffle(verdicts)
+    if not any(v.flagged for v in verdicts):
+        seen["no flagged clusters"] += 1
+    seen["empty verdicts"] += not verdicts
+    return DetectionReport(verdicts=verdicts, clusters=clusters, categories=categories)
+
+
+def test_report_writer_matches_json_dump_reference(tmp_path):
+    seen = Counter()
+    for seed in range(300):
+        report = _random_report(random.Random(seed), seen)
+        save_report(report, tmp_path / "new.csv")
+        reference_save_report(report, tmp_path / "ref.csv")
+        for name in ("new.csv", "new.json"):
+            ref = name.replace("new", "ref")
+            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
+    assert all(seen[k] >= 5 for k in (
+        "region", "no region", "background cluster", "flagged, no classes",
+        "annotation_id None", "no flagged clusters", "empty verdicts",
+    )), seen
