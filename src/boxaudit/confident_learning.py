@@ -127,7 +127,7 @@ def detect_issues(
     self_confidence = np.where(labels, probs, 1.0 - probs)
     quality = self_confidence.min(axis=1)
 
-    flagged_classes: list[list[int]] = [[] for _ in range(n_rows)]
+    flagged = np.zeros((n_rows, n_classes), dtype=bool)
     for m in range(n_classes):
         pos = labels[:, m]
         p = probs[:, m]
@@ -135,20 +135,18 @@ def detect_issues(
         neg_rows = np.nonzero(~pos)[0]
         if not np.isnan(thresholds.t_neg[m]) and pos_rows.size:
             count = int(np.count_nonzero((1.0 - p[pos_rows]) >= thresholds.t_neg[m]))
-            for k in _worst(pos_rows, p[pos_rows], count):
-                flagged_classes[k].append(m + 1)
+            flagged[_worst(pos_rows, p[pos_rows], count), m] = True
         if not np.isnan(thresholds.t_pos[m]) and neg_rows.size:
             count = int(np.count_nonzero(p[neg_rows] >= thresholds.t_pos[m]))
-            for k in _worst(neg_rows, 1.0 - p[neg_rows], count):
-                flagged_classes[k].append(m + 1)
+            flagged[_worst(neg_rows, 1.0 - p[neg_rows], count), m] = True
 
+    flagged_classes: list[tuple[int, ...]] = [()] * n_rows
+    rows, cols = np.nonzero(flagged)
+    for k, m in zip(rows.tolist(), (cols + 1).tolist()):
+        flagged_classes[k] += (m,)
     return [
-        RowAssessment(
-            quality_score=float(quality[k]),
-            flagged=bool(flagged_classes[k]),
-            flagged_classes=tuple(flagged_classes[k]),
-        )
-        for k in range(n_rows)
+        RowAssessment(q, bool(classes), classes)
+        for q, classes in zip(quality.tolist(), flagged_classes)
     ]
 
 

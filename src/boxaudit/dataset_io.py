@@ -388,7 +388,7 @@ def _box_record(box: AnnotatedBox, dense_to_source: dict[int, int]) -> dict:
 
 
 def _parse_box_record(
-    rec: dict, source_to_dense: dict[int, int], where: Callable[[], str]
+    rec: dict, source_to_dense: dict[int, int], image_ids: set[int], where: Callable[[], str]
 ) -> AnnotatedBox:
     (cat,) = _fields(rec, (("category_id", _INT),), where)
     if cat not in source_to_dense:
@@ -396,6 +396,8 @@ def _parse_box_record(
     (raw_bbox,) = _fields(rec, _BBOX_FIELD, where)
     x, y, w, h = _bbox_numbers(raw_bbox, where, "bbox")
     ann_id, image_id = _fields(rec, (("id", _INT), ("image_id", _INT)), where)
+    if image_id not in image_ids:
+        raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
     return AnnotatedBox(
         id=ann_id,
         image_id=image_id,
@@ -428,6 +430,7 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
     if not isinstance(raw_entries, list):
         raise FormatError(f"{path}: 'entries' must be a list")
     source_to_dense = ds.source_to_dense()
+    image_ids = {img.id for img in ds.images}
     entries = []
     for i, rec in enumerate(raw_entries):
         where = lambda: f"entries[{i}]"
@@ -438,7 +441,9 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
             raise FormatError(f"{where()}: unknown noise_type {kind_raw!r}") from None
         (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
         original, perturbed = (
-            _parse_box_record(rec[side], source_to_dense, lambda: f"{where()}.{side}")
+            _parse_box_record(
+                rec[side], source_to_dense, image_ids, lambda: f"{where()}.{side}"
+            )
             if rec.get(side) is not None
             else None
             for side in ("original", "perturbed")

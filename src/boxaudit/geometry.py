@@ -9,7 +9,7 @@ import numpy as np
 
 from boxaudit.errors import InvalidInputError
 
-__all__ = ["BBox", "iou", "box_distance", "iou_matrix"]
+__all__ = ["BBox", "iou", "box_distance", "iou_matrix", "corners", "corner_iou"]
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,34 @@ def box_distance(a: BBox, b: BBox) -> float:
     return 1.0 - iou(a, b)
 
 
+def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (x1, y1, x2, y2) columns of an (n, 4) array of [x, y, w, h] rows."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    x1, y1 = boxes[:, 0], boxes[:, 1]
+    return x1, y1, x1 + boxes[:, 2], y1 + boxes[:, 3]
+
+
+def corner_iou(a, b) -> np.ndarray:
+    """Elementwise IoU of boxes given as broadcastable (x1, y1, x2, y2)
+    arrays, with the operations of :func:`iou` in the same order, so both
+    give the same floats. Every array IoU in the package goes through it."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
+
+
 def iou_matrix(boxes: np.ndarray) -> np.ndarray:
     """Pairwise IoU of an (n, 4) array of [x, y, w, h] rows.
 
-    Vectorized companion of :func:`iou` for per-image clustering.
+    Vectorized companion of :func:`iou`.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.size == 0:
         return np.zeros((0, 0))
-    x1, y1 = boxes[:, 0], boxes[:, 1]
-    x2, y2 = x1 + boxes[:, 2], y1 + boxes[:, 3]
-    areas = (x2 - x1) * (y2 - y1)
-    iw = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
-    ih = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    return inter / (areas[:, None] + areas[None, :] - inter)
+    x1, y1, x2, y2 = corners(boxes)
+    return corner_iou(
+        (x1[:, None], y1[:, None], x2[:, None], y2[:, None]), (x1, y1, x2, y2)
+    )

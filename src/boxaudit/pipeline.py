@@ -55,6 +55,12 @@ class PipelineConfig:
             raise InvalidSpecError(
                 f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.cl_mode}"
             )
+        if self.cl_mode == cl.MODE_SCORE_THRESHOLD and (
+            self.tau is None or not 0.0 <= self.tau <= 1.0
+        ):
+            raise InvalidSpecError(
+                f"{cl.MODE_SCORE_THRESHOLD} mode needs tau in [0, 1], got {self.tau}"
+            )
         if self.noise is not None and self.ledger_path is not None:
             raise InvalidSpecError(
                 "give either a noise spec (--noise-kind ...) or an existing ledger "

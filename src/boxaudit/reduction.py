@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from boxaudit.clustering import Cluster
+from boxaudit.dataset_io import AnnotatedBox
 from boxaudit.errors import InvalidInputError
 
 __all__ = ["ReducedMatrices", "reduce_cluster", "reduce_dataset"]
@@ -46,37 +47,49 @@ def reduce_cluster(cluster: Cluster, num_classes: int) -> tuple[np.ndarray, np.n
     none); the background probability is 1 exactly when all real-class
     probabilities are 0.
     """
-    y = np.zeros(num_classes + 1, dtype=np.uint8)
-    p = np.zeros(num_classes + 1, dtype=np.float64)
+    matrices = reduce_dataset([cluster], num_classes)
+    return matrices.labels[0], matrices.probs[0]
 
-    for box in cluster.original_members:
-        if not 1 <= box.category_id <= num_classes:
-            raise InvalidInputError(
-                f"annotation {box.id}: label {box.category_id} outside 1..{num_classes}"
-            )
-        y[box.category_id - 1] = 1
-    if not y.any():
-        y[num_classes] = 1
 
-    for box in cluster.predicted_members:
-        if not 1 <= box.category_id <= num_classes:
-            raise InvalidInputError(
-                f"prediction {box.id}: label {box.category_id} outside 1..{num_classes}"
-            )
-        col = box.category_id - 1
-        p[col] = max(p[col], box.score)
-    if p[:num_classes].sum() == 0:
-        p[num_classes] = 1.0
-
-    return y, p
+def _members(clusters: list[Cluster], side: str) -> tuple[np.ndarray, list[AnnotatedBox]]:
+    """The ``side`` members of every cluster in cluster order, with the row
+    (cluster index) of each."""
+    groups = [getattr(c, side) for c in clusters]
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return rows, [b for g in groups for b in g]
 
 
 def reduce_dataset(clusters: list[Cluster], num_classes: int) -> ReducedMatrices:
-    """Stack per-cluster rows in cluster order into the reduced matrices."""
-    labels = np.zeros((len(clusters), num_classes + 1), dtype=np.uint8)
-    probs = np.zeros((len(clusters), num_classes + 1), dtype=np.float64)
-    for k, cluster in enumerate(clusters):
-        labels[k], probs[k] = reduce_cluster(cluster, num_classes)
+    """Reduce cluster k (see :func:`reduce_cluster`) into row k of the
+    matrices, every cluster at once."""
+    n = len(clusters)
+    originals = _members(clusters, "original_members")
+    predictions = _members(clusters, "predicted_members")
+    # report the first label out of range in cluster order, originals first
+    found = []
+    for side, (rows, boxes) in enumerate((originals, predictions)):
+        for i, box in enumerate(boxes):
+            if not 1 <= box.category_id <= num_classes:
+                found.append((int(rows[i]), side, box))
+                break
+    if found:
+        _, side, box = min(found, key=lambda f: f[:2])
+        raise InvalidInputError(
+            f"{'prediction' if side else 'annotation'} {box.id}: "
+            f"label {box.category_id} outside 1..{num_classes}"
+        )
+
+    (rows, boxes), (pred_rows, preds) = originals, predictions
+    labels = np.zeros((n, num_classes + 1), dtype=np.uint8)
+    labels[rows, np.array([b.category_id for b in boxes], dtype=np.int64) - 1] = 1
+    labels[~labels.any(axis=1), num_classes] = 1
+    probs = np.zeros((n, num_classes + 1), dtype=np.float64)
+    np.maximum.at(
+        probs,
+        (pred_rows, np.array([b.category_id for b in preds], dtype=np.int64) - 1),
+        np.array([b.score for b in preds], dtype=np.float64),
+    )
+    probs[~probs[:, :num_classes].any(axis=1), num_classes] = 1.0
     return ReducedMatrices(
         labels=labels, probs=probs, row_clusters=list(clusters), num_classes=num_classes
     )

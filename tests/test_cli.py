@@ -250,6 +250,19 @@ def test_detect_is_byte_identical_across_hash_seeds(tmp_path):
     assert b"missing_region" in reports[0][0] and b"wrong_label" in reports[0][0]
 
 
+@pytest.mark.parametrize("tau_flags", [[], ["--tau", "1.5"]], ids=["no-tau", "tau-1.5"])
+def test_detect_rejects_score_threshold_without_valid_tau(tmp_path, capsys, tau_flags):
+    gt = _small_gt(tmp_path)
+    preds = _perfect_predictions(tmp_path, gt)
+    rc = main(
+        ["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+         "--mode", "score_threshold", *tau_flags, "--output-dir", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
+
+
 # --- eval -------------------------------------------------------------------------
 
 
@@ -474,3 +487,68 @@ def test_match_iou_outside_unit_interval_rejected(tmp_path, capsys, match_iou):
     assert rc == 1
     _single_error_line(capsys, "invalid-spec")
     assert not (tmp_path / "roc").exists() and not (tmp_path / "ev").exists()
+
+
+def _run_under_hash_seed(args, hash_seed):
+    src = str(Path(boxaudit.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run(
+        [sys.executable, "-m", "boxaudit", *args],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["inject", "eval-label", "eval-missing", "roc"])
+def test_commands_are_byte_identical_across_hash_seeds(tmp_path, command):
+    noisy, report, ledger, preds = _roc_inputs(tmp_path)
+    gt = tmp_path / "gt.json"
+    args, names = {
+        "inject": (["inject", "--ground-truth", str(gt), "--noise-kind", "uniform_label",
+                    "--fraction", "0.3", "--seed", "2"], ["noisy.json", "ledger.json"]),
+        "eval-label": (["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+                        "--noise-kind", "uniform_label", "--fraction", "0.2", "--runs", "2",
+                        "--sweep", "dense"], ["roc.csv", "roc.json"]),
+        "eval-missing": (["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+                          "--noise-kind", "missing", "--fraction", "0.2", "--sweep", "dense"],
+                         ["roc.csv", "roc.json"]),
+        "roc": (["roc", "--ground-truth", str(noisy), "--report", str(report),
+                 "--ledger", str(ledger), "--sweep", "dense"], ["roc.csv", "roc.json"]),
+    }[command]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        _run_under_hash_seed([*args, "--output-dir", str(out)], hash_seed)
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
+def _ledger_on_unknown_image(tmp_path):
+    noisy, report, ledger, preds = _roc_inputs(tmp_path)
+    payload = json.loads(ledger.read_text())
+    removed = next(e for e in payload["entries"] if e["noise_type"] == "missing")
+    removed["original"]["image_id"] = 999
+    write_json(ledger, payload)
+    return noisy, report, ledger, preds
+
+
+def test_roc_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
+    noisy, report, ledger, _ = _ledger_on_unknown_image(tmp_path)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
+    _single_error_line(capsys, "dangling-reference")
+    assert not (tmp_path / "roc").exists()
+
+
+def test_eval_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
+    noisy, _, ledger, preds = _ledger_on_unknown_image(tmp_path)
+    capsys.readouterr()
+    rc = main(
+        ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
+         "--ledger", str(ledger), "--output-dir", str(tmp_path / "ev")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "dangling-reference")

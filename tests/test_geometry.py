@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxaudit.errors import InvalidInputError
-from boxaudit.geometry import BBox, box_distance, iou, iou_matrix
+from boxaudit.geometry import BBox, box_distance, corner_iou, corners, iou, iou_matrix
 
 
 def test_identical_boxes_have_iou_one():
@@ -90,3 +90,28 @@ def test_iou_matrix_agrees_with_scalar_iou():
 
 def test_iou_matrix_empty():
     assert iou_matrix(np.zeros((0, 4))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matrix_pair_and_scalar_iou_are_equal(seed):
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(25):
+        if boxes and rng.random() < 0.4:
+            # identical, edge-touching or corner-touching copies of an earlier box
+            b = rng.choice(boxes)
+            dx, dy = rng.choice([(0, 0), (b.w, 0), (0, -b.h), (b.w, b.h), (-b.w, 0)])
+            boxes.append(BBox(b.x + dx, b.y + dy, b.w, b.h))
+        elif rng.random() < 0.5:
+            boxes.append(BBox(rng.randint(0, 6), rng.randint(0, 6), rng.randint(1, 4), rng.randint(1, 4)))
+        else:
+            boxes.append(_random_box(rng))
+    coords = np.array([b.as_list() for b in boxes])
+    matrix = iou_matrix(coords)
+    i, j = np.divmod(np.arange(len(boxes) ** 2), len(boxes))
+    c = corners(coords)
+    pairs = corner_iou([v[i] for v in c], [v[j] for v in c])
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        assert matrix[a, b] == pairs[k] == iou(boxes[a], boxes[b])
+    assert np.any(matrix == 0.0) and np.any(np.diag(matrix) == 1.0)
+
