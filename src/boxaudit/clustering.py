@@ -13,16 +13,14 @@ the pairs that reach the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, PredictionSet
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Dataset, PredictionSet, int_array
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import corner_iou, corners
 
-__all__ = ["Cluster", "cluster_image", "cluster_dataset"]
+__all__ = ["Cluster", "Partition", "cluster_image", "cluster_dataset", "cluster_boxes"]
 
 
 @dataclass
@@ -41,22 +39,67 @@ class Cluster:
         return not self.original_members
 
 
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Clusters as arrays. Cluster c (``cluster_ids[c]``, on image
+    ``image_ids[c]``) holds the boxes ``boxes.items[k]`` for k in
+    ``members[ends[2c-1]:ends[2c]]`` as originals and in
+    ``members[ends[2c]:ends[2c+1]]`` as predictions (``ends[-1]`` read as 0).
+    """
+
+    boxes: BoxColumns
+    cluster_ids: np.ndarray
+    image_ids: np.ndarray
+    members: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cluster_ids)
+
+    def member_slots(self) -> np.ndarray:
+        """For each entry of ``members``, 2c for an original of cluster c and
+        2c + 1 for a prediction."""
+        return np.repeat(np.arange(len(self.ends)), np.diff(self.ends, prepend=0))
+
+    @classmethod
+    def of_clusters(cls, clusters: list[Cluster]) -> Partition:
+        boxes: list[AnnotatedBox] = []
+        ends = []
+        for c in clusters:
+            boxes += c.original_members
+            ends.append(len(boxes))
+            boxes += c.predicted_members
+            ends.append(len(boxes))
+        return cls(
+            BoxColumns.of(boxes),
+            int_array([c.id for c in clusters]),
+            int_array([c.image_id for c in clusters]),
+            np.arange(len(boxes)),
+            np.array(ends, dtype=np.int64),
+        )
+
+    def clusters(self) -> list[Cluster]:
+        """The clusters as :class:`Cluster` objects holding the input boxes."""
+        items = self.boxes.items
+        members = [items[k] for k in self.members.tolist()]
+        ends = [0, *self.ends.tolist()]
+        return [
+            Cluster(c, image_id, members[ends[2 * k] : ends[2 * k + 1]],
+                    members[ends[2 * k + 1] : ends[2 * k + 2]])
+            for k, (c, image_id) in enumerate(
+                zip(self.cluster_ids.tolist(), self.image_ids.tolist())
+            )
+        ]
+
+
 # Same-image pairs are scored this many at a time, so the temporaries stay
 # small however many boxes share an image.
 _PAIR_BLOCK = 4096
 
-_xywh = attrgetter("x", "y", "w", "h")
 
-
-def _ranks(values: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Dense ranks of integer ids and the sorted distinct ids; ids beyond
-    int64 are ranked as Python ints."""
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        ids = np.array(values, dtype=object)
-    distinct, rank = np.unique(ids, return_inverse=True)
-    return rank, distinct.tolist()
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold < 1.0:
+        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
 
 
 def _edges(boxes: np.ndarray, group_end: np.ndarray, iou_threshold: float):
@@ -96,22 +139,28 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
             root = flat
 
 
-def _partition(boxes: list[AnnotatedBox], iou_threshold: float):
-    """The clusters of a non-empty flat list of boxes, as arrays: the sorted
-    distinct image ids, each cluster's rank among them, the box indices
-    grouped by cluster (originals, then predictions) and the end of each
-    group."""
-    n = len(boxes)
-    image_rank, image_ids = _ranks([b.image_id for b in boxes])
-    id_rank, _ = _ranks([b.id for b in boxes])
-    predicted = np.fromiter((b.source != BoxSource.ORIGINAL for b in boxes), bool, n)
+def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
+    """Cluster boxes from any number of images; merges on ties (iou ==
+    threshold).
+
+    Boxes are stably sorted by image, so each image keeps its input order.
+    Clusters get ids 0..k-1 in the order ``(image_id, smallest original id,
+    0)``, or ``(image_id, smallest predicted id, 1)`` when they hold no
+    original, ties going to the cluster whose first member comes first;
+    members keep their input order.
+    """
+    _check_threshold(iou_threshold)
+    n = len(boxes.items)
+    if not n:
+        empty = np.zeros(0, np.int64)
+        return Partition(boxes, empty, empty, empty, empty)
+    distinct_images, image_rank = np.unique(boxes.image_ids, return_inverse=True)
+    _, id_rank = np.unique(boxes.ids, return_inverse=True)
     order = np.argsort(image_rank, kind="stable")
-    image_rank, id_rank, predicted = image_rank[order], id_rank[order], predicted[order]
-    coords = np.fromiter(
-        chain.from_iterable(_xywh(boxes[k].bbox) for k in order.tolist()), np.float64, 4 * n
-    ).reshape(n, 4)
+    image_rank, id_rank = image_rank[order], id_rank[order]
+    predicted = boxes.predicted[order]
     group_end = np.searchsorted(image_rank, image_rank, side="right")
-    root = _components(n, *_edges(coords, group_end, iou_threshold))
+    root = _components(n, *_edges(boxes.xywh[order], group_end, iou_threshold))
 
     # A cluster's key box is its first member in (predicted, id) order, and
     # clusters sort by (image, key id, key predicted, first member).
@@ -123,31 +172,13 @@ def _partition(boxes: list[AnnotatedBox], iou_threshold: float):
     cluster_of = np.empty(n, np.int64)
     cluster_of[roots] = np.arange(len(roots))
     slot = 2 * cluster_of[root] + predicted
-    ends = np.cumsum(np.bincount(slot, minlength=2 * len(roots)))
-    return image_ids, image_rank[roots], order[np.argsort(slot, kind="stable")], ends
-
-
-def _cluster_boxes(boxes: list[AnnotatedBox], iou_threshold: float) -> list[Cluster]:
-    """Cluster a flat list of boxes from any number of images.
-
-    Boxes are stably sorted by image, so each image keeps its input order.
-    Clusters are ordered by ``(image_id, smallest original id, 0)``, or by
-    ``(image_id, smallest predicted id, 1)`` when they hold no original,
-    ties going to the cluster whose first member comes first; members keep
-    their input order.
-    """
-    if not boxes:
-        return []
-    # the partition's arrays are freed before the objects are built, which
-    # keeps the peak memory down
-    image_ids, images, grouped, ends = _partition(boxes, iou_threshold)
-    members = [boxes[k] for k in grouped.tolist()]
-    ends = [0, *ends.tolist()]
-    return [
-        Cluster(c, image_ids[r], members[ends[2 * c] : ends[2 * c + 1]],
-                members[ends[2 * c + 1] : ends[2 * c + 2]])
-        for c, r in enumerate(images.tolist())
-    ]
+    return Partition(
+        boxes,
+        np.arange(len(roots)),
+        distinct_images[image_rank[roots]],
+        order[np.argsort(slot, kind="stable")],
+        np.cumsum(np.bincount(slot, minlength=2 * len(roots))),
+    )
 
 
 def cluster_image(boxes: list[AnnotatedBox], iou_threshold: float) -> list[Cluster]:
@@ -156,12 +187,11 @@ def cluster_image(boxes: list[AnnotatedBox], iou_threshold: float) -> list[Clust
     Returned clusters have ids 0..k-1 ordered by smallest member annotation
     id (original members first). Raises if the boxes span several images.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
+    _check_threshold(iou_threshold)
     image_ids = {b.image_id for b in boxes}
     if len(image_ids) > 1:
         raise InvalidInputError(f"boxes span several images: {sorted(image_ids)}")
-    return _cluster_boxes(boxes, iou_threshold)
+    return cluster_boxes(BoxColumns.of(boxes), iou_threshold).clusters()
 
 
 def cluster_dataset(
@@ -172,6 +202,5 @@ def cluster_dataset(
     Clusters come in ascending image-id order with ids numbered globally, so
     the result is deterministic and forms a partition of all input boxes.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
-    return _cluster_boxes(ds.annotations + preds.boxes, iou_threshold)
+    boxes = BoxColumns.of(ds.annotations + preds.boxes)
+    return cluster_boxes(boxes, iou_threshold).clusters()

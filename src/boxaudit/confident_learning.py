@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from boxaudit.clustering import Partition
+from boxaudit.dataset_io import int_array
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import BBox
 from boxaudit.reduction import ReducedMatrices
@@ -23,6 +25,7 @@ __all__ = [
     "ClassThresholds",
     "RowAssessment",
     "BoxVerdict",
+    "VerdictTable",
     "MODE_CONFIDENT_JOINT",
     "MODE_SCORE_THRESHOLD",
     "compute_thresholds",
@@ -36,6 +39,7 @@ MODE_SCORE_THRESHOLD = "score_threshold"
 WRONG_LABEL = "wrong_label"
 MISSING_REGION = "missing_region"
 OK = "ok"
+VERDICT_KINDS = (OK, WRONG_LABEL, MISSING_REGION)
 
 
 @dataclass
@@ -73,10 +77,96 @@ class BoxVerdict:
     region: BBox | None = None
 
 
+_NO_REGION = [np.nan] * 4
+
+
+@dataclass(frozen=True, eq=False)
+class VerdictTable:
+    """Verdicts as columns: entry i of every column describes verdict i.
+    Iterating builds the verdicts as :class:`BoxVerdict` objects."""
+
+    annotation_ids: np.ndarray  # Python ints, None for a region verdict
+    cluster_ids: np.ndarray  # int64, or Python ints past int64
+    image_ids: np.ndarray  # likewise
+    quality: np.ndarray  # float64
+    flagged: np.ndarray  # bool
+    kinds: np.ndarray  # verdict kind strings
+    regions: np.ndarray  # (n, 4) float64 [x, y, w, h]; a row of NaN for none
+    flagged_classes: list[tuple[int, ...]]
+
+    @classmethod
+    def of_values(
+        cls, annotation_ids, cluster_ids, image_ids, quality, flagged, kinds, regions,
+        flagged_classes=None,
+    ) -> VerdictTable:
+        """A table from one list per column; a region is a list of 4 numbers
+        or None, and the flagged classes default to none."""
+        n = len(annotation_ids)
+        return cls(
+            annotation_ids=np.array(annotation_ids, dtype=object).reshape(n),
+            cluster_ids=int_array(cluster_ids),
+            image_ids=int_array(image_ids),
+            quality=np.array(quality, dtype=np.float64),
+            flagged=np.array(flagged, dtype=bool),
+            kinds=np.array(kinds, dtype=object).reshape(n),
+            regions=np.array(
+                [_NO_REGION if r is None else r for r in regions], dtype=np.float64
+            ).reshape(n, 4),
+            flagged_classes=list(flagged_classes) if flagged_classes is not None else [()] * n,
+        )
+
+    @classmethod
+    def of(cls, verdicts: list[BoxVerdict] | VerdictTable) -> VerdictTable:
+        """The verdicts as a table (a table is returned as it is)."""
+        if isinstance(verdicts, VerdictTable):
+            return verdicts
+        return cls.of_values(
+            [v.annotation_id for v in verdicts],
+            [v.cluster_id for v in verdicts],
+            [v.image_id for v in verdicts],
+            [v.quality_score for v in verdicts],
+            [bool(v.flagged) for v in verdicts],
+            [v.verdict_kind for v in verdicts],
+            [None if v.region is None else v.region.as_list() for v in verdicts],
+            [v.flagged_classes for v in verdicts],
+        )
+
+    @property
+    def is_region(self) -> np.ndarray:
+        """Which verdicts concern a region rather than an annotation."""
+        return np.equal(self.annotation_ids, None)
+
+    def __len__(self) -> int:
+        return len(self.quality)
+
+    def region_lists(self) -> dict[int, list[float]]:
+        """The [x, y, w, h] region of every verdict that has one, by position."""
+        with_region = np.flatnonzero(~np.isnan(self.regions[:, 0]))
+        return dict(zip(with_region.tolist(), self.regions[with_region].tolist()))
+
+    def __iter__(self):
+        regions = self.region_lists()
+        columns = zip(
+            self.annotation_ids.tolist(),
+            self.cluster_ids.tolist(),
+            self.image_ids.tolist(),
+            self.quality.tolist(),
+            self.flagged.tolist(),
+            self.flagged_classes,
+            self.kinds.tolist(),
+        )
+        for i, values in enumerate(columns):
+            region = regions.get(i)
+            yield BoxVerdict(*values, None if region is None else BBox(*region))
+
+
 def compute_thresholds(matrices: ReducedMatrices) -> ClassThresholds:
     """Mean predicted probability per class over its labeled / unlabeled rows."""
-    labels = matrices.labels.astype(bool)
-    probs = matrices.probs
+    return class_thresholds(matrices.labels, matrices.probs)
+
+
+def class_thresholds(labels: np.ndarray, probs: np.ndarray) -> ClassThresholds:
+    labels = labels.astype(bool)
     n_classes = labels.shape[1]
     t_pos = np.full(n_classes, np.nan)
     t_neg = np.full(n_classes, np.nan)
@@ -105,6 +195,40 @@ def _worst(pool: np.ndarray, confidence: np.ndarray, count: int) -> np.ndarray:
     return pool[order[:count]]
 
 
+def row_flags(
+    labels: np.ndarray, probs: np.ndarray, thresholds: ClassThresholds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's quality score and the (rows, classes) matrix of flags; see
+    :func:`detect_issues`."""
+    labels = labels.astype(bool)
+    n_rows, n_classes = labels.shape
+    self_confidence = np.where(labels, probs, 1.0 - probs)
+    quality = self_confidence.min(axis=1) if n_rows else np.zeros(0)
+
+    flagged = np.zeros((n_rows, n_classes), dtype=bool)
+    for m in range(n_classes if n_rows else 0):
+        pos = labels[:, m]
+        p = probs[:, m]
+        pos_rows = np.nonzero(pos)[0]
+        neg_rows = np.nonzero(~pos)[0]
+        if not np.isnan(thresholds.t_neg[m]) and pos_rows.size:
+            count = int(np.count_nonzero((1.0 - p[pos_rows]) >= thresholds.t_neg[m]))
+            flagged[_worst(pos_rows, p[pos_rows], count), m] = True
+        if not np.isnan(thresholds.t_pos[m]) and neg_rows.size:
+            count = int(np.count_nonzero(p[neg_rows] >= thresholds.t_pos[m]))
+            flagged[_worst(neg_rows, 1.0 - p[neg_rows], count), m] = True
+    return quality, flagged
+
+
+def row_classes(flags: np.ndarray) -> list[tuple[int, ...]]:
+    """The flagged dense class ids of every row, ascending."""
+    classes: list[tuple[int, ...]] = [()] * len(flags)
+    rows, cols = np.nonzero(flags)
+    for k, m in zip(rows.tolist(), (cols + 1).tolist()):
+        classes[k] += (m,)
+    return classes
+
+
 def detect_issues(
     matrices: ReducedMatrices, thresholds: ClassThresholds
 ) -> list[RowAssessment]:
@@ -118,44 +242,79 @@ def detect_issues(
     Classes with undefined thresholds contribute nothing. The quality score
     is the row's minimum self-confidence across all classes.
     """
-    labels = matrices.labels.astype(bool)
-    probs = matrices.probs
-    n_rows, n_classes = labels.shape
-    if n_rows == 0:
-        return []
-
-    self_confidence = np.where(labels, probs, 1.0 - probs)
-    quality = self_confidence.min(axis=1)
-
-    flagged = np.zeros((n_rows, n_classes), dtype=bool)
-    for m in range(n_classes):
-        pos = labels[:, m]
-        p = probs[:, m]
-        pos_rows = np.nonzero(pos)[0]
-        neg_rows = np.nonzero(~pos)[0]
-        if not np.isnan(thresholds.t_neg[m]) and pos_rows.size:
-            count = int(np.count_nonzero((1.0 - p[pos_rows]) >= thresholds.t_neg[m]))
-            flagged[_worst(pos_rows, p[pos_rows], count), m] = True
-        if not np.isnan(thresholds.t_pos[m]) and neg_rows.size:
-            count = int(np.count_nonzero(p[neg_rows] >= thresholds.t_pos[m]))
-            flagged[_worst(neg_rows, 1.0 - p[neg_rows], count), m] = True
-
-    flagged_classes: list[tuple[int, ...]] = [()] * n_rows
-    rows, cols = np.nonzero(flagged)
-    for k, m in zip(rows.tolist(), (cols + 1).tolist()):
-        flagged_classes[k] += (m,)
+    quality, flags = row_flags(matrices.labels, matrices.probs, thresholds)
     return [
         RowAssessment(q, bool(classes), classes)
-        for q, classes in zip(quality.tolist(), flagged_classes)
+        for q, classes in zip(quality.tolist(), row_classes(flags))
     ]
 
 
-def _enclosing_region(boxes) -> BBox:
-    x0 = min(b.bbox.x for b in boxes)
-    y0 = min(b.bbox.y for b in boxes)
-    x1 = max(b.bbox.right for b in boxes)
-    y1 = max(b.bbox.bottom for b in boxes)
-    return BBox(x0, y0, x1 - x0, y1 - y0)
+def check_mode(mode: str, tau: float | None) -> None:
+    """Reject an unknown flagging mode, or score_threshold without a tau in
+    [0, 1]."""
+    if mode not in (MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode == MODE_SCORE_THRESHOLD:
+        if tau is None or not 0.0 <= tau <= 1.0:
+            raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
+
+
+def verdict_table(
+    partition: Partition,
+    quality: np.ndarray,
+    flagged: np.ndarray,
+    classes: list[tuple[int, ...]],
+) -> VerdictTable:
+    """The verdicts of every cluster, given each row's quality score, whether
+    it counts as flagged and its flagged classes; see :func:`map_to_boxes`.
+
+    Verdicts come in cluster order, a cluster's originals in member order.
+    A missing region is the enclosing rectangle of the cluster's predicted
+    boxes, from one ``reduceat`` per coordinate over all such clusters.
+    """
+    counts = np.diff(partition.ends, prepend=0)
+    n_originals = counts[0::2]
+    background = n_originals == 0
+    rows = np.repeat(np.arange(len(partition)), np.where(background, flagged, n_originals))
+    is_region = background[rows]
+    n = len(rows)
+
+    annotation_ids = np.full(n, None, dtype=object)
+    originals = partition.members[partition.member_slots() % 2 == 0]
+    annotation_ids[~is_region] = partition.boxes.ids[originals]
+
+    regions = np.full((n, 4), np.nan)
+    region_rows = rows[is_region]
+    if region_rows.size:
+        starts = partition.ends[2 * region_rows]
+        sizes = counts[2 * region_rows + 1]
+        if not sizes.all():
+            empty = partition.cluster_ids[region_rows[sizes == 0][0]]
+            raise InvalidInputError(f"cluster {empty} has no boxes to enclose")
+        heads = np.cumsum(sizes) - sizes
+        positions = np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
+        xywh = partition.boxes.xywh[partition.members[positions]]
+        x0 = np.minimum.reduceat(xywh[:, 0], heads)
+        y0 = np.minimum.reduceat(xywh[:, 1], heads)
+        x1 = np.maximum.reduceat(xywh[:, 0] + xywh[:, 2], heads)
+        y1 = np.maximum.reduceat(xywh[:, 1] + xywh[:, 3], heads)
+        found = np.stack((x0, y0, x1 - x0, y1 - y0), axis=1)
+        for bad in found[(found[:, 2] <= 0) | (found[:, 3] <= 0)].tolist()[:1]:
+            BBox(*bad)  # raises the degenerate-box error
+        regions[is_region] = found
+
+    row_flagged = flagged[rows]
+    shown = [c if f else () for c, f in zip(classes, flagged.tolist())]
+    return VerdictTable(
+        annotation_ids=annotation_ids,
+        cluster_ids=partition.cluster_ids[rows],
+        image_ids=partition.image_ids[rows],
+        quality=quality[rows],
+        flagged=row_flagged,
+        kinds=np.array(VERDICT_KINDS, dtype=object)[np.where(is_region, 2, row_flagged)],
+        regions=regions,
+        flagged_classes=[shown[r] for r in rows.tolist()],
+    )
 
 
 def map_to_boxes(
@@ -181,44 +340,16 @@ def map_to_boxes(
             f"row results ({len(rows)}) do not align with clusters "
             f"({len(matrices.row_clusters)})"
         )
-    if mode not in (MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if mode == MODE_SCORE_THRESHOLD:
-        if tau is None or not 0.0 <= tau <= 1.0:
-            raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
-
-    verdicts: list[BoxVerdict] = []
-    for cluster, row in zip(matrices.row_clusters, rows):
-        if mode == MODE_CONFIDENT_JOINT:
-            is_flagged = row.flagged
-        else:
-            is_flagged = row.quality_score <= tau
-        classes = row.flagged_classes if is_flagged else ()
-        if cluster.original_members:
-            kind = WRONG_LABEL if is_flagged else OK
-            for box in cluster.original_members:
-                verdicts.append(
-                    BoxVerdict(
-                        annotation_id=box.id,
-                        cluster_id=cluster.id,
-                        image_id=cluster.image_id,
-                        quality_score=row.quality_score,
-                        flagged=is_flagged,
-                        flagged_classes=classes,
-                        verdict_kind=kind,
-                    )
-                )
-        elif is_flagged:
-            verdicts.append(
-                BoxVerdict(
-                    annotation_id=None,
-                    cluster_id=cluster.id,
-                    image_id=cluster.image_id,
-                    quality_score=row.quality_score,
-                    flagged=True,
-                    flagged_classes=classes,
-                    verdict_kind=MISSING_REGION,
-                    region=_enclosing_region(cluster.predicted_members),
-                )
-            )
-    return verdicts
+    check_mode(mode, tau)
+    quality = np.array([r.quality_score for r in rows], dtype=np.float64)
+    if mode == MODE_CONFIDENT_JOINT:
+        flagged = np.array([bool(r.flagged) for r in rows], dtype=bool)
+    else:
+        flagged = quality <= tau
+    table = verdict_table(
+        Partition.of_clusters(matrices.row_clusters),
+        quality,
+        flagged,
+        [r.flagged_classes for r in rows],
+    )
+    return list(table)

@@ -12,10 +12,14 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
 
 from boxaudit.errors import (
     DanglingReferenceError,
@@ -28,10 +32,10 @@ from boxaudit.errors import (
 from boxaudit.geometry import BBox
 
 if TYPE_CHECKING:
-    from boxaudit.clustering import Cluster
-    from boxaudit.confident_learning import BoxVerdict
+    from boxaudit.confident_learning import VerdictTable
     from boxaudit.evaluation import RocCurve
     from boxaudit.noise_injection import NoiseLedger
+    from boxaudit.pipeline import DetectionResult
 
 __all__ = [
     "BoxSource",
@@ -40,7 +44,7 @@ __all__ = [
     "AnnotatedBox",
     "Dataset",
     "PredictionSet",
-    "DetectionReport",
+    "BoxColumns",
     "load_ground_truth",
     "load_predictions",
     "save_dataset",
@@ -120,6 +124,49 @@ class Dataset:
         return {c.source_id: c.id for c in self.categories}
 
 
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an array of Python ints when some
+    lie beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+_BBOX = attrgetter("bbox")
+_XYWH = attrgetter("x", "y", "w", "h")
+
+
+@dataclass(frozen=True, eq=False)
+class BoxColumns:
+    """A list of boxes as columns: entry k of every array describes
+    ``items[k]``. Integer columns are int64, or Python ints past int64."""
+
+    items: list[AnnotatedBox]
+    ids: np.ndarray
+    image_ids: np.ndarray
+    classes: np.ndarray  # dense category ids
+    scores: np.ndarray  # float64, NaN where a box has no score
+    xywh: np.ndarray  # (n, 4) float64
+    predicted: np.ndarray  # bool
+
+    @classmethod
+    def of(cls, boxes: list[AnnotatedBox]) -> BoxColumns:
+        n = len(boxes)
+        scores = np.array([b.score for b in boxes], dtype=np.float64)
+        return cls(
+            items=list(boxes),
+            ids=int_array([b.id for b in boxes]),
+            image_ids=int_array([b.image_id for b in boxes]),
+            classes=int_array([b.category_id for b in boxes]),
+            scores=scores,
+            xywh=np.fromiter(
+                chain.from_iterable(map(_XYWH, map(_BBOX, boxes))), np.float64, 4 * n
+            ).reshape(n, 4),
+            predicted=~np.isnan(scores),  # a box has a score iff it is predicted
+        )
+
+
 @dataclass
 class PredictionSet:
     """Out-of-sample model detections for a companion :class:`Dataset`.
@@ -130,15 +177,6 @@ class PredictionSet:
     """
 
     boxes: list[AnnotatedBox]
-
-
-@dataclass
-class DetectionReport:
-    """Detector output plus the context needed to serialize it."""
-
-    verdicts: list  # of BoxVerdict
-    clusters: list  # of Cluster
-    categories: list[Category] = field(default_factory=list)
 
 
 # --- JSON plumbing -----------------------------------------------------------
@@ -456,11 +494,12 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
 
 # --- report persistence ---------------------------------------------------------
 #
-# report.json is streamed one record at a time, each record a string built
-# straight from the verdict, cluster and box objects, in exactly the layout of
-# json.dump(mirror, sort_keys=True, indent=2). Before Python 3.13 an indented
-# json.dump runs the pure-Python encoder with one write per token, and the
-# mirror it encodes would hold every record of the report as a dict.
+# report.json and roc.json are streamed one record at a time, each record a
+# string built straight from the verdict columns and the member boxes, in
+# exactly the layout of json.dump(mirror, sort_keys=True, indent=2). Before
+# Python 3.13 an indented json.dump runs the pure-Python encoder with one
+# write per token, and the mirror it encodes would hold every record as a
+# dict.
 
 REPORT_COLUMNS = [
     "cluster_id",
@@ -527,16 +566,16 @@ _VERDICT = _json_object(
 )
 
 
-def _bbox_json(bbox: BBox | None, indent: int) -> str:
+def _bbox_json(bbox: list[float] | None, indent: int) -> str:
     if bbox is None:
         return "null"
-    return _json_list([_json_number(v) for v in bbox.as_list()], indent)
+    return _json_list([_json_number(v) for v in bbox], indent)
 
 
 def _box_json(box: AnnotatedBox, dense_to_source: dict[int, int]) -> str:
     """A finding's member box: the fields of :func:`_box_record`."""
     values = (
-        _bbox_json(box.bbox, 10),
+        _bbox_json(box.bbox.as_list(), 10),
         _json_int(dense_to_source[box.category_id]),
         _json_int(box.id),
         _json_int(box.image_id),
@@ -544,42 +583,6 @@ def _box_json(box: AnnotatedBox, dense_to_source: dict[int, int]) -> str:
     if box.score is None:
         return _BOX.format(*values)
     return _SCORED_BOX.format(*values, _json_number(box.score))
-
-
-def _finding_json(
-    cluster_id: int,
-    cluster: Cluster,
-    first: BoxVerdict,
-    ann_ids: list[int],
-    class_labels: list[str],
-    region: BBox | None,
-    dense_to_source: dict[int, int],
-) -> str:
-    """A flagged cluster: its first flagged verdict's kind, score and
-    classes, the flagged annotation ids and every member box."""
-    return _FINDING.format(
-        _json_list([_json_int(a) for a in ann_ids], 6),
-        _json_int(cluster_id),
-        _json_list([_json_str(c) for c in class_labels], 6),
-        _json_int(cluster.image_id),
-        _json_list([_box_json(b, dense_to_source) for b in cluster.original_members], 6),
-        _json_list([_box_json(b, dense_to_source) for b in cluster.predicted_members], 6),
-        _json_number(first.quality_score),
-        _bbox_json(region, 6),
-        _json_str(first.verdict_kind),
-    )
-
-
-def _verdict_json(v: BoxVerdict) -> str:
-    return _VERDICT.format(
-        "null" if v.annotation_id is None else _json_int(v.annotation_id),
-        _json_int(v.cluster_id),
-        "true" if v.flagged else "false",
-        _json_int(v.image_id),
-        _json_number(v.quality_score),
-        _bbox_json(v.region, 6),
-        _json_str(v.verdict_kind),
-    )
 
 
 def _write_records(fh, records) -> None:
@@ -597,58 +600,109 @@ def _flagged_class_labels(classes, dense_to_source: dict[int, int], background: 
     ]
 
 
-def save_report(report: DetectionReport, path: str | Path) -> None:
+def save_report(report: DetectionResult, path: str | Path) -> None:
     """Write a findings report: ``<path>`` as CSV (one row per flagged
-    cluster) and ``<path>.json`` with full cluster membership."""
+    cluster) and ``<path>.json`` with full cluster membership.
+
+    Each flagged cluster is one finding, carrying its first flagged
+    verdict's kind, score and classes, its flagged annotation ids, the
+    first region among its flagged verdicts and every member box. The
+    verdicts are written from the result's columns; no cluster or verdict
+    objects are built.
+    """
     path = Path(path)
-    cluster_by_id = {c.id: c for c in report.clusters}
+    table, partition = report.table, report.partition
     dense_to_source = {c.id: c.source_id for c in report.categories}
     background = len(report.categories) + 1
-    flagged_by_cluster: dict[int, list] = {}
-    for v in report.verdicts:
-        if v.flagged:
-            flagged_by_cluster.setdefault(v.cluster_id, []).append(v)
+    ann_ids, cluster_ids = table.annotation_ids.tolist(), table.cluster_ids.tolist()
+    quality, kinds = table.quality.tolist(), table.kinds.tolist()
+    regions = table.region_lists()
+
+    flagged_by_cluster: dict[int, list[int]] = {}
+    for i in np.flatnonzero(table.flagged).tolist():
+        flagged_by_cluster.setdefault(cluster_ids[i], []).append(i)
+    row_of = dict(zip(partition.cluster_ids.tolist(), range(len(partition))))
+    image_ids = partition.image_ids.tolist()
+    items, members = partition.boxes.items, partition.members.tolist()
+    ends = [0, *partition.ends.tolist()]
 
     findings = []
     flagged_annotations = missing_regions = 0
     for cluster_id in sorted(flagged_by_cluster):
-        members = flagged_by_cluster[cluster_id]
-        first = members[0]
-        ann_ids = [v.annotation_id for v in members if v.annotation_id is not None]
-        class_labels = _flagged_class_labels(first.flagged_classes, dense_to_source, background)
-        region = next((v.region for v in members if v.region is not None), None)
-        findings.append((cluster_id, cluster_by_id[cluster_id], first, ann_ids, class_labels, region))
-        flagged_annotations += len(ann_ids)
-        if first.verdict_kind == "missing_region":
+        flagged = flagged_by_cluster[cluster_id]
+        first = flagged[0]
+        row = row_of[cluster_id]
+        finding_ann_ids = [ann_ids[i] for i in flagged if ann_ids[i] is not None]
+        findings.append((
+            cluster_id,
+            image_ids[row],
+            finding_ann_ids,
+            kinds[first],
+            quality[first],
+            _flagged_class_labels(table.flagged_classes[first], dense_to_source, background),
+            next((regions[i] for i in flagged if i in regions), None),
+            [items[k] for k in members[ends[2 * row] : ends[2 * row + 1]]],
+            [items[k] for k in members[ends[2 * row + 1] : ends[2 * row + 2]]],
+        ))
+        flagged_annotations += len(finding_ann_ids)
+        if kinds[first] == "missing_region":
             missing_regions += 1
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for cluster_id, cluster, first, ann_ids, class_labels, _ in findings:
+        for cluster_id, image_id, finding_ann_ids, kind, score, class_labels, *_ in findings:
             writer.writerow(
                 [
                     cluster_id,
-                    cluster.image_id,
-                    ";".join(str(i) for i in ann_ids),
-                    first.verdict_kind,
-                    f"{first.quality_score:.6f}",
+                    image_id,
+                    ";".join(str(i) for i in finding_ann_ids),
+                    kind,
+                    f"{score:.6f}",
                     ";".join(class_labels),
                 ]
             )
 
+    def finding_json(cluster_id, image_id, finding_ann_ids, kind, score, class_labels,
+                     region, originals, predictions) -> str:
+        return _FINDING.format(
+            _json_list([_json_int(a) for a in finding_ann_ids], 6),
+            _json_int(cluster_id),
+            _json_list([_json_str(c) for c in class_labels], 6),
+            _json_int(image_id),
+            _json_list([_box_json(b, dense_to_source) for b in originals], 6),
+            _json_list([_box_json(b, dense_to_source) for b in predictions], 6),
+            _json_number(score),
+            _bbox_json(region, 6),
+            _json_str(kind),
+        )
+
+    verdicts = (
+        _VERDICT.format(
+            "null" if a is None else _json_int(a),
+            _json_int(c),
+            "true" if f else "false",
+            _json_int(img),
+            _json_number(q),
+            _bbox_json(regions.get(i), 6),
+            _json_str(k),
+        )
+        for i, (a, c, f, img, q, k) in enumerate(
+            zip(ann_ids, cluster_ids, table.flagged.tolist(), table.image_ids.tolist(), quality, kinds)
+        )
+    )
     categories = [{"id": c.source_id, "name": c.name} for c in report.categories]
     summary = {
-        "clusters": len(report.clusters),
+        "clusters": len(partition),
         "flagged_clusters": len(findings),
         "flagged_annotations": flagged_annotations,
         "missing_regions": missing_regions,
     }
     with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
         fh.write('{\n  "categories": ' + _nested_json(categories) + ',\n  "findings": ')
-        _write_records(fh, (_finding_json(*f, dense_to_source) for f in findings))
+        _write_records(fh, (finding_json(*f) for f in findings))
         fh.write(',\n  "summary": ' + _nested_json(summary) + ',\n  "verdicts": ')
-        _write_records(fh, map(_verdict_json, report.verdicts))
+        _write_records(fh, verdicts)
         fh.write("\n}\n")
 
 
@@ -660,16 +714,25 @@ _VERDICT_FIELDS = (
 )
 
 
-def load_report(path: str | Path) -> list[BoxVerdict]:
+def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
     """Reload the verdicts from a report's JSON mirror (for the ``roc``
-    stage's file-based handoff)."""
-    from boxaudit.confident_learning import BoxVerdict
+    stage's file-based handoff), against the dataset the report covers.
+
+    Every verdict must carry a known kind, a quality score in [0, 1], a
+    boolean ``flagged`` (false when absent) and ids of the dataset's images
+    and annotations; an annotation may have one verdict only. The flagged
+    classes are not reloaded.
+    """
+    from boxaudit.confident_learning import VERDICT_KINDS, VerdictTable
 
     data = _read_json(path)
     (raw,) = _fields(data, (("verdicts", _ANY),), lambda: str(path))
     if not isinstance(raw, list):
         raise FormatError(f"{path}: 'verdicts' must be a list")
-    verdicts = []
+    image_ids = {img.id for img in ds.images}
+    known_ids = {a.id for a in ds.annotations}
+    seen: set[int] = set()
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
     for i, rec in enumerate(raw):
         where = lambda: f"verdicts[{i}]"
         if not isinstance(rec, dict):
@@ -678,25 +741,35 @@ def load_report(path: str | Path) -> list[BoxVerdict]:
         if ann_id is not None:
             (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
         cluster_id, image_id, quality_score, verdict_kind = _fields(rec, _VERDICT_FIELDS, where)
+        flagged = rec.get("flagged", False)
+        if type(flagged) is not bool:
+            raise FormatError(f"{where()}.flagged: expected true or false, got {flagged!r}")
+        if type(verdict_kind) is not str or verdict_kind not in VERDICT_KINDS:
+            raise FormatError(f"{where()}.verdict_kind: unknown kind {verdict_kind!r}")
+        if not 0.0 <= quality_score <= 1.0:
+            raise InvalidScoreError(f"{where()}.quality_score: {quality_score} outside [0, 1]")
         region = rec.get("region")
-        verdicts.append(
-            BoxVerdict(
-                annotation_id=ann_id,
-                cluster_id=cluster_id,
-                image_id=image_id,
-                quality_score=quality_score,
-                flagged=bool(rec.get("flagged", False)),
-                flagged_classes=tuple(),
-                verdict_kind=str(verdict_kind),
-                region=(
-                    BBox(*_bbox_numbers(region, where, "region")) if region is not None else None
-                ),
-            )
-        )
-    return verdicts
+        if region is not None:
+            region = BBox(*_bbox_numbers(region, where, "region")).as_list()
+        if image_id not in image_ids:
+            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
+        if ann_id is not None:
+            if ann_id not in known_ids:
+                raise DanglingReferenceError(f"{where()}: unknown annotation_id {ann_id}")
+            if ann_id in seen:
+                raise DuplicateIdError(f"{where()}: duplicate annotation_id {ann_id}")
+            seen.add(ann_id)
+        for column, value in zip(
+            columns, (ann_id, cluster_id, image_id, quality_score, flagged, verdict_kind, region)
+        ):
+            column.append(value)
+    return VerdictTable.of_values(*columns)
 
 
 # --- ROC persistence -------------------------------------------------------------
+
+_ROC_POINT = _json_object(("fpr", "threshold", "tpr"), 4)
+_ROC_RUN = _json_object(("auroc", "seed"), 4)
 
 
 def save_roc(
@@ -716,13 +789,19 @@ def save_roc(
             writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
         fh.write(f"# auroc = {curve.auroc:.6f}\n")
 
-    mirror: dict[str, Any] = {
-        "points": [
-            {"threshold": p.threshold, "fpr": p.fpr, "tpr": p.tpr} for p in curve.points
-        ],
-        "auroc": curve.auroc,
-    }
-    if run_aurocs is not None:
-        mirror["runs"] = [{"seed": s, "auroc": a} for s, a in run_aurocs]
-        mirror["median_auroc"] = statistics.median(a for _, a in run_aurocs)
-    _write_json(mirror, path.with_suffix(".json"), indent=2)
+    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
+        fh.write('{\n  "auroc": ' + _json_number(curve.auroc))
+        if run_aurocs is not None:
+            median = statistics.median(a for _, a in run_aurocs)
+            fh.write(',\n  "median_auroc": ' + _json_number(median))
+        fh.write(',\n  "points": ')
+        _write_records(fh, (
+            _ROC_POINT.format(_json_number(p.fpr), _json_number(p.threshold), _json_number(p.tpr))
+            for p in curve.points
+        ))
+        if run_aurocs is not None:
+            fh.write(',\n  "runs": ')
+            _write_records(fh, (
+                _ROC_RUN.format(_json_number(a), _json_number(s)) for s, a in run_aurocs
+            ))
+        fh.write("\n}\n")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from boxaudit.confident_learning import BoxVerdict
+from boxaudit.confident_learning import BoxVerdict, VerdictTable
 from boxaudit.errors import EmptyLedgerError, InvalidInputError
-from boxaudit.geometry import BBox, iou_matrix
+from boxaudit.geometry import iou_matrix
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
 __all__ = [
@@ -78,21 +78,21 @@ class Confusion:
 
 
 def _sweep(
-    verdicts: list[BoxVerdict],
+    verdicts: VerdictTable,
     ledger: NoiseLedger,
     thresholds: list[float],
     match_iou: float,
 ) -> list[Confusion]:
-    """Confusion counts at every threshold, from one pass over the inputs."""
+    """Confusion counts at every threshold, from one pass over the verdict
+    columns."""
     removed = [e for e in ledger.entries if e.kind == NoiseKind.MISSING]
     positive_ids = {
         e.annotation_id for e in ledger.entries if e.kind != NoiseKind.MISSING
     }
 
-    ann = [v for v in verdicts if v.annotation_id is not None]
-    regions = [v for v in verdicts if v.annotation_id is None]
-    known_ids = {v.annotation_id for v in ann}
-    stray = positive_ids - known_ids
+    is_region = verdicts.is_region
+    ann_ids = verdicts.annotation_ids[~is_region].tolist()
+    stray = positive_ids.difference(ann_ids)
     if stray:
         raise InvalidInputError(
             f"ledger references annotations absent from the verdicts "
@@ -101,18 +101,18 @@ def _sweep(
         )
 
     taus = np.asarray(thresholds, dtype=np.float64)
-    ann_scores = np.array([v.quality_score for v in ann], dtype=np.float64)
-    ann_positive = np.array([v.annotation_id in positive_ids for v in ann], dtype=bool)
+    ann_scores = verdicts.quality[~is_region]
+    ann_positive = np.fromiter((a in positive_ids for a in ann_ids), bool, len(ann_ids))
     order = np.argsort(ann_scores)
     flagged = np.searchsorted(ann_scores[order], taus, side="right")
     tp = np.concatenate(([0], np.cumsum(ann_positive[order])))[flagged]
     fp = flagged - tp
     n_positive = int(np.count_nonzero(ann_positive))
-    n_negative = len(ann) - n_positive
+    n_negative = len(ann_ids) - n_positive
 
-    region_scores = np.sort(np.array([v.quality_score for v in regions], dtype=np.float64))
+    region_scores = np.sort(verdicts.quality[is_region])
     flagged_regions = np.searchsorted(region_scores, taus, side="right")
-    matched = _matched_counts(regions, removed, taus, match_iou)
+    matched = _matched_counts(verdicts, is_region, removed, taus, match_iou)
 
     counts = zip(
         (tp + matched).tolist(),
@@ -124,7 +124,8 @@ def _sweep(
 
 
 def _matched_counts(
-    regions: list[BoxVerdict],
+    verdicts: VerdictTable,
+    is_region: np.ndarray,
     removed: list[LedgerEntry],
     taus: np.ndarray,
     match_iou: float,
@@ -136,13 +137,13 @@ def _matched_counts(
     count there; the count at a threshold is the sum of the changes at or
     below it.
     """
-    by_image: dict[int, tuple[list[BoxVerdict], list[BBox]]] = {}
-    for v in regions:
-        if v.region is not None:
-            by_image.setdefault(v.image_id, ([], []))[0].append(v)
+    with_region = np.flatnonzero(is_region & ~np.isnan(verdicts.regions[:, 0]))
+    by_image: dict[int, tuple[list[int], list[list[float]]]] = {}
+    for i, image_id in zip(with_region.tolist(), verdicts.image_ids[with_region].tolist()):
+        by_image.setdefault(image_id, ([], []))[0].append(i)
     for e in removed:
         if e.original is not None and e.original.image_id in by_image:
-            by_image[e.original.image_id][1].append(e.original.bbox)
+            by_image[e.original.image_id][1].append(e.original.bbox.as_list())
 
     event_scores: list[float] = []
     event_deltas: list[int] = []
@@ -150,15 +151,13 @@ def _matched_counts(
         if not image_removed:
             continue
         n = len(image_regions)
-        boxes = [v.region.as_list() for v in image_regions]
-        boxes += [b.as_list() for b in image_removed]
-        ious = iou_matrix(boxes)[:n, n:]
+        ious = iou_matrix(verdicts.regions[image_regions].tolist() + image_removed)[:n, n:]
         ri, mi = np.nonzero(ious >= match_iou)
         # descending IoU; nonzero's row-major order breaks ties by region,
         # then record
         order = np.argsort(-ious[ri, mi], kind="stable")
         pairs = list(zip(ri[order].tolist(), mi[order].tolist()))
-        scores = np.array([v.quality_score for v in image_regions], dtype=np.float64)
+        scores = verdicts.quality[image_regions]
         before = 0
         for tau in np.unique(scores[ri]).tolist():
             now = _greedy_matches(pairs, (scores <= tau).tolist())
@@ -185,25 +184,27 @@ def _greedy_matches(pairs: list[tuple[int, int]], flagged: list[bool]) -> int:
 
 
 def confusion_at(
-    verdicts: list[BoxVerdict],
+    verdicts: list[BoxVerdict] | VerdictTable,
     ledger: NoiseLedger,
     tau: float,
     *,
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> Confusion:
     """Confusion counts of the noisy-box classifier at cutoff ``tau``."""
-    return _sweep(verdicts, ledger, [tau], match_iou)[0]
+    return _sweep(VerdictTable.of(verdicts), ledger, [tau], match_iou)[0]
 
 
 def roc_curve(
-    verdicts: list[BoxVerdict],
+    verdicts: list[BoxVerdict] | VerdictTable,
     ledger: NoiseLedger,
     thresholds: list[float] | None = None,
     *,
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> RocCurve:
     """Sweep the cutoff over ``thresholds`` (default 0.0, 0.1, ..., 1.0) and
-    integrate the resulting (FPR, TPR) points into an AUROC."""
+    integrate the resulting (FPR, TPR) points into an AUROC. ``verdicts``
+    may be a list or a :class:`~boxaudit.confident_learning.VerdictTable`,
+    which is swept without building verdict objects."""
     if len(ledger) == 0:
         raise EmptyLedgerError(
             "the ledger holds no perturbations; evaluation requires injected noise"
@@ -217,7 +218,9 @@ def roc_curve(
 
     points = [
         RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr)
-        for tau, c in zip(thresholds, _sweep(verdicts, ledger, thresholds, match_iou))
+        for tau, c in zip(
+            thresholds, _sweep(VerdictTable.of(verdicts), ledger, thresholds, match_iou)
+        )
     ]
     return RocCurve(points=points, auroc=auroc([(p.fpr, p.tpr) for p in points]))
 
@@ -234,8 +237,8 @@ def auroc(points: list[tuple[float, float]]) -> float:
     return area
 
 
-def dense_thresholds(verdicts: list[BoxVerdict]) -> list[float]:
+def dense_thresholds(verdicts: list[BoxVerdict] | VerdictTable) -> list[float]:
     """Every distinct quality score plus the 0/1 endpoints: the exact sweep."""
     scores = {0.0, 1.0}
-    scores.update(v.quality_score for v in verdicts)
+    scores.update(VerdictTable.of(verdicts).quality.tolist())
     return sorted(scores)

@@ -5,12 +5,24 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
+from boxaudit import clustering, reduction
 from boxaudit import confident_learning as cl
 from boxaudit import dataset_io
-from boxaudit.clustering import Cluster, cluster_dataset
-from boxaudit.confident_learning import BoxVerdict, ClassThresholds, RowAssessment
+# cluster_dataset and reduce_dataset are the object-level stages; run_detection
+# calls the array cores below them, and the names stay importable from here
+# for per-stage tracing (bench/tracing.py)
+from boxaudit.clustering import Cluster, Partition, cluster_dataset  # noqa: F401
+from boxaudit.confident_learning import (
+    BoxVerdict,
+    ClassThresholds,
+    RowAssessment,
+    VerdictTable,
+)
 from boxaudit.errors import InvalidInputError, InvalidSpecError
 from boxaudit.evaluation import (
     DEFAULT_MATCH_IOU,
@@ -19,7 +31,7 @@ from boxaudit.evaluation import (
     roc_curve,
 )
 from boxaudit.noise_injection import NoiseSpec, inject
-from boxaudit.reduction import ReducedMatrices, reduce_dataset
+from boxaudit.reduction import ReducedMatrices, reduce_dataset  # noqa: F401
 
 __all__ = ["PipelineConfig", "DetectionResult", "run_detection", "cmd_inject", "cmd_detect", "cmd_eval", "cmd_roc"]
 
@@ -69,13 +81,46 @@ class PipelineConfig:
         self.output_dir = Path(self.output_dir)
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionResult:
-    clusters: list[Cluster]
-    matrices: ReducedMatrices
+    """What :func:`run_detection` found, held as arrays: the clusters as a
+    :class:`~boxaudit.clustering.Partition`, the reduced matrices, each
+    row's quality score and flagged classes, and the verdicts as a
+    :class:`~boxaudit.confident_learning.VerdictTable`.
+
+    The ``clusters``, ``matrices``, ``rows`` and ``verdicts`` objects are
+    built on first access; the CLI never builds them.
+    """
+
+    partition: Partition
+    labels: np.ndarray
+    probs: np.ndarray
     thresholds: ClassThresholds
-    rows: list[RowAssessment]
-    verdicts: list[BoxVerdict]
+    quality: np.ndarray
+    flags: np.ndarray  # (rows, classes) bool
+    table: VerdictTable
+    categories: list[dataset_io.Category]
+
+    @cached_property
+    def clusters(self) -> list[Cluster]:
+        return self.partition.clusters()
+
+    @cached_property
+    def matrices(self) -> ReducedMatrices:
+        return ReducedMatrices(
+            self.labels, self.probs, list(self.clusters), len(self.categories)
+        )
+
+    @cached_property
+    def rows(self) -> list[RowAssessment]:
+        return [
+            RowAssessment(q, bool(classes), classes)
+            for q, classes in zip(self.quality.tolist(), cl.row_classes(self.flags))
+        ]
+
+    @cached_property
+    def verdicts(self) -> list[BoxVerdict]:
+        return list(self.table)
 
 
 def run_detection(
@@ -87,18 +132,28 @@ def run_detection(
     tau: float | None = None,
 ) -> DetectionResult:
     """Cluster, reduce, and run confident learning over a dataset with its
-    predictions; the one code path behind detect/eval."""
-    clusters = cluster_dataset(ds, preds, iou_threshold)
-    matrices = reduce_dataset(clusters, ds.num_categories)
-    thresholds = cl.compute_thresholds(matrices)
-    rows = cl.detect_issues(matrices, thresholds)
-    verdicts = cl.map_to_boxes(matrices, rows, mode=mode, tau=tau)
+    predictions; the one code path behind detect/eval.
+
+    The boxes are read into columns once, and every stage after that works
+    on arrays.
+    """
+    boxes = dataset_io.BoxColumns.of(ds.annotations + preds.boxes)
+    partition = clustering.cluster_boxes(boxes, iou_threshold)
+    labels, probs = reduction.reduce_partition(partition, ds.num_categories)
+    thresholds = cl.class_thresholds(labels, probs)
+    quality, flags = cl.row_flags(labels, probs, thresholds)
+    cl.check_mode(mode, tau)  # after the label check, as map_to_boxes orders them
+    flagged = flags.any(axis=1) if mode == cl.MODE_CONFIDENT_JOINT else quality <= tau
+    table = cl.verdict_table(partition, quality, flagged, cl.row_classes(flags))
     return DetectionResult(
-        clusters=clusters,
-        matrices=matrices,
+        partition=partition,
+        labels=labels,
+        probs=probs,
         thresholds=thresholds,
-        rows=rows,
-        verdicts=verdicts,
+        quality=quality,
+        flags=flags,
+        table=table,
+        categories=ds.categories,
     )
 
 
@@ -127,26 +182,18 @@ def cmd_detect(config: PipelineConfig) -> Path:
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / "report.csv"
-    report = dataset_io.DetectionReport(
-        verdicts=result.verdicts, clusters=result.clusters, categories=ds.categories
-    )
-    dataset_io.save_report(report, report_path)
-    flagged_rows = len({v.cluster_id for v in result.verdicts if v.flagged})
-    flagged_annotations = sum(
-        1 for v in result.verdicts if v.flagged and v.annotation_id is not None
-    )
-    missing_regions = sum(
-        1 for v in result.verdicts if v.flagged and v.annotation_id is None
-    )
-    print(f"clusters: {len(result.clusters)}")
-    print(f"flagged rows: {flagged_rows}")
-    print(f"flagged annotations: {flagged_annotations}")
-    print(f"missing regions: {missing_regions}")
+    dataset_io.save_report(result, report_path)
+    table = result.table
+    is_region = table.is_region
+    print(f"clusters: {len(result.partition)}")
+    print(f"flagged rows: {len(np.unique(table.cluster_ids[table.flagged]))}")
+    print(f"flagged annotations: {np.count_nonzero(table.flagged & ~is_region)}")
+    print(f"missing regions: {np.count_nonzero(table.flagged & is_region)}")
     print(f"report written to {report_path}")
     return report_path
 
 
-def _sweep_thresholds(verdicts: list[BoxVerdict], sweep: str) -> list[float] | None:
+def _sweep_thresholds(verdicts: VerdictTable, sweep: str) -> list[float] | None:
     return dense_thresholds(verdicts) if sweep == "dense" else None
 
 
@@ -173,10 +220,8 @@ def cmd_eval(config: PipelineConfig) -> Path:
                 mode=cl.MODE_SCORE_THRESHOLD,
                 tau=1.0,
             )
-            thresholds = _sweep_thresholds(result.verdicts, config.sweep)
-            curve = roc_curve(
-                result.verdicts, ledger, thresholds, match_iou=config.match_iou
-            )
+            thresholds = _sweep_thresholds(result.table, config.sweep)
+            curve = roc_curve(result.table, ledger, thresholds, match_iou=config.match_iou)
             curves.append((spec.seed, curve))
     else:
         if config.ledger_path is None:
@@ -188,10 +233,8 @@ def cmd_eval(config: PipelineConfig) -> Path:
         result = run_detection(
             ds, preds, config.iou_threshold, mode=cl.MODE_SCORE_THRESHOLD, tau=1.0
         )
-        thresholds = _sweep_thresholds(result.verdicts, config.sweep)
-        curve = roc_curve(
-            result.verdicts, ledger, thresholds, match_iou=config.match_iou
-        )
+        thresholds = _sweep_thresholds(result.table, config.sweep)
+        curve = roc_curve(result.table, ledger, thresholds, match_iou=config.match_iou)
         curves.append((config.seed, curve))
 
     roc_path = config.output_dir / "roc.csv"
@@ -212,7 +255,7 @@ def cmd_roc(config: PipelineConfig) -> Path:
     if config.report_path is None or config.ledger_path is None:
         raise InvalidSpecError("roc requires --report and --ledger")
     ds = dataset_io.load_ground_truth(config.ground_truth_path)
-    verdicts = dataset_io.load_report(config.report_path)
+    verdicts = dataset_io.load_report(config.report_path, ds)
     ledger = dataset_io.load_ledger(config.ledger_path, ds)
     thresholds = _sweep_thresholds(verdicts, config.sweep)
     curve = roc_curve(verdicts, ledger, thresholds, match_iou=config.match_iou)

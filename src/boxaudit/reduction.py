@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from boxaudit.clustering import Cluster
-from boxaudit.dataset_io import AnnotatedBox
+from boxaudit.clustering import Cluster, Partition
 from boxaudit.errors import InvalidInputError
 
 __all__ = ["ReducedMatrices", "reduce_cluster", "reduce_dataset"]
@@ -51,56 +50,43 @@ def reduce_cluster(cluster: Cluster, num_classes: int) -> tuple[np.ndarray, np.n
     return matrices.labels[0], matrices.probs[0]
 
 
-def _members(clusters: list[Cluster], side: str) -> tuple[np.ndarray, list[AnnotatedBox]]:
-    """The ``side`` members of every cluster in cluster order, with the row
-    (cluster index) of each."""
-    groups = [getattr(c, side) for c in clusters]
-    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return rows, [b for g in groups for b in g]
+def reduce_partition(partition: Partition, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label and probability matrices of every cluster at once (row k
+    reduces cluster k, see :func:`reduce_cluster`). The first label out of
+    range, in cluster order with originals first, raises."""
+    slots = partition.member_slots()
+    boxes = partition.boxes
+    classes = boxes.classes[partition.members]
+    bad = (classes < 1) | (classes > num_classes)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"{'prediction' if slots[first] % 2 else 'annotation'} "
+            f"{boxes.ids[partition.members[first]]}: "
+            f"label {classes[first]} outside 1..{num_classes}"
+        )
+
+    n = len(partition)
+    rows, columns = slots // 2, classes.astype(np.int64) - 1
+    original = slots % 2 == 0
+    labels = np.zeros((n, num_classes + 1), dtype=np.uint8)
+    labels[rows[original], columns[original]] = 1
+    labels[~labels.any(axis=1), num_classes] = 1
+    probs = np.zeros((n, num_classes + 1), dtype=np.float64)
+    predicted = ~original
+    np.maximum.at(
+        probs,
+        (rows[predicted], columns[predicted]),
+        boxes.scores[partition.members[predicted]],
+    )
+    probs[~probs[:, :num_classes].any(axis=1), num_classes] = 1.0
+    return labels, probs
 
 
 def reduce_dataset(clusters: list[Cluster], num_classes: int) -> ReducedMatrices:
     """Reduce cluster k (see :func:`reduce_cluster`) into row k of the
     matrices, every cluster at once."""
-    n = len(clusters)
-    originals = _members(clusters, "original_members")
-    predictions = _members(clusters, "predicted_members")
-    # report the first label out of range in cluster order, originals first
-    found = []
-    for side, (rows, boxes) in enumerate((originals, predictions)):
-        for i, box in enumerate(boxes):
-            if not 1 <= box.category_id <= num_classes:
-                found.append((int(rows[i]), side, box))
-                break
-    if found:
-        _, side, box = min(found, key=lambda f: f[:2])
-        raise InvalidInputError(
-            f"{'prediction' if side else 'annotation'} {box.id}: "
-            f"label {box.category_id} outside 1..{num_classes}"
-        )
-
-    (rows, boxes), (pred_rows, preds) = originals, predictions
-    labels = np.zeros((n, num_classes + 1), dtype=np.uint8)
-    labels[rows, np.array([b.category_id for b in boxes], dtype=np.int64) - 1] = 1
-    labels[~labels.any(axis=1), num_classes] = 1
-    probs = np.zeros((n, num_classes + 1), dtype=np.float64)
-    np.maximum.at(
-        probs,
-        (pred_rows, np.array([b.category_id for b in preds], dtype=np.int64) - 1),
-        np.array([b.score for b in preds], dtype=np.float64),
-    )
-    probs[~probs[:, :num_classes].any(axis=1), num_classes] = 1.0
+    labels, probs = reduce_partition(Partition.of_clusters(clusters), num_classes)
     return ReducedMatrices(
         labels=labels, probs=probs, row_clusters=list(clusters), num_classes=num_classes
     )
-
-
-def dump_matrices(matrices: ReducedMatrices) -> str:
-    """Tabular text dump of the reduced matrices for inspection (one line
-    per cluster, keyed by cluster id)."""
-    lines = ["cluster_id\tlabels\tprobs"]
-    for k, cluster in enumerate(matrices.row_clusters):
-        y = ",".join(str(int(v)) for v in matrices.labels[k])
-        p = ",".join(f"{v:.4f}" for v in matrices.probs[k])
-        lines.append(f"{cluster.id}\t{y}\t{p}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
-"""Test-only slow reference for the clustering, reduction and flagging core:
-the per-image union-find clustering, the per-cluster reduction and the
-per-row flagging lists that ``boxaudit`` replaced with whole-dataset array
-passes.
+"""Test-only slow reference for the clustering, reduction, flagging and
+mapping core: the per-image union-find clustering, the per-cluster
+reduction, the per-row flagging lists and the per-row verdict loop that
+``boxaudit`` replaced with whole-dataset array passes.
 
 The functions are kept verbatim apart from their ``reference_`` names.
 """
@@ -13,10 +13,19 @@ from collections import defaultdict
 import numpy as np
 
 from boxaudit.clustering import Cluster
-from boxaudit.confident_learning import ClassThresholds, RowAssessment
+from boxaudit.confident_learning import (
+    MISSING_REGION,
+    MODE_CONFIDENT_JOINT,
+    MODE_SCORE_THRESHOLD,
+    OK,
+    WRONG_LABEL,
+    BoxVerdict,
+    ClassThresholds,
+    RowAssessment,
+)
 from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, PredictionSet
 from boxaudit.errors import InvalidInputError
-from boxaudit.geometry import iou_matrix
+from boxaudit.geometry import BBox, iou_matrix
 from boxaudit.reduction import ReducedMatrices
 
 
@@ -222,3 +231,77 @@ def reference_detect_issues(
         )
         for k in range(n_rows)
     ]
+
+
+def _enclosing_region(boxes) -> BBox:
+    x0 = min(b.bbox.x for b in boxes)
+    y0 = min(b.bbox.y for b in boxes)
+    x1 = max(b.bbox.right for b in boxes)
+    y1 = max(b.bbox.bottom for b in boxes)
+    return BBox(x0, y0, x1 - x0, y1 - y0)
+
+
+def reference_map_to_boxes(
+    matrices: ReducedMatrices,
+    rows: list[RowAssessment],
+    *,
+    mode: str = MODE_CONFIDENT_JOINT,
+    tau: float | None = None,
+) -> list[BoxVerdict]:
+    """Turn row assessments back into per-annotation verdicts.
+
+    Every original annotation of a flagged cluster becomes a wrong_label
+    verdict sharing the row's quality score; a flagged background cluster
+    (predictions only) yields a single missing_region verdict carrying the
+    predicted boxes' enclosing region; originals of unflagged clusters get an
+    ok verdict with their row's score.
+
+    ``mode`` selects how rows count as flagged: the parameter-free confident
+    joint (default report) or ``quality_score <= tau`` (the ROC sweep).
+    """
+    if len(rows) != len(matrices.row_clusters):
+        raise InvalidInputError(
+            f"row results ({len(rows)}) do not align with clusters "
+            f"({len(matrices.row_clusters)})"
+        )
+    if mode not in (MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode == MODE_SCORE_THRESHOLD:
+        if tau is None or not 0.0 <= tau <= 1.0:
+            raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
+
+    verdicts: list[BoxVerdict] = []
+    for cluster, row in zip(matrices.row_clusters, rows):
+        if mode == MODE_CONFIDENT_JOINT:
+            is_flagged = row.flagged
+        else:
+            is_flagged = row.quality_score <= tau
+        classes = row.flagged_classes if is_flagged else ()
+        if cluster.original_members:
+            kind = WRONG_LABEL if is_flagged else OK
+            for box in cluster.original_members:
+                verdicts.append(
+                    BoxVerdict(
+                        annotation_id=box.id,
+                        cluster_id=cluster.id,
+                        image_id=cluster.image_id,
+                        quality_score=row.quality_score,
+                        flagged=is_flagged,
+                        flagged_classes=classes,
+                        verdict_kind=kind,
+                    )
+                )
+        elif is_flagged:
+            verdicts.append(
+                BoxVerdict(
+                    annotation_id=None,
+                    cluster_id=cluster.id,
+                    image_id=cluster.image_id,
+                    quality_score=row.quality_score,
+                    flagged=True,
+                    flagged_classes=classes,
+                    verdict_kind=MISSING_REGION,
+                    region=_enclosing_region(cluster.predicted_members),
+                )
+            )
+    return verdicts

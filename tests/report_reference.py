@@ -1,23 +1,37 @@
-"""Test-only slow reference for the report writer: the dict-building
-``save_report`` that ``boxaudit.dataset_io`` replaced with a writer that
-streams ``report.json`` one record at a time.
+"""Test-only slow references for the report and ROC writers: the
+dict-building ``save_report`` and ``save_roc`` that ``boxaudit.dataset_io``
+replaced with writers that stream ``report.json`` and ``roc.json`` one
+record at a time.
 
-``_flagged_class_labels`` and ``save_report`` are kept verbatim; the whole
-mirror goes through ``json.dump(..., sort_keys=True, indent=2)``.
+``DetectionReport`` (the writer's old input), ``_flagged_class_labels``,
+``save_report`` and ``save_roc`` are kept verbatim; the whole mirror goes
+through ``json.dump(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import csv
+import statistics
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from boxaudit.dataset_io import (
     REPORT_COLUMNS,
     Category,
-    DetectionReport,
     _box_record,
     _write_json,
 )
+from boxaudit.evaluation import RocCurve
+
+
+@dataclass
+class DetectionReport:
+    """Detector output plus the context needed to serialize it."""
+
+    verdicts: list  # of BoxVerdict
+    clusters: list  # of Cluster
+    categories: list[Category] = field(default_factory=list)
 
 
 def _flagged_class_labels(classes, categories: list[Category]) -> list[str]:
@@ -105,4 +119,33 @@ def save_report(report: DetectionReport, path: str | Path) -> None:
         ],
         "categories": [{"id": c.source_id, "name": c.name} for c in report.categories],
     }
+    _write_json(mirror, path.with_suffix(".json"), indent=2)
+
+
+def save_roc(
+    curve: RocCurve,
+    path: str | Path,
+    *,
+    run_aurocs: list[tuple[int, float]] | None = None,
+) -> None:
+    """Write a ROC sweep: ``<path>`` as plottable CSV with an AUROC summary
+    line, plus a ``<path>.json`` mirror (with per-run AUROCs and their median
+    when several runs were aggregated)."""
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["threshold", "fpr", "tpr"])
+        for p in curve.points:
+            writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
+        fh.write(f"# auroc = {curve.auroc:.6f}\n")
+
+    mirror: dict[str, Any] = {
+        "points": [
+            {"threshold": p.threshold, "fpr": p.fpr, "tpr": p.tpr} for p in curve.points
+        ],
+        "auroc": curve.auroc,
+    }
+    if run_aurocs is not None:
+        mirror["runs"] = [{"seed": s, "auroc": a} for s, a in run_aurocs]
+        mirror["median_auroc"] = statistics.median(a for _, a in run_aurocs)
     _write_json(mirror, path.with_suffix(".json"), indent=2)

@@ -463,6 +463,53 @@ def test_roc_rejects_malformed_report(tmp_path, capsys, mutate):
     _single_error_line(capsys, "malformed-syntax")
 
 
+def _first_verdict(mirror, region):
+    """The first verdict of the report for a region (or for an annotation)."""
+    return next(v for v in mirror["verdicts"] if (v["annotation_id"] is None) == region)
+
+
+def _set_first(key, value, region=False):
+    return lambda mirror: _first_verdict(mirror, region).__setitem__(key, value)
+
+
+def _repeat_first(mirror):
+    mirror["verdicts"].append(dict(_first_verdict(mirror, region=False)))
+
+
+@pytest.mark.parametrize(
+    "mutate, extra, category",
+    [
+        pytest.param(_set_first("quality_score", 1.5), [], "invalid-score", id="score-1.5"),
+        pytest.param(
+            _set_first("quality_score", 1.5), ["--sweep", "dense"], "invalid-score",
+            id="score-1.5-dense",
+        ),
+        pytest.param(_set_first("quality_score", float("nan")), [], "invalid-score", id="score-nan"),
+        pytest.param(_set_first("flagged", "no"), [], "malformed-syntax", id="flagged-string"),
+        pytest.param(_set_first("verdict_kind", 7), [], "malformed-syntax", id="kind-int"),
+        pytest.param(_set_first("verdict_kind", "bogus"), [], "malformed-syntax", id="kind-unknown"),
+        pytest.param(_repeat_first, [], "duplicate-id", id="repeated-verdict"),
+        pytest.param(
+            _set_first("image_id", 999, region=True), [], "dangling-reference",
+            id="region-on-unknown-image",
+        ),
+        pytest.param(
+            _set_first("annotation_id", 10**6), [], "dangling-reference",
+            id="unknown-annotation-id",
+        ),
+    ],
+)
+def test_roc_rejects_invalid_report_verdict(tmp_path, capsys, mutate, extra, category):
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    mirror = json.loads(report.read_text())
+    mutate(mirror)
+    write_json(report, mirror)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc", *extra) == 1
+    _single_error_line(capsys, category)
+    assert not (tmp_path / "roc").exists()
+
+
 def test_roc_rejects_ledger_bbox_of_three_numbers(tmp_path, capsys):
     noisy, report, ledger, _ = _roc_inputs(tmp_path)
     payload = json.loads(ledger.read_text())

@@ -1,15 +1,27 @@
-"""The array-pass clustering, reduction and flagging against the per-image,
-per-cluster and per-row reference they replaced (``core_reference``)."""
+"""The array-pass clustering, reduction, flagging and mapping against the
+per-image, per-cluster and per-row reference they replaced
+(``core_reference``)."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from boxaudit.clustering import cluster_dataset, cluster_image
-from boxaudit.confident_learning import compute_thresholds, detect_issues
+from boxaudit.confident_learning import (
+    MISSING_REGION,
+    MODE_CONFIDENT_JOINT,
+    MODE_SCORE_THRESHOLD,
+    VerdictTable,
+    compute_thresholds,
+    detect_issues,
+    map_to_boxes,
+)
 from boxaudit.dataset_io import PredictionSet
 from boxaudit.errors import InvalidInputError
+from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
+from boxaudit.pipeline import run_detection
 from boxaudit.reduction import reduce_cluster, reduce_dataset
 
 from conftest import original_box, predicted_box, simple_dataset
@@ -17,6 +29,7 @@ from core_reference import (
     reference_cluster_dataset,
     reference_cluster_image,
     reference_detect_issues,
+    reference_map_to_boxes,
     reference_reduce_cluster,
     reference_reduce_dataset,
 )
@@ -126,3 +139,72 @@ def test_core_equals_reference(seed):
     _assert_same_matrices(got, want)
     thresholds = compute_thresholds(want)
     assert detect_issues(got, thresholds) == reference_detect_issues(want, thresholds)
+
+
+def _reference_detection(ds, preds, threshold, mode, tau):
+    """The object pipeline: clusters, matrices, rows and verdicts."""
+    clusters = reference_cluster_dataset(ds, preds, threshold)
+    matrices = reference_reduce_dataset(clusters, ds.num_categories)
+    rows = reference_detect_issues(matrices, compute_thresholds(matrices))
+    return clusters, matrices, rows, reference_map_to_boxes(matrices, rows, mode=mode, tau=tau)
+
+
+def _scalar_types(verdicts):
+    return [
+        (type(v.annotation_id), type(v.cluster_id), type(v.image_id),
+         type(v.quality_score), type(v.flagged), type(v.verdict_kind))
+        for v in verdicts
+    ]
+
+
+def test_columnar_detection_equals_reference():
+    """run_detection's arrays, and the objects built from them on access,
+    against the object pipeline in both modes; map_to_boxes and the verdict
+    table's object view against the reference loop."""
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(10_000 + seed)
+        ds, preds = _random_case(rng)
+        if rng.random() < 0.4:
+            ds, _ = inject(ds, NoiseSpec(kind=NoiseKind.MISSING, fraction=0.4, seed=seed))
+            seen["missing noise"] += 1
+        threshold = rng.choice(THRESHOLDS)
+        mode, tau = MODE_CONFIDENT_JOINT, None
+        if rng.random() < 0.5:
+            mode, tau = MODE_SCORE_THRESHOLD, rng.choice([0.0, 0.5, 1.0, rng.random()])
+
+        want, want_error = _outcome(_reference_detection, ds, preds, threshold, mode, tau)
+        got, got_error = _outcome(
+            lambda: run_detection(ds, preds, threshold, mode=mode, tau=tau)
+        )
+        assert got_error == want_error, seed
+        if want is None:
+            seen["out-of-range label"] += 1
+            continue
+        clusters, matrices, rows, verdicts = want
+        if mode == MODE_SCORE_THRESHOLD and rows and rng.random() < 0.5:
+            # a cutoff exactly at a row's score
+            tau = rng.choice(rows).quality_score
+            verdicts = reference_map_to_boxes(matrices, rows, mode=mode, tau=tau)
+            got = run_detection(ds, preds, threshold, mode=mode, tau=tau)
+
+        assert _identity(got.clusters) == _identity(clusters), seed
+        assert got.matrices.num_classes == matrices.num_classes
+        for a, b in ((got.matrices.labels, matrices.labels), (got.matrices.probs, matrices.probs)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), seed
+        assert [id(c) for c in got.matrices.row_clusters] == [id(c) for c in got.clusters]
+        assert got.rows == rows, seed
+        assert got.verdicts == verdicts, seed
+        assert _scalar_types(got.verdicts) == _scalar_types(verdicts), seed
+        assert map_to_boxes(matrices, rows, mode=mode, tau=tau) == verdicts, seed
+        assert list(VerdictTable.of(verdicts)) == verdicts
+        assert len(got.table) == len(verdicts)
+
+        seen["background cluster"] += any(c.is_background for c in clusters)
+        seen["region"] += any(v.verdict_kind == MISSING_REGION for v in verdicts)
+        seen["unused class"] += bool(np.isnan(compute_thresholds(matrices).t_pos).any())
+        seen[mode] += 1
+    assert all(seen[k] >= 20 for k in (
+        "missing noise", "out-of-range label", "background cluster", "region",
+        "unused class", MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD,
+    )), seen

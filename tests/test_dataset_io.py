@@ -4,20 +4,22 @@ from collections import Counter
 
 import pytest
 
-from boxaudit.clustering import Cluster
-from boxaudit.confident_learning import BoxVerdict
+from boxaudit.confident_learning import MODE_SCORE_THRESHOLD
 from boxaudit.dataset_io import (
     AnnotatedBox,
     BoxSource,
     Category,
-    DetectionReport,
+    Dataset,
+    PredictionSet,
     load_ground_truth,
     load_ledger,
     load_predictions,
     save_dataset,
     save_ledger,
     save_report,
+    save_roc,
 )
+from boxaudit.evaluation import RocCurve, RocPoint
 from boxaudit.errors import (
     DanglingReferenceError,
     DuplicateIdError,
@@ -28,9 +30,12 @@ from boxaudit.errors import (
 )
 from boxaudit.geometry import BBox
 from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
+from boxaudit.pipeline import run_detection
 
 from conftest import coco_payload, write_json
+from report_reference import DetectionReport
 from report_reference import save_report as reference_save_report
+from report_reference import save_roc as reference_save_roc
 
 
 def test_minimal_file_loads(tiny_coco_path):
@@ -260,7 +265,7 @@ def test_ledger_file_lists_exact_ids(tmp_path):
 
 
 def test_empty_report_has_header_only(tmp_path):
-    report = DetectionReport(verdicts=[], clusters=[], categories=[])
+    report = run_detection(Dataset(images=[], categories=[], annotations=[]), PredictionSet([]))
     path = tmp_path / "report.csv"
     save_report(report, path)
     lines = path.read_text().strip().splitlines()
@@ -272,7 +277,6 @@ def test_empty_report_has_header_only(tmp_path):
 # --- report writer vs. the json.dump reference --------------------------------
 
 _NAMES = ["car", 'say "hi"', "back\\slash", "naïve 猫", "tab\tnew\nline", "🐱", ""]
-_KINDS = ["wrong_label", "ok", "missing_region", 'odd "kind" \\ ü']
 _IDS = [0, 1, 7, 2**63 + 5, 10**30]
 _COORDS = [0, 3, 0.0, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**20]
 _SIZES = [1, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**18]
@@ -299,73 +303,101 @@ def _random_box(rng, box_id, image_id, num_classes, predicted):
     )
 
 
-def _random_report(rng, seen):
-    """A report of random clusters and verdicts, shaped like detect's but
-    with awkward values: huge ints, floats without a short repr, int
-    coordinates, escaped and non-ASCII names, unknown class ids."""
+def _random_result(rng, seen):
+    """A detection result on random boxes, in either mode, with awkward
+    values: huge ints, floats without a short repr, int coordinates and
+    scores, escaped and non-ASCII names."""
     num_classes = rng.randint(0, 4)
     source_ids = rng.sample(_IDS + [12, 99], num_classes)
     categories = [
         Category(id=m, name=rng.choice(_NAMES), source_id=src)
         for m, src in enumerate(source_ids, start=1)
     ]
-    clusters, verdicts = [], []
-    cluster_offset = rng.choice([0, 2**40])
-    for k in range(rng.randint(0, 6)):
-        image_id = rng.choice(_IDS)
-        sizes = (rng.randint(0, 3), rng.randint(0, 3)) if num_classes else (0, 0)
-        cluster = Cluster(
-            id=k + cluster_offset,
-            image_id=image_id,
-            original_members=[
-                _random_box(rng, rng.choice(_IDS) + j, image_id, num_classes, False)
-                for j in range(sizes[0])
-            ],
-            predicted_members=[
-                _random_box(rng, j + 1, image_id, num_classes, True) for j in range(sizes[1])
-            ],
-        )
-        clusters.append(cluster)
-        flagged = rng.random() < 0.5
-        quality = _pick(rng, _SCORES, spread=1.0)
-        classes = tuple(rng.sample(range(1, num_classes + 3), rng.randint(0, 2))) if flagged else ()
-        ann_ids = [b.id for b in cluster.original_members] or [None]
-        for ann_id in ann_ids:
-            region = _random_bbox(rng) if rng.random() < 0.4 else None
-            verdicts.append(
-                BoxVerdict(
-                    annotation_id=ann_id,
-                    cluster_id=cluster.id,
-                    image_id=image_id,
-                    quality_score=quality,
-                    flagged=flagged,
-                    flagged_classes=classes,
-                    verdict_kind=rng.choice(_KINDS),
-                    region=region,
-                )
-            )
-            seen["region"] += region is not None
-            seen["no region"] += region is None
-        seen["background cluster"] += cluster.is_background and bool(cluster.predicted_members)
-        seen["flagged, no classes"] += flagged and not classes
-        seen["annotation_id None"] += ann_ids == [None]
-    rng.shuffle(verdicts)
-    if not any(v.flagged for v in verdicts):
+
+    def box(box_id, image_id, predicted):
+        # a box too thin to move its far edge in float64 (1e20 + 1) would
+        # make a degenerate missing region, which run_detection rejects
+        while True:
+            b = _random_box(rng, box_id, image_id, num_classes, predicted)
+            x, y, w, h = map(float, b.bbox.as_list())
+            if x + w != x and y + h != y:
+                return b
+
+    anns, preds = [], []
+    for image_id in rng.sample(_IDS, rng.randint(1, 3)):
+        for j in range(rng.randint(0, 4) if num_classes else 0):
+            anns.append(box(rng.choice(_IDS) + j, image_id, False))
+        for _ in range(rng.randint(0, 4) if num_classes else 0):
+            preds.append(box(len(preds) + 1, image_id, True))
+    ds = Dataset(images=[], categories=categories, annotations=anns)
+    if rng.random() < 0.5:
+        result = run_detection(ds, PredictionSet(preds), rng.choice([0.3, 0.5]))
+    else:
+        tau = rng.choice([0.0, 0.5, 1.0, rng.random()])
+        result = run_detection(ds, PredictionSet(preds), mode=MODE_SCORE_THRESHOLD, tau=tau)
+    for v in result.verdicts:
+        seen["region"] += v.region is not None
+        seen["no region"] += v.region is None
+        seen["background cluster"] += v.verdict_kind == "missing_region"
+        seen["flagged, no classes"] += v.flagged and not v.flagged_classes
+        seen["annotation_id None"] += v.annotation_id is None
+    if not any(v.flagged for v in result.verdicts):
         seen["no flagged clusters"] += 1
-    seen["empty verdicts"] += not verdicts
-    return DetectionReport(verdicts=verdicts, clusters=clusters, categories=categories)
+    seen["empty verdicts"] += not result.verdicts
+    return result
 
 
 def test_report_writer_matches_json_dump_reference(tmp_path):
     seen = Counter()
     for seed in range(300):
-        report = _random_report(random.Random(seed), seen)
-        save_report(report, tmp_path / "new.csv")
-        reference_save_report(report, tmp_path / "ref.csv")
+        result = _random_result(random.Random(seed), seen)
+        save_report(result, tmp_path / "new.csv")
+        reference_save_report(
+            DetectionReport(result.verdicts, result.clusters, result.categories),
+            tmp_path / "ref.csv",
+        )
         for name in ("new.csv", "new.json"):
             ref = name.replace("new", "ref")
             assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
     assert all(seen[k] >= 5 for k in (
         "region", "no region", "background cluster", "flagged, no classes",
         "annotation_id None", "no flagged clusters", "empty verdicts",
+    )), seen
+
+
+# --- ROC writer vs. the json.dump reference -----------------------------------
+
+_RATES = [0.0, 1.0, 0.1 + 0.2, 1e-17, 0.5, 1 / 3]
+
+
+def _random_roc(rng, seen):
+    """A curve with repeated thresholds, rates of exactly 0 and 1 and floats
+    without a short repr, and per-run AUROCs or none."""
+    rate = lambda: rng.choice(_RATES) if rng.random() < 0.6 else rng.random()
+    thresholds = sorted(rate() for _ in range(rng.randint(0, 12)))
+    points = [RocPoint(threshold=t, fpr=rate(), tpr=rate()) for t in thresholds]
+    auroc = rng.choice([rate(), float("nan"), 1])
+    runs = None
+    if rng.random() < 0.5:
+        runs = [(rng.choice([0, 7, 2**40, 10**30]) + k, rate()) for k in range(rng.randint(1, 4))]
+    seen["runs"] += runs is not None
+    seen["no runs"] += runs is None
+    seen["repeated thresholds"] += len(set(thresholds)) < len(thresholds)
+    values = [v for p in points for v in (p.threshold, p.fpr, p.tpr)]
+    for name, v in (("0.1+0.2", 0.1 + 0.2), ("1e-17", 1e-17), ("0", 0.0), ("1", 1.0)):
+        seen[name] += v in values
+    return RocCurve(points=points, auroc=auroc), runs
+
+
+def test_roc_writer_matches_json_dump_reference(tmp_path):
+    seen = Counter()
+    for seed in range(300):
+        curve, runs = _random_roc(random.Random(seed), seen)
+        save_roc(curve, tmp_path / "new.csv", run_aurocs=runs)
+        reference_save_roc(curve, tmp_path / "ref.csv", run_aurocs=runs)
+        for name in ("new.csv", "new.json"):
+            ref = name.replace("new", "ref")
+            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
+    assert all(seen[k] >= 20 for k in (
+        "runs", "no runs", "repeated thresholds", "0.1+0.2", "1e-17", "0", "1",
     )), seen

@@ -4,7 +4,7 @@ import pytest
 
 from boxaudit.clustering import Cluster
 from boxaudit.errors import InvalidInputError
-from boxaudit.reduction import dump_matrices, reduce_cluster, reduce_dataset
+from boxaudit.reduction import reduce_cluster, reduce_dataset
 
 from conftest import original_box, predicted_box
 
@@ -140,9 +140,3 @@ def test_row_invariants_on_random_clusters():
         if scores:
             assert p[k, :bg].max() <= max(scores)
 
-
-def test_dump_matrices_lists_every_row():
-    rng = random.Random(43)
-    clusters = [_random_cluster(rng, k, 3) for k in range(4)]
-    text = dump_matrices(reduce_dataset(clusters, 3))
-    assert len(text.strip().splitlines()) == 5  # header + 4 rows
