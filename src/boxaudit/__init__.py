@@ -2,7 +2,7 @@
 datasets by reducing ground-truth and out-of-sample predicted boxes to a
 multi-label classification problem and applying confident learning."""
 
-from boxaudit.clustering import Cluster, cluster_dataset, cluster_image
+from boxaudit.clustering import Cluster, cluster_dataset
 from boxaudit.confident_learning import (
     BoxVerdict,
     ClassThresholds,
@@ -26,7 +26,7 @@ from boxaudit.dataset_io import (
     save_report,
 )
 from boxaudit.evaluation import RocCurve, RocPoint, auroc, confusion_at, roc_curve
-from boxaudit.geometry import BBox, box_distance, iou
+from boxaudit.geometry import BBox, iou
 from boxaudit.noise_injection import (
     LedgerEntry,
     NoiseKind,
@@ -36,9 +36,9 @@ from boxaudit.noise_injection import (
     replay,
 )
 from boxaudit.pipeline import PipelineConfig, run_detection
-from boxaudit.reduction import ReducedMatrices, reduce_cluster, reduce_dataset
+from boxaudit.reduction import ReducedMatrices, reduce_dataset
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AnnotatedBox",
@@ -61,9 +61,7 @@ __all__ = [
     "RocPoint",
     "RowAssessment",
     "auroc",
-    "box_distance",
     "cluster_dataset",
-    "cluster_image",
     "compute_thresholds",
     "confusion_at",
     "detect_issues",
@@ -73,7 +71,6 @@ __all__ = [
     "load_ledger",
     "load_predictions",
     "map_to_boxes",
-    "reduce_cluster",
     "reduce_dataset",
     "replay",
     "roc_curve",

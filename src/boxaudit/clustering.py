@@ -20,7 +20,7 @@ from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Dataset, PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import corner_iou, corners
 
-__all__ = ["Cluster", "Partition", "cluster_image", "cluster_dataset", "cluster_boxes"]
+__all__ = ["Cluster", "Partition", "cluster_dataset", "cluster_boxes"]
 
 
 @dataclass
@@ -29,14 +29,6 @@ class Cluster:
     image_id: int
     original_members: list[AnnotatedBox] = field(default_factory=list)
     predicted_members: list[AnnotatedBox] = field(default_factory=list)
-
-    @property
-    def members(self) -> list[AnnotatedBox]:
-        return self.original_members + self.predicted_members
-
-    @property
-    def is_background(self) -> bool:
-        return not self.original_members
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +89,6 @@ class Partition:
 _PAIR_BLOCK = 4096
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold < 1.0:
-        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
-
-
 def _edges(boxes: np.ndarray, group_end: np.ndarray, iou_threshold: float):
     """Pairs i < j < ``group_end[i]`` whose IoU reaches the threshold, scored
     in fixed-size blocks of pairs."""
@@ -149,7 +136,8 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
     original, ties going to the cluster whose first member comes first;
     members keep their input order.
     """
-    _check_threshold(iou_threshold)
+    if not 0.0 < iou_threshold < 1.0:
+        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
     n = len(boxes.items)
     if not n:
         empty = np.zeros(0, np.int64)
@@ -179,19 +167,6 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
         order[np.argsort(slot, kind="stable")],
         np.cumsum(np.bincount(slot, minlength=2 * len(roots))),
     )
-
-
-def cluster_image(boxes: list[AnnotatedBox], iou_threshold: float) -> list[Cluster]:
-    """Cluster the boxes of a single image; merges on ties (iou == threshold).
-
-    Returned clusters have ids 0..k-1 ordered by smallest member annotation
-    id (original members first). Raises if the boxes span several images.
-    """
-    _check_threshold(iou_threshold)
-    image_ids = {b.image_id for b in boxes}
-    if len(image_ids) > 1:
-        raise InvalidInputError(f"boxes span several images: {sorted(image_ids)}")
-    return cluster_boxes(BoxColumns.of(boxes), iou_threshold).clusters()
 
 
 def cluster_dataset(

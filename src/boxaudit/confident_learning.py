@@ -115,22 +115,6 @@ class VerdictTable:
             flagged_classes=list(flagged_classes) if flagged_classes is not None else [()] * n,
         )
 
-    @classmethod
-    def of(cls, verdicts: list[BoxVerdict] | VerdictTable) -> VerdictTable:
-        """The verdicts as a table (a table is returned as it is)."""
-        if isinstance(verdicts, VerdictTable):
-            return verdicts
-        return cls.of_values(
-            [v.annotation_id for v in verdicts],
-            [v.cluster_id for v in verdicts],
-            [v.image_id for v in verdicts],
-            [v.quality_score for v in verdicts],
-            [bool(v.flagged) for v in verdicts],
-            [v.verdict_kind for v in verdicts],
-            [None if v.region is None else v.region.as_list() for v in verdicts],
-            [v.flagged_classes for v in verdicts],
-        )
-
     @property
     def is_region(self) -> np.ndarray:
         """Which verdicts concern a region rather than an annotation."""
@@ -249,14 +233,20 @@ def detect_issues(
     ]
 
 
-def check_mode(mode: str, tau: float | None) -> None:
-    """Reject an unknown flagging mode, or score_threshold without a tau in
-    [0, 1]."""
-    if mode not in (MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD):
+def flagged_rows(
+    flagged: np.ndarray, quality: np.ndarray, mode: str, tau: float | None
+) -> np.ndarray:
+    """Which rows count as flagged: under the confident joint the rows it
+    flags (``flagged``), under score_threshold the rows whose quality score
+    is at most ``tau``. Rejects an unknown mode, or score_threshold without
+    a tau in [0, 1]."""
+    if mode == MODE_CONFIDENT_JOINT:
+        return flagged
+    if mode != MODE_SCORE_THRESHOLD:
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if mode == MODE_SCORE_THRESHOLD:
-        if tau is None or not 0.0 <= tau <= 1.0:
-            raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
+    if tau is None or not 0.0 <= tau <= 1.0:
+        raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
+    return quality <= tau
 
 
 def verdict_table(
@@ -332,20 +322,19 @@ def map_to_boxes(
     predicted boxes' enclosing region; originals of unflagged clusters get an
     ok verdict with their row's score.
 
-    ``mode`` selects how rows count as flagged: the parameter-free confident
-    joint (default report) or ``quality_score <= tau`` (the ROC sweep).
+    ``mode`` selects how rows count as flagged (see :func:`flagged_rows`):
+    the parameter-free confident joint (default report) or
+    ``quality_score <= tau`` (the ROC sweep).
     """
     if len(rows) != len(matrices.row_clusters):
         raise InvalidInputError(
             f"row results ({len(rows)}) do not align with clusters "
             f"({len(matrices.row_clusters)})"
         )
-    check_mode(mode, tau)
     quality = np.array([r.quality_score for r in rows], dtype=np.float64)
-    if mode == MODE_CONFIDENT_JOINT:
-        flagged = np.array([bool(r.flagged) for r in rows], dtype=bool)
-    else:
-        flagged = quality <= tau
+    flagged = flagged_rows(
+        np.array([bool(r.flagged) for r in rows], dtype=bool), quality, mode, tau
+    )
     table = verdict_table(
         Partition.of_clusters(matrices.row_clusters),
         quality,

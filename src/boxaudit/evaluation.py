@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from boxaudit.confident_learning import BoxVerdict, VerdictTable
+from boxaudit.confident_learning import VerdictTable
 from boxaudit.errors import EmptyLedgerError, InvalidInputError
 from boxaudit.geometry import iou_matrix
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
@@ -85,6 +85,8 @@ def _sweep(
 ) -> list[Confusion]:
     """Confusion counts at every threshold, from one pass over the verdict
     columns."""
+    if not 0.0 < match_iou <= 1.0:
+        raise InvalidInputError(f"match_iou must lie in (0, 1], got {match_iou}")
     removed = [e for e in ledger.entries if e.kind == NoiseKind.MISSING]
     positive_ids = {
         e.annotation_id for e in ledger.entries if e.kind != NoiseKind.MISSING
@@ -184,27 +186,25 @@ def _greedy_matches(pairs: list[tuple[int, int]], flagged: list[bool]) -> int:
 
 
 def confusion_at(
-    verdicts: list[BoxVerdict] | VerdictTable,
+    verdicts: VerdictTable,
     ledger: NoiseLedger,
     tau: float,
     *,
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> Confusion:
     """Confusion counts of the noisy-box classifier at cutoff ``tau``."""
-    return _sweep(VerdictTable.of(verdicts), ledger, [tau], match_iou)[0]
+    return _sweep(verdicts, ledger, [tau], match_iou)[0]
 
 
 def roc_curve(
-    verdicts: list[BoxVerdict] | VerdictTable,
+    verdicts: VerdictTable,
     ledger: NoiseLedger,
     thresholds: list[float] | None = None,
     *,
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> RocCurve:
     """Sweep the cutoff over ``thresholds`` (default 0.0, 0.1, ..., 1.0) and
-    integrate the resulting (FPR, TPR) points into an AUROC. ``verdicts``
-    may be a list or a :class:`~boxaudit.confident_learning.VerdictTable`,
-    which is swept without building verdict objects."""
+    integrate the resulting (FPR, TPR) points into an AUROC."""
     if len(ledger) == 0:
         raise EmptyLedgerError(
             "the ledger holds no perturbations; evaluation requires injected noise"
@@ -218,9 +218,7 @@ def roc_curve(
 
     points = [
         RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr)
-        for tau, c in zip(
-            thresholds, _sweep(VerdictTable.of(verdicts), ledger, thresholds, match_iou)
-        )
+        for tau, c in zip(thresholds, _sweep(verdicts, ledger, thresholds, match_iou))
     ]
     return RocCurve(points=points, auroc=auroc([(p.fpr, p.tpr) for p in points]))
 
@@ -237,8 +235,8 @@ def auroc(points: list[tuple[float, float]]) -> float:
     return area
 
 
-def dense_thresholds(verdicts: list[BoxVerdict] | VerdictTable) -> list[float]:
+def dense_thresholds(verdicts: VerdictTable) -> list[float]:
     """Every distinct quality score plus the 0/1 endpoints: the exact sweep."""
     scores = {0.0, 1.0}
-    scores.update(VerdictTable.of(verdicts).quality.tolist())
+    scores.update(verdicts.quality.tolist())
     return sorted(scores)

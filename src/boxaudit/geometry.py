@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box arithmetic: area, IoU, clustering distance."""
+"""Axis-aligned bounding-box arithmetic: area and IoU, scalar and vectorized."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from boxaudit.errors import InvalidInputError
 
-__all__ = ["BBox", "iou", "box_distance", "iou_matrix", "corners", "corner_iou"]
+__all__ = ["BBox", "iou", "iou_matrix", "corners", "corner_iou"]
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ def iou(a: BBox, b: BBox) -> float:
     area_a = (a.right - a.x) * (a.bottom - a.y)
     area_b = (b.right - b.x) * (b.bottom - b.y)
     return inter / (area_a + area_b - inter)
-
-
-def box_distance(a: BBox, b: BBox) -> float:
-    """Clustering distance between two boxes: 1 - IoU."""
-    return 1.0 - iou(a, b)
 
 
 def corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -42,21 +42,19 @@ class NoiseKind(str, Enum):
 
 _AMPLITUDE_KINDS = (NoiseKind.LOCATION, NoiseKind.SCALE)
 
+# bounds of a spurious box's width and height, as fractions of the image's
+SPURIOUS_SIZE_RANGE = (0.02, 0.40)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """What to corrupt: noise kind, affected fraction of annotations, the
-    displacement/scaling amplitude where applicable, and the RNG seed.
-
-    ``spurious_size_range`` bounds added boxes' width/height as fractions of
-    the image dimensions.
-    """
+    displacement/scaling amplitude where applicable, and the RNG seed."""
 
     kind: NoiseKind
     fraction: float
     amplitude: float | None = None
     seed: int = 0
-    spurious_size_range: tuple[float, float] = (0.02, 0.40)
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
@@ -70,9 +68,6 @@ class NoiseSpec:
                 )
         elif self.amplitude is not None:
             raise InvalidSpecError(f"{self.kind.value} noise takes no amplitude")
-        lo, hi = self.spurious_size_range
-        if not 0.0 < lo <= hi <= 1.0:
-            raise InvalidSpecError(f"bad spurious size range {self.spurious_size_range}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +89,6 @@ class NoiseLedger:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def annotation_ids(self) -> set[int]:
-        return {e.annotation_id for e in self.entries}
 
 
 def displace_box(box: BBox, angle: float, amplitude: float, image: ImageInfo) -> BBox:
@@ -146,7 +138,7 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
     if spec.kind == NoiseKind.SPURIOUS:
         count = round(spec.fraction * len(annotations))
         next_id = max((a.id for a in annotations), default=0) + 1
-        lo, hi = spec.spurious_size_range
+        lo, hi = SPURIOUS_SIZE_RANGE
         for _ in range(count):
             image = ds.images[rng.randrange(len(ds.images))]
             while True:

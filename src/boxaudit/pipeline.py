@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +15,8 @@ from boxaudit import dataset_io
 # cluster_dataset and reduce_dataset are the object-level stages; run_detection
 # calls the array cores below them, and the names stay importable from here
 # for per-stage tracing (bench/tracing.py)
-from boxaudit.clustering import Cluster, Partition, cluster_dataset  # noqa: F401
-from boxaudit.confident_learning import (
-    BoxVerdict,
-    ClassThresholds,
-    RowAssessment,
-    VerdictTable,
-)
+from boxaudit.clustering import Partition, cluster_dataset  # noqa: F401
+from boxaudit.confident_learning import ClassThresholds, VerdictTable
 from boxaudit.errors import InvalidInputError, InvalidSpecError
 from boxaudit.evaluation import (
     DEFAULT_MATCH_IOU,
@@ -31,7 +25,7 @@ from boxaudit.evaluation import (
     roc_curve,
 )
 from boxaudit.noise_injection import NoiseSpec, inject
-from boxaudit.reduction import ReducedMatrices, reduce_dataset  # noqa: F401
+from boxaudit.reduction import reduce_dataset  # noqa: F401
 
 __all__ = ["PipelineConfig", "DetectionResult", "run_detection", "cmd_inject", "cmd_detect", "cmd_eval", "cmd_roc"]
 
@@ -88,8 +82,10 @@ class DetectionResult:
     row's quality score and flagged classes, and the verdicts as a
     :class:`~boxaudit.confident_learning.VerdictTable`.
 
-    The ``clusters``, ``matrices``, ``rows`` and ``verdicts`` objects are
-    built on first access; the CLI never builds them.
+    ``list(table)`` gives the verdicts as
+    :class:`~boxaudit.confident_learning.BoxVerdict` objects and
+    ``partition.clusters()`` the clusters as
+    :class:`~boxaudit.clustering.Cluster` objects.
     """
 
     partition: Partition
@@ -100,27 +96,6 @@ class DetectionResult:
     flags: np.ndarray  # (rows, classes) bool
     table: VerdictTable
     categories: list[dataset_io.Category]
-
-    @cached_property
-    def clusters(self) -> list[Cluster]:
-        return self.partition.clusters()
-
-    @cached_property
-    def matrices(self) -> ReducedMatrices:
-        return ReducedMatrices(
-            self.labels, self.probs, list(self.clusters), len(self.categories)
-        )
-
-    @cached_property
-    def rows(self) -> list[RowAssessment]:
-        return [
-            RowAssessment(q, bool(classes), classes)
-            for q, classes in zip(self.quality.tolist(), cl.row_classes(self.flags))
-        ]
-
-    @cached_property
-    def verdicts(self) -> list[BoxVerdict]:
-        return list(self.table)
 
 
 def run_detection(
@@ -142,8 +117,8 @@ def run_detection(
     labels, probs = reduction.reduce_partition(partition, ds.num_categories)
     thresholds = cl.class_thresholds(labels, probs)
     quality, flags = cl.row_flags(labels, probs, thresholds)
-    cl.check_mode(mode, tau)  # after the label check, as map_to_boxes orders them
-    flagged = flags.any(axis=1) if mode == cl.MODE_CONFIDENT_JOINT else quality <= tau
+    # the mode is checked after the labels, as map_to_boxes orders them
+    flagged = cl.flagged_rows(flags.any(axis=1), quality, mode, tau)
     table = cl.verdict_table(partition, quality, flagged, cl.row_classes(flags))
     return DetectionResult(
         partition=partition,
@@ -208,34 +183,25 @@ def cmd_eval(config: PipelineConfig) -> Path:
     preds = dataset_io.load_predictions(config.predictions_path, ds)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
-    curves: list[tuple[int, RocCurve]] = []
     if config.noise is not None:
-        for run in range(config.runs):
-            spec = replace(config.noise, seed=config.noise.seed + run)
-            noisy, ledger = inject(ds, spec)
-            result = run_detection(
-                noisy,
-                preds,
-                config.iou_threshold,
-                mode=cl.MODE_SCORE_THRESHOLD,
-                tau=1.0,
-            )
-            thresholds = _sweep_thresholds(result.table, config.sweep)
-            curve = roc_curve(result.table, ledger, thresholds, match_iou=config.match_iou)
-            curves.append((spec.seed, curve))
+        specs = (replace(config.noise, seed=config.noise.seed + run) for run in range(config.runs))
+        runs = ((spec.seed, *inject(ds, spec)) for spec in specs)
+    elif config.ledger_path is None:
+        raise InvalidSpecError(
+            "eval needs either a noise spec (--noise-kind ...) or an "
+            "existing ledger (--ledger)"
+        )
     else:
-        if config.ledger_path is None:
-            raise InvalidSpecError(
-                "eval needs either a noise spec (--noise-kind ...) or an "
-                "existing ledger (--ledger)"
-            )
-        ledger = dataset_io.load_ledger(config.ledger_path, ds)
+        runs = [(config.seed, ds, dataset_io.load_ledger(config.ledger_path, ds))]
+
+    curves: list[tuple[int, RocCurve]] = []
+    for seed, noisy, ledger in runs:
         result = run_detection(
-            ds, preds, config.iou_threshold, mode=cl.MODE_SCORE_THRESHOLD, tau=1.0
+            noisy, preds, config.iou_threshold, mode=cl.MODE_SCORE_THRESHOLD, tau=1.0
         )
         thresholds = _sweep_thresholds(result.table, config.sweep)
         curve = roc_curve(result.table, ledger, thresholds, match_iou=config.match_iou)
-        curves.append((config.seed, curve))
+        curves.append((seed, curve))
 
     roc_path = config.output_dir / "roc.csv"
     run_aurocs = [(seed, curve.auroc) for seed, curve in curves]

@@ -17,7 +17,7 @@ import numpy as np
 from boxaudit.clustering import Cluster, Partition
 from boxaudit.errors import InvalidInputError
 
-__all__ = ["ReducedMatrices", "reduce_cluster", "reduce_dataset"]
+__all__ = ["ReducedMatrices", "reduce_dataset"]
 
 
 @dataclass
@@ -32,28 +32,16 @@ class ReducedMatrices:
     row_clusters: list[Cluster]
     num_classes: int
 
-    @property
-    def background_column(self) -> int:
-        return self.num_classes
-
-
-def reduce_cluster(cluster: Cluster, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compute one (label row, probability row) pair for a cluster.
-
-    The label row marks every class that occurs among the cluster's original
-    boxes, or background if there are none. Each real-class probability is
-    the maximum score of the cluster's predicted boxes with that label (0 if
-    none); the background probability is 1 exactly when all real-class
-    probabilities are 0.
-    """
-    matrices = reduce_dataset([cluster], num_classes)
-    return matrices.labels[0], matrices.probs[0]
-
 
 def reduce_partition(partition: Partition, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The label and probability matrices of every cluster at once (row k
-    reduces cluster k, see :func:`reduce_cluster`). The first label out of
-    range, in cluster order with originals first, raises."""
+    """The label and probability matrices of every cluster at once.
+
+    Row k of the label matrix marks every class that occurs among cluster
+    k's original boxes, or background if there are none. Each real-class
+    probability is the maximum score of the cluster's predicted boxes with
+    that label (0 if none); the background probability is 1 exactly when
+    all real-class probabilities are 0. The first label out of range, in
+    cluster order with originals first, raises."""
     slots = partition.member_slots()
     boxes = partition.boxes
     classes = boxes.classes[partition.members]
@@ -84,7 +72,7 @@ def reduce_partition(partition: Partition, num_classes: int) -> tuple[np.ndarray
 
 
 def reduce_dataset(clusters: list[Cluster], num_classes: int) -> ReducedMatrices:
-    """Reduce cluster k (see :func:`reduce_cluster`) into row k of the
+    """Reduce cluster k (see :func:`reduce_partition`) into row k of the
     matrices, every cluster at once."""
     labels, probs = reduce_partition(Partition.of_clusters(clusters), num_classes)
     return ReducedMatrices(

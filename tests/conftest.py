@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Category, Dataset, ImageInfo
+from boxaudit.clustering import cluster_dataset
+from boxaudit.confident_learning import VerdictTable
+from boxaudit.dataset_io import AnnotatedBox, BoxSource, Category, Dataset, ImageInfo, PredictionSet
 from boxaudit.geometry import BBox
+from boxaudit.reduction import reduce_dataset
 
 
 def coco_payload(images, categories, annotations):
@@ -40,6 +43,34 @@ def simple_dataset(annotations, num_images=4, num_classes=3, size=1000):
     images = [ImageInfo(id=i, width=size, height=size, file_name=f"{i}.jpg") for i in range(1, num_images + 1)]
     categories = [Category(id=m, name=f"class{m}", source_id=m) for m in range(1, num_classes + 1)]
     return Dataset(images=images, categories=categories, annotations=annotations)
+
+
+def cluster_boxes(boxes, iou_threshold):
+    """``cluster_dataset`` over a list of originals and predictions, the
+    originals first, each kind in list order."""
+    originals = [b for b in boxes if b.source == BoxSource.ORIGINAL]
+    predictions = [b for b in boxes if b.source == BoxSource.PREDICTED]
+    return cluster_dataset(simple_dataset(originals), PredictionSet(predictions), iou_threshold)
+
+
+def reduce_cluster(cluster, num_classes):
+    """The label and probability rows of one cluster, from ``reduce_dataset``."""
+    matrices = reduce_dataset([cluster], num_classes)
+    return matrices.labels[0], matrices.probs[0]
+
+
+def verdict_table(verdicts):
+    """A list of ``BoxVerdict`` objects as a ``VerdictTable``."""
+    return VerdictTable.of_values(
+        [v.annotation_id for v in verdicts],
+        [v.cluster_id for v in verdicts],
+        [v.image_id for v in verdicts],
+        [v.quality_score for v in verdicts],
+        [v.flagged for v in verdicts],
+        [v.verdict_kind for v in verdicts],
+        [None if v.region is None else v.region.as_list() for v in verdicts],
+        [v.flagged_classes for v in verdicts],
+    )
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from boxaudit.cli import main
-from boxaudit.clustering import cluster_dataset, cluster_image
+from boxaudit.clustering import cluster_dataset
 from boxaudit.confident_learning import (
     MODE_SCORE_THRESHOLD,
     compute_thresholds,
@@ -28,7 +28,7 @@ from boxaudit.geometry import BBox, iou
 from boxaudit.noise_injection import NoiseKind, NoiseLedger, NoiseSpec, inject, replay
 from boxaudit.reduction import reduce_dataset
 
-from conftest import original_box, predicted_box
+from conftest import cluster_boxes, original_box, predicted_box, verdict_table
 from harness import write_synthetic
 from test_clustering import _brute_force, _partition, _random_boxes
 from test_confident_learning import _matrices
@@ -142,7 +142,7 @@ def test_criterion_5_invariant_suites():
             by_image.setdefault(box.image_id, []).append(box)
         clusters = []
         for image_boxes in by_image.values():
-            clusters.extend(cluster_image(image_boxes, threshold))
+            clusters.extend(cluster_boxes(image_boxes, threshold))
         if _partition(clusters) != _brute_force(boxes, threshold):
             failures.append(f"clustering seed {seed}")
             break
@@ -151,7 +151,7 @@ def test_criterion_5_invariant_suites():
     rng = random.Random(303)
     clusters = [_random_cluster(rng, k, 6) for k in range(200)]
     matrices = reduce_dataset(clusters, 6)
-    bg = matrices.background_column
+    bg = matrices.num_classes
     for k, cluster in enumerate(clusters):
         y, p = matrices.labels[k], matrices.probs[k]
         if y.sum() < 1 or (y[bg] == 1) != (not cluster.original_members):
@@ -184,7 +184,7 @@ def test_criterion_5_invariant_suites():
 
     # roc: monotone with (0,0)/(1,1) endpoints; auroc of diagonal exactly 0.5
     ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 400), 80)])
-    curve = roc_curve(verdicts, ledger)
+    curve = roc_curve(verdict_table(verdicts), ledger)
     pts = [(p.fpr, p.tpr) for p in curve.points]
     if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
         failures.append("roc endpoints")

@@ -3,18 +3,19 @@ from collections import deque
 
 import pytest
 
-from boxaudit.clustering import cluster_dataset, cluster_image
+from boxaudit.clustering import cluster_dataset
 from boxaudit.dataset_io import PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import iou
 
-from conftest import original_box, predicted_box, simple_dataset
+from conftest import cluster_boxes, original_box, predicted_box, simple_dataset
 
 
 def _partition(clusters):
     """Clusters as a set of frozensets of (source, id) pairs."""
     return {
-        frozenset((b.source.value, b.id) for b in c.members) for c in clusters
+        frozenset((b.source.value, b.id) for b in c.original_members + c.predicted_members)
+        for c in clusters
     }
 
 
@@ -58,22 +59,22 @@ def test_single_linkage_chaining():
     assert iou(a.bbox, b.bbox) == pytest.approx(0.6)
     assert iou(b.bbox, c.bbox) == pytest.approx(0.55)
     assert iou(a.bbox, c.bbox) < 0.5
-    clusters = cluster_image([a, b, c], 0.5)
+    clusters = cluster_boxes([a, b, c], 0.5)
     assert len(clusters) == 1
     assert _partition(clusters) == _brute_force([a, b, c], 0.5)
 
 
 def test_all_below_threshold_gives_singletons():
     boxes = [original_box(i, 1, 1, i * 100.0, 0.0, 10, 10) for i in range(1, 5)]
-    clusters = cluster_image(boxes, 0.5)
+    clusters = cluster_boxes(boxes, 0.5)
     assert len(clusters) == 4
-    assert all(len(c.members) == 1 for c in clusters)
+    assert all(len(c.original_members) + len(c.predicted_members) == 1 for c in clusters)
 
 
 def test_coinciding_original_and_prediction_share_cluster():
     orig = original_box(1, 1, 1, 10, 10, 20, 20)
     pred = predicted_box(1, 1, 2, 10, 10, 20, 20, score=0.8)
-    clusters = cluster_image([orig, pred], 0.5)
+    clusters = cluster_boxes([orig, pred], 0.5)
     assert len(clusters) == 1
     assert len(clusters[0].original_members) == 1
     assert len(clusters[0].predicted_members) == 1
@@ -83,19 +84,13 @@ def test_exact_threshold_merges():
     # iou((0,0,2,2),(1,0,2,2)) = 2/6 = 1/3
     a = original_box(1, 1, 1, 0, 0, 2, 2)
     b = original_box(2, 1, 1, 1, 0, 2, 2)
-    assert len(cluster_image([a, b], 1 / 3)) == 1
-
-
-def test_mixed_image_ids_rejected():
-    boxes = [original_box(1, 1, 1, 0, 0, 2, 2), original_box(2, 2, 1, 0, 0, 2, 2)]
-    with pytest.raises(InvalidInputError):
-        cluster_image(boxes, 0.5)
+    assert len(cluster_boxes([a, b], 1 / 3)) == 1
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
 def test_threshold_out_of_range_rejected(threshold):
     with pytest.raises(InvalidInputError):
-        cluster_image([original_box(1, 1, 1, 0, 0, 2, 2)], threshold)
+        cluster_boxes([original_box(1, 1, 1, 0, 0, 2, 2)], threshold)
 
 
 def test_images_never_merge():
@@ -114,7 +109,7 @@ def test_dataset_without_predictions():
     ds = simple_dataset(anns)
     clusters = cluster_dataset(ds, PredictionSet(boxes=[]), 0.5)
     assert all(not c.predicted_members for c in clusters)
-    assert all(not c.is_background for c in clusters)
+    assert all(c.original_members for c in clusters)
 
 
 def _random_boxes(rng, n, num_images=3, span=60):
@@ -144,7 +139,7 @@ def test_partition_property_on_random_dataset():
             anns.append(box)
     ds = simple_dataset(anns, num_images=100)
     clusters = cluster_dataset(ds, PredictionSet(boxes=preds), 0.5)
-    member_ids = [b.id for c in clusters for b in c.members]
+    member_ids = [b.id for c in clusters for b in c.original_members + c.predicted_members]
     assert len(member_ids) == len(anns)
     assert len(set(member_ids)) == len(anns)
 
@@ -159,26 +154,26 @@ def test_matches_brute_force_on_small_instances():
             by_image.setdefault(b.image_id, []).append(b)
         clusters = []
         for image_boxes in by_image.values():
-            clusters.extend(cluster_image(image_boxes, threshold))
+            clusters.extend(cluster_boxes(image_boxes, threshold))
         assert _partition(clusters) == _brute_force(boxes, threshold), f"seed {seed}"
 
 
 def test_order_invariance():
     rng = random.Random(31)
     boxes = _random_boxes(rng, 12, num_images=1)
-    reference = _partition(cluster_image(boxes, 0.4))
+    reference = _partition(cluster_boxes(boxes, 0.4))
     for _ in range(10):
         shuffled = boxes[:]
         rng.shuffle(shuffled)
-        assert _partition(cluster_image(shuffled, 0.4)) == reference
+        assert _partition(cluster_boxes(shuffled, 0.4)) == reference
 
 
 def test_threshold_monotonicity():
     rng = random.Random(37)
     for _ in range(50):
         boxes = _random_boxes(rng, 10, num_images=1)
-        low = _partition(cluster_image(boxes, 0.3))
-        high = _partition(cluster_image(boxes, 0.6))
+        low = _partition(cluster_boxes(boxes, 0.3))
+        high = _partition(cluster_boxes(boxes, 0.6))
         # every high-threshold cluster is contained in one low-threshold cluster
         for cluster in high:
             assert any(cluster <= other for other in low)
@@ -195,7 +190,7 @@ def test_cluster_ids_are_deterministic_and_ordered():
     clusters = cluster_dataset(ds, preds, 0.5)
     assert [c.id for c in clusters] == [0, 1, 2, 3]
     # ordered by image id, then smallest member annotation id
-    assert [(c.image_id, c.is_background) for c in clusters] == [
+    assert [(c.image_id, not c.original_members) for c in clusters] == [
         (1, False),
         (1, False),
         (2, True),

@@ -8,23 +8,31 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from boxaudit.clustering import cluster_dataset, cluster_image
+from boxaudit.clustering import cluster_dataset
 from boxaudit.confident_learning import (
     MISSING_REGION,
     MODE_CONFIDENT_JOINT,
     MODE_SCORE_THRESHOLD,
-    VerdictTable,
+    RowAssessment,
     compute_thresholds,
     detect_issues,
     map_to_boxes,
+    row_classes,
 )
 from boxaudit.dataset_io import PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
 from boxaudit.pipeline import run_detection
-from boxaudit.reduction import reduce_cluster, reduce_dataset
+from boxaudit.reduction import reduce_dataset
 
-from conftest import original_box, predicted_box, simple_dataset
+from conftest import (
+    cluster_boxes,
+    original_box,
+    predicted_box,
+    reduce_cluster,
+    simple_dataset,
+    verdict_table,
+)
 from core_reference import (
     reference_cluster_dataset,
     reference_cluster_image,
@@ -119,7 +127,9 @@ def test_core_equals_reference(seed):
     image_id = rng.choice(boxes).image_id if boxes else None
     one_image = [b for b in boxes if b.image_id == image_id]
     rng.shuffle(one_image)
-    assert _identity(cluster_image(one_image, threshold)) == _identity(
+    # cluster_dataset takes the originals first, so the reference does too
+    one_image.sort(key=lambda b: b.score is not None)
+    assert _identity(cluster_boxes(one_image, threshold)) == _identity(
         reference_cluster_image(one_image, threshold)
     )
 
@@ -158,9 +168,9 @@ def _scalar_types(verdicts):
 
 
 def test_columnar_detection_equals_reference():
-    """run_detection's arrays, and the objects built from them on access,
-    against the object pipeline in both modes; map_to_boxes and the verdict
-    table's object view against the reference loop."""
+    """run_detection's arrays, and the clusters and verdicts built from
+    them, against the object pipeline in both modes; map_to_boxes and the
+    verdict table's object view against the reference loop."""
     seen = Counter()
     for seed in range(300):
         rng = random.Random(10_000 + seed)
@@ -188,19 +198,23 @@ def test_columnar_detection_equals_reference():
             verdicts = reference_map_to_boxes(matrices, rows, mode=mode, tau=tau)
             got = run_detection(ds, preds, threshold, mode=mode, tau=tau)
 
-        assert _identity(got.clusters) == _identity(clusters), seed
-        assert got.matrices.num_classes == matrices.num_classes
-        for a, b in ((got.matrices.labels, matrices.labels), (got.matrices.probs, matrices.probs)):
+        assert _identity(got.partition.clusters()) == _identity(clusters), seed
+        assert len(got.categories) == matrices.num_classes
+        for a, b in ((got.labels, matrices.labels), (got.probs, matrices.probs)):
             assert a.dtype == b.dtype and np.array_equal(a, b), seed
-        assert [id(c) for c in got.matrices.row_clusters] == [id(c) for c in got.clusters]
-        assert got.rows == rows, seed
-        assert got.verdicts == verdicts, seed
-        assert _scalar_types(got.verdicts) == _scalar_types(verdicts), seed
+        got_rows = [
+            RowAssessment(q, bool(classes), classes)
+            for q, classes in zip(got.quality.tolist(), row_classes(got.flags))
+        ]
+        assert got_rows == rows, seed
+        got_verdicts = list(got.table)
+        assert got_verdicts == verdicts, seed
+        assert _scalar_types(got_verdicts) == _scalar_types(verdicts), seed
         assert map_to_boxes(matrices, rows, mode=mode, tau=tau) == verdicts, seed
-        assert list(VerdictTable.of(verdicts)) == verdicts
+        assert list(verdict_table(verdicts)) == verdicts
         assert len(got.table) == len(verdicts)
 
-        seen["background cluster"] += any(c.is_background for c in clusters)
+        seen["background cluster"] += any(not c.original_members for c in clusters)
         seen["region"] += any(v.verdict_kind == MISSING_REGION for v in verdicts)
         seen["unused class"] += bool(np.isnan(compute_thresholds(matrices).t_pos).any())
         seen[mode] += 1

@@ -261,7 +261,7 @@ def test_ledger_file_lists_exact_ids(tmp_path):
     save_ledger(ledger, path, ds.categories)
     data = json.loads(path.read_text())
     assert len(data["entries"]) == 2
-    assert {e["annotation_id"] for e in data["entries"]} == ledger.annotation_ids()
+    assert {e["annotation_id"] for e in data["entries"]} == {e.annotation_id for e in ledger.entries}
 
 
 def test_empty_report_has_header_only(tmp_path):
@@ -335,15 +335,16 @@ def _random_result(rng, seen):
     else:
         tau = rng.choice([0.0, 0.5, 1.0, rng.random()])
         result = run_detection(ds, PredictionSet(preds), mode=MODE_SCORE_THRESHOLD, tau=tau)
-    for v in result.verdicts:
+    verdicts = list(result.table)
+    for v in verdicts:
         seen["region"] += v.region is not None
         seen["no region"] += v.region is None
         seen["background cluster"] += v.verdict_kind == "missing_region"
         seen["flagged, no classes"] += v.flagged and not v.flagged_classes
         seen["annotation_id None"] += v.annotation_id is None
-    if not any(v.flagged for v in result.verdicts):
+    if not any(v.flagged for v in verdicts):
         seen["no flagged clusters"] += 1
-    seen["empty verdicts"] += not result.verdicts
+    seen["empty verdicts"] += not verdicts
     return result
 
 
@@ -353,7 +354,7 @@ def test_report_writer_matches_json_dump_reference(tmp_path):
         result = _random_result(random.Random(seed), seen)
         save_report(result, tmp_path / "new.csv")
         reference_save_report(
-            DetectionReport(result.verdicts, result.clusters, result.categories),
+            DetectionReport(list(result.table), result.partition.clusters(), result.categories),
             tmp_path / "ref.csv",
         )
         for name in ("new.csv", "new.json"):

@@ -15,7 +15,7 @@ from boxaudit.evaluation import (
 from boxaudit.geometry import BBox
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
-from conftest import original_box
+from conftest import original_box, verdict_table
 from evaluation_reference import reference_confusion_at, reference_roc_curve
 
 # the published ROC sweep this evaluator is meant to reproduce: 11 operating
@@ -75,14 +75,14 @@ def missing_entry(ann_id, x, y, w, h, image_id=1):
 
 def test_empty_ledger_counts_everything_negative():
     verdicts = [ann_verdict(i, 0.9) for i in range(1, 6)]
-    c = confusion_at(verdicts, NoiseLedger(), 0.5)
+    c = confusion_at(verdict_table(verdicts), NoiseLedger(), 0.5)
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, 5, 0)
 
 
 def test_tau_one_flags_every_annotation():
     verdicts = [ann_verdict(i, 0.2 * i) for i in range(1, 6)]
     ledger = NoiseLedger(entries=[label_entry(2), label_entry(4)])
-    c = confusion_at(verdicts, ledger, 1.0)
+    c = confusion_at(verdict_table(verdicts), ledger, 1.0)
     assert c.tp == 2  # ledger entries present in the dataset
     assert c.tn == 0
     assert c.fpr == 1.0 and c.tpr == 1.0
@@ -91,7 +91,7 @@ def test_tau_one_flags_every_annotation():
 def test_exact_detection_counts():
     verdicts = [ann_verdict(i, 0.05 if i <= 2 else 0.9) for i in range(1, 11)]
     ledger = NoiseLedger(entries=[label_entry(1), label_entry(2)])
-    c = confusion_at(verdicts, ledger, 0.1)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.1)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 8, 0)
     assert c.fpr == 0.0 and c.tpr == 1.0
 
@@ -100,7 +100,7 @@ def test_ledger_for_different_dataset_rejected():
     verdicts = [ann_verdict(1, 0.5)]
     ledger = NoiseLedger(entries=[label_entry(99)])
     with pytest.raises(InvalidInputError):
-        confusion_at(verdicts, ledger, 0.5)
+        confusion_at(verdict_table(verdicts), ledger, 0.5)
 
 
 def test_missing_record_matched_by_overlapping_region():
@@ -109,14 +109,14 @@ def test_missing_record_matched_by_overlapping_region():
         region_verdict(0.1, BBox(10, 10, 20, 20)),
     ]
     ledger = NoiseLedger(entries=[missing_entry(50, 11, 11, 20, 20)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 0, 1, 0)
 
 
 def test_unmatched_missing_record_is_false_negative():
     verdicts = [ann_verdict(1, 0.9), region_verdict(0.1, BBox(500, 500, 10, 10))]
     ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     # region overlaps nothing: false positive; removed record missed
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 1, 1, 1)
 
@@ -124,17 +124,17 @@ def test_unmatched_missing_record_is_false_negative():
 def test_region_below_match_iou_does_not_count():
     verdicts = [region_verdict(0.1, BBox(0, 0, 10, 10))]
     ledger = NoiseLedger(entries=[missing_entry(50, 8, 8, 10, 10)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fn, c.fp) == (0, 1, 1)
     # a looser matching IoU accepts the same pair
-    c = confusion_at(verdicts, ledger, 0.5, match_iou=0.01)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5, match_iou=0.01)
     assert (c.tp, c.fn, c.fp) == (1, 0, 0)
 
 
 def test_region_on_other_image_never_matches():
     verdicts = [region_verdict(0.1, BBox(10, 10, 20, 20), image_id=2)]
     ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20, image_id=1)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fn, c.fp) == (0, 1, 1)
 
 
@@ -145,14 +145,14 @@ def test_greedy_matching_is_one_to_one_by_descending_iou():
         region_verdict(0.1, BBox(12, 12, 20, 20), cluster_id=2),
     ]
     ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.fn) == (1, 1, 0)
 
 
 def test_region_above_tau_is_ignored():
     verdicts = [region_verdict(0.8, BBox(10, 10, 20, 20))]
     ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
-    c = confusion_at(verdicts, ledger, 0.5)
+    c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.fn) == (0, 0, 1)
 
 
@@ -162,7 +162,7 @@ def test_marginals_match_population():
     noisy_ids = rng.sample(range(1, 101), 20)
     ledger = NoiseLedger(entries=[label_entry(i) for i in noisy_ids])
     for tau in DEFAULT_THRESHOLDS:
-        c = confusion_at(verdicts, ledger, tau)
+        c = confusion_at(verdict_table(verdicts), ledger, tau)
         assert c.tp + c.fn == 20
         assert c.fp + c.tn == 80
 
@@ -173,7 +173,7 @@ def test_marginals_match_population():
 def test_perfect_separation_gives_auroc_one():
     verdicts = [ann_verdict(i, 0.0 if i <= 3 else 1.0) for i in range(1, 11)]
     ledger = NoiseLedger(entries=[label_entry(i) for i in (1, 2, 3)])
-    curve = roc_curve(verdicts, ledger)
+    curve = roc_curve(verdict_table(verdicts), ledger)
     assert curve.auroc == pytest.approx(1.0)
 
 
@@ -182,7 +182,8 @@ def test_random_scores_give_auroc_near_half():
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 10001)]
     noisy = rng.sample(range(1, 10001), 2000)
     ledger = NoiseLedger(entries=[label_entry(i) for i in noisy])
-    curve = roc_curve(verdicts, ledger, dense_thresholds(verdicts))
+    table = verdict_table(verdicts)
+    curve = roc_curve(table, ledger, dense_thresholds(table))
     assert curve.auroc == pytest.approx(0.5, abs=0.05)
 
 
@@ -194,7 +195,7 @@ def test_curve_contains_grid_and_is_monotone():
     rng = random.Random(79)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 201)]
     ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 201), 40)])
-    curve = roc_curve(verdicts, ledger)
+    curve = roc_curve(verdict_table(verdicts), ledger)
     testable = [(p.threshold, p.fpr, p.tpr) for p in curve.points]
     assert [t for t, _, _ in testable] == DEFAULT_THRESHOLDS
     for (_, f1, t1), (_, f2, t2) in zip(testable, testable[1:]):
@@ -221,7 +222,8 @@ def test_monotone_even_with_missing_noise():
                 )
             )
     ledger = NoiseLedger(entries=entries)
-    curve = roc_curve(verdicts, ledger, dense_thresholds(verdicts))
+    table = verdict_table(verdicts)
+    curve = roc_curve(table, ledger, dense_thresholds(table))
     for p1, p2 in zip(curve.points, curve.points[1:]):
         assert p2.fpr >= p1.fpr - 1e-12
         assert p2.tpr >= p1.tpr - 1e-12
@@ -230,16 +232,28 @@ def test_monotone_even_with_missing_noise():
 def test_empty_ledger_is_an_error():
     verdicts = [ann_verdict(1, 0.5)]
     with pytest.raises(EmptyLedgerError):
-        roc_curve(verdicts, NoiseLedger())
+        roc_curve(verdict_table(verdicts), NoiseLedger())
 
 
 def test_bad_threshold_grids_rejected():
     verdicts = [ann_verdict(1, 0.5)]
     ledger = NoiseLedger(entries=[label_entry(1)])
     with pytest.raises(InvalidInputError):
-        roc_curve(verdicts, ledger, [1.0, 0.0])
+        roc_curve(verdict_table(verdicts), ledger, [1.0, 0.0])
     with pytest.raises(InvalidInputError):
-        roc_curve(verdicts, ledger, [0.0, 0.5])
+        roc_curve(verdict_table(verdicts), ledger, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("match_iou", [0.0, -1.0, float("nan"), 1.5])
+def test_match_iou_outside_unit_interval_rejected(match_iou):
+    # at match_iou <= 0 a flagged region 500 px from the only removed box
+    # would count as a true positive
+    table = verdict_table([ann_verdict(1, 0.9), region_verdict(0.1, BBox(500, 500, 10, 10))])
+    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
+    with pytest.raises(InvalidInputError, match="match_iou"):
+        confusion_at(table, ledger, 0.5, match_iou=match_iou)
+    with pytest.raises(InvalidInputError, match="match_iou"):
+        roc_curve(table, ledger, match_iou=match_iou)
 
 
 # --- auroc ---------------------------------------------------------------------------
@@ -269,7 +283,8 @@ def test_auroc_invariant_under_monotone_score_transform():
     rng = random.Random(97)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 301)]
     ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 301), 60)])
-    base = roc_curve(verdicts, ledger, dense_thresholds(verdicts))
+    table = verdict_table(verdicts)
+    base = roc_curve(table, ledger, dense_thresholds(table))
     squashed = [
         BoxVerdict(
             annotation_id=v.annotation_id,
@@ -281,6 +296,7 @@ def test_auroc_invariant_under_monotone_score_transform():
         )
         for v in verdicts
     ]
+    squashed = verdict_table(squashed)
     transformed = roc_curve(squashed, ledger, dense_thresholds(squashed))
     assert {(p.fpr, p.tpr) for p in base.points} == {
         (p.fpr, p.tpr) for p in transformed.points
@@ -340,14 +356,15 @@ def test_sweep_equals_per_threshold_reference(seed):
     rng = random.Random(seed)
     verdicts, ledger = _random_case(rng)
     match_iou = rng.choice([0.3, 0.5, 0.7, 1.0])
-    for thresholds in (DEFAULT_THRESHOLDS, dense_thresholds(verdicts)):
-        got = roc_curve(verdicts, ledger, thresholds, match_iou=match_iou)
+    table = verdict_table(verdicts)
+    for thresholds in (DEFAULT_THRESHOLDS, dense_thresholds(table)):
+        got = roc_curve(table, ledger, thresholds, match_iou=match_iou)
         want = reference_roc_curve(verdicts, ledger, thresholds, match_iou=match_iou)
         assert got.points == want.points
         assert got.auroc == want.auroc
     scores = [v.quality_score for v in verdicts]
     for tau in [rng.random(), rng.choice(SCORE_POOL), *rng.sample(scores, min(3, len(scores)))]:
-        assert confusion_at(verdicts, ledger, tau, match_iou=match_iou) == reference_confusion_at(
+        assert confusion_at(table, ledger, tau, match_iou=match_iou) == reference_confusion_at(
             verdicts, ledger, tau, match_iou=match_iou
         )
 
@@ -377,10 +394,11 @@ def test_dense_sweep_over_many_regions_is_fast():
                 )
             )
     ledger = NoiseLedger(entries=entries)
-    thresholds = dense_thresholds(verdicts)
+    table = verdict_table(verdicts)
+    thresholds = dense_thresholds(table)
 
     start = time.time()
-    curve = roc_curve(verdicts, ledger, thresholds)
+    curve = roc_curve(table, ledger, thresholds)
     elapsed = time.time() - start
 
     assert len(curve.points) == len(thresholds) > 40000

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxaudit.errors import InvalidInputError
-from boxaudit.geometry import BBox, box_distance, corner_iou, corners, iou, iou_matrix
+from boxaudit.geometry import BBox, corner_iou, corners, iou, iou_matrix
 
 
 def test_identical_boxes_have_iou_one():
@@ -24,13 +24,6 @@ def test_partial_overlap_matches_area_arithmetic():
 def test_touching_boxes_have_iou_zero():
     assert iou(BBox(0, 0, 2, 2), BBox(2, 0, 2, 2)) == 0.0  # shared edge
     assert iou(BBox(0, 0, 2, 2), BBox(2, 2, 2, 2)) == 0.0  # shared corner
-
-
-def test_distance_examples():
-    a, b = BBox(0, 0, 2, 2), BBox(1, 1, 2, 2)
-    assert box_distance(a, a) == 0.0
-    assert box_distance(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == 1.0
-    assert box_distance(a, b) == pytest.approx(6 / 7)
 
 
 @pytest.mark.parametrize("w,h", [(0, 1), (-1, 1), (1, 0), (1, -2)])

@@ -4,9 +4,9 @@ import pytest
 
 from boxaudit.clustering import Cluster
 from boxaudit.errors import InvalidInputError
-from boxaudit.reduction import reduce_cluster, reduce_dataset
+from boxaudit.reduction import reduce_dataset
 
-from conftest import original_box, predicted_box
+from conftest import original_box, predicted_box, reduce_cluster
 
 
 def _cluster(cluster_id, originals, predictions, image_id=1):
@@ -127,7 +127,7 @@ def test_row_invariants_on_random_clusters():
     y, p = matrices.labels, matrices.probs
     assert y.shape == (50, num_classes + 1)
     assert p.shape == (50, num_classes + 1)
-    bg = matrices.background_column
+    bg = matrices.num_classes
     for k, cluster in enumerate(clusters):
         assert y[k].sum() >= 1
         assert (y[k, bg] == 1) == (not cluster.original_members)
