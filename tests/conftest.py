@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from boxaudit.clustering import cluster_dataset
+from boxaudit.clustering import cluster_boxes
 from boxaudit.confident_learning import VerdictTable
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Category, Dataset, ImageInfo, PredictionSet
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, BoxSource, Category, Dataset, ImageInfo
 from boxaudit.geometry import BBox
 from boxaudit.reduction import reduce_dataset
 
@@ -45,12 +45,10 @@ def simple_dataset(annotations, num_images=4, num_classes=3, size=1000):
     return Dataset(images=images, categories=categories, annotations=annotations)
 
 
-def cluster_boxes(boxes, iou_threshold):
-    """``cluster_dataset`` over a list of originals and predictions, the
-    originals first, each kind in list order."""
-    originals = [b for b in boxes if b.source == BoxSource.ORIGINAL]
-    predictions = [b for b in boxes if b.source == BoxSource.PREDICTED]
-    return cluster_dataset(simple_dataset(originals), PredictionSet(predictions), iou_threshold)
+def cluster_list(boxes, iou_threshold):
+    """``clustering.cluster_boxes`` over a box list, in list order, as
+    :class:`Cluster` objects."""
+    return cluster_boxes(BoxColumns.of(boxes), iou_threshold).clusters()
 
 
 def reduce_cluster(cluster, num_classes):

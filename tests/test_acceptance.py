@@ -28,7 +28,7 @@ from boxaudit.geometry import BBox, iou
 from boxaudit.noise_injection import NoiseKind, NoiseLedger, NoiseSpec, inject, replay
 from boxaudit.reduction import reduce_dataset
 
-from conftest import cluster_boxes, original_box, predicted_box, verdict_table
+from conftest import cluster_list, original_box, predicted_box, verdict_table
 from harness import write_synthetic
 from test_clustering import _brute_force, _partition, _random_boxes
 from test_confident_learning import _matrices
@@ -142,7 +142,7 @@ def test_criterion_5_invariant_suites():
             by_image.setdefault(box.image_id, []).append(box)
         clusters = []
         for image_boxes in by_image.values():
-            clusters.extend(cluster_boxes(image_boxes, threshold))
+            clusters.extend(cluster_list(image_boxes, threshold))
         if _partition(clusters) != _brute_force(boxes, threshold):
             failures.append(f"clustering seed {seed}")
             break

@@ -2,6 +2,7 @@
 (``bench/tracing.py``); these tests fail when one of those names is removed
 or a traced command stops running."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -9,8 +10,19 @@ from boxaudit.cli import main
 
 from harness import write_synthetic
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-import tracing  # noqa: E402
+
+def _load_tracing():
+    """``bench/tracing.py`` loaded from its file under its own module name,
+    so no other module called ``tracing`` can stand in for it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
 
 
 def test_every_trace_target_resolves():

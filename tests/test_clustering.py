@@ -8,7 +8,7 @@ from boxaudit.dataset_io import PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import iou
 
-from conftest import cluster_boxes, original_box, predicted_box, simple_dataset
+from conftest import cluster_list, original_box, predicted_box, simple_dataset
 
 
 def _partition(clusters):
@@ -59,14 +59,14 @@ def test_single_linkage_chaining():
     assert iou(a.bbox, b.bbox) == pytest.approx(0.6)
     assert iou(b.bbox, c.bbox) == pytest.approx(0.55)
     assert iou(a.bbox, c.bbox) < 0.5
-    clusters = cluster_boxes([a, b, c], 0.5)
+    clusters = cluster_list([a, b, c], 0.5)
     assert len(clusters) == 1
     assert _partition(clusters) == _brute_force([a, b, c], 0.5)
 
 
 def test_all_below_threshold_gives_singletons():
     boxes = [original_box(i, 1, 1, i * 100.0, 0.0, 10, 10) for i in range(1, 5)]
-    clusters = cluster_boxes(boxes, 0.5)
+    clusters = cluster_list(boxes, 0.5)
     assert len(clusters) == 4
     assert all(len(c.original_members) + len(c.predicted_members) == 1 for c in clusters)
 
@@ -74,7 +74,7 @@ def test_all_below_threshold_gives_singletons():
 def test_coinciding_original_and_prediction_share_cluster():
     orig = original_box(1, 1, 1, 10, 10, 20, 20)
     pred = predicted_box(1, 1, 2, 10, 10, 20, 20, score=0.8)
-    clusters = cluster_boxes([orig, pred], 0.5)
+    clusters = cluster_list([orig, pred], 0.5)
     assert len(clusters) == 1
     assert len(clusters[0].original_members) == 1
     assert len(clusters[0].predicted_members) == 1
@@ -84,13 +84,13 @@ def test_exact_threshold_merges():
     # iou((0,0,2,2),(1,0,2,2)) = 2/6 = 1/3
     a = original_box(1, 1, 1, 0, 0, 2, 2)
     b = original_box(2, 1, 1, 1, 0, 2, 2)
-    assert len(cluster_boxes([a, b], 1 / 3)) == 1
+    assert len(cluster_list([a, b], 1 / 3)) == 1
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
 def test_threshold_out_of_range_rejected(threshold):
     with pytest.raises(InvalidInputError):
-        cluster_boxes([original_box(1, 1, 1, 0, 0, 2, 2)], threshold)
+        cluster_list([original_box(1, 1, 1, 0, 0, 2, 2)], threshold)
 
 
 def test_images_never_merge():
@@ -154,26 +154,26 @@ def test_matches_brute_force_on_small_instances():
             by_image.setdefault(b.image_id, []).append(b)
         clusters = []
         for image_boxes in by_image.values():
-            clusters.extend(cluster_boxes(image_boxes, threshold))
+            clusters.extend(cluster_list(image_boxes, threshold))
         assert _partition(clusters) == _brute_force(boxes, threshold), f"seed {seed}"
 
 
 def test_order_invariance():
     rng = random.Random(31)
     boxes = _random_boxes(rng, 12, num_images=1)
-    reference = _partition(cluster_boxes(boxes, 0.4))
+    reference = _partition(cluster_list(boxes, 0.4))
     for _ in range(10):
         shuffled = boxes[:]
         rng.shuffle(shuffled)
-        assert _partition(cluster_boxes(shuffled, 0.4)) == reference
+        assert _partition(cluster_list(shuffled, 0.4)) == reference
 
 
 def test_threshold_monotonicity():
     rng = random.Random(37)
     for _ in range(50):
         boxes = _random_boxes(rng, 10, num_images=1)
-        low = _partition(cluster_boxes(boxes, 0.3))
-        high = _partition(cluster_boxes(boxes, 0.6))
+        low = _partition(cluster_list(boxes, 0.3))
+        high = _partition(cluster_list(boxes, 0.6))
         # every high-threshold cluster is contained in one low-threshold cluster
         for cluster in high:
             assert any(cluster <= other for other in low)

@@ -26,7 +26,7 @@ from boxaudit.pipeline import run_detection
 from boxaudit.reduction import reduce_dataset
 
 from conftest import (
-    cluster_boxes,
+    cluster_list,
     original_box,
     predicted_box,
     reduce_cluster,
@@ -127,9 +127,7 @@ def test_core_equals_reference(seed):
     image_id = rng.choice(boxes).image_id if boxes else None
     one_image = [b for b in boxes if b.image_id == image_id]
     rng.shuffle(one_image)
-    # cluster_dataset takes the originals first, so the reference does too
-    one_image.sort(key=lambda b: b.score is not None)
-    assert _identity(cluster_boxes(one_image, threshold)) == _identity(
+    assert _identity(cluster_list(one_image, threshold)) == _identity(
         reference_cluster_image(one_image, threshold)
     )
 
