@@ -146,7 +146,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     noise = None
-    if getattr(args, "noise_kind", None) is not None:
+    if getattr(args, "noise_kind", None) is None:
+        for flag in ("fraction", "amplitude"):
+            if getattr(args, flag, None) is not None:
+                raise InvalidSpecError(f"--{flag} requires --noise-kind")
+    else:
         if args.fraction is None:
             raise InvalidSpecError("--noise-kind requires --fraction")
         noise = NoiseSpec(

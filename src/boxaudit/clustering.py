@@ -138,7 +138,7 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
     """
     if not 0.0 < iou_threshold < 1.0:
         raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
-    n = len(boxes.items)
+    n = len(boxes)
     if not n:
         empty = np.zeros(0, np.int64)
         return Partition(boxes, empty, empty, empty, empty)

@@ -12,10 +12,10 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -104,26 +104,6 @@ class AnnotatedBox:
             )
 
 
-@dataclass
-class Dataset:
-    images: list[ImageInfo]
-    categories: list[Category]
-    annotations: list[AnnotatedBox]
-
-    @property
-    def num_categories(self) -> int:
-        return len(self.categories)
-
-    def image_map(self) -> dict[int, ImageInfo]:
-        return {img.id: img for img in self.images}
-
-    def dense_to_source(self) -> dict[int, int]:
-        return {c.id: c.source_id for c in self.categories}
-
-    def source_to_dense(self) -> dict[int, int]:
-        return {c.source_id: c.id for c in self.categories}
-
-
 def int_array(values) -> np.ndarray:
     """Integers as an int64 array, or as an array of Python ints when some
     lie beyond int64."""
@@ -139,23 +119,47 @@ _XYWH = attrgetter("x", "y", "w", "h")
 
 @dataclass(frozen=True, eq=False)
 class BoxColumns:
-    """A list of boxes as columns: entry k of every array describes
-    ``items[k]``. Integer columns are int64, or Python ints past int64."""
+    """A list of boxes as columns: entry k of every array describes box k.
+    Integer columns are int64, or Python ints past int64. ``items`` holds
+    the boxes as :class:`AnnotatedBox` objects, built on first access unless
+    the columns were made from objects."""
 
-    items: list[AnnotatedBox]
     ids: np.ndarray
     image_ids: np.ndarray
     classes: np.ndarray  # dense category ids
     scores: np.ndarray  # float64, NaN where a box has no score
     xywh: np.ndarray  # (n, 4) float64
     predicted: np.ndarray  # bool
+    _items: list[AnnotatedBox] | None = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def items(self) -> list[AnnotatedBox]:
+        if self._items is None:
+            rows = zip(
+                self.ids.tolist(),
+                self.image_ids.tolist(),
+                self.classes.tolist(),
+                self.xywh.tolist(),
+                self.predicted.tolist(),
+                self.scores.tolist(),
+            )
+            object.__setattr__(self, "_items", [
+                AnnotatedBox(i, image_id, c, BBox(*xywh), BoxSource.PREDICTED, score)
+                if predicted
+                else AnnotatedBox(i, image_id, c, BBox(*xywh))
+                for i, image_id, c, xywh, predicted, score in rows
+            ])
+        return self._items
 
     @classmethod
     def of(cls, boxes: list[AnnotatedBox]) -> BoxColumns:
+        """The columns of ``boxes``, which are kept as the items."""
         n = len(boxes)
         scores = np.array([b.score for b in boxes], dtype=np.float64)
         return cls(
-            items=list(boxes),
             ids=int_array([b.id for b in boxes]),
             image_ids=int_array([b.image_id for b in boxes]),
             classes=int_array([b.category_id for b in boxes]),
@@ -164,19 +168,98 @@ class BoxColumns:
                 chain.from_iterable(map(_XYWH, map(_BBOX, boxes))), np.float64, 4 * n
             ).reshape(n, 4),
             predicted=~np.isnan(scores),  # a box has a score iff it is predicted
+            _items=list(boxes),
         )
 
+    @classmethod
+    def join(cls, first: BoxColumns, second: BoxColumns) -> BoxColumns:
+        """The boxes of ``first`` followed by those of ``second``, as columns
+        only."""
+        return cls(*(
+            np.concatenate((getattr(first, name), getattr(second, name)))
+            for name in ("ids", "image_ids", "classes", "scores", "xywh", "predicted")
+        ))
 
-@dataclass
-class PredictionSet:
-    """Out-of-sample model detections for a companion :class:`Dataset`.
+
+class _Boxes:
+    """Boxes held in one form, as objects or as :class:`BoxColumns`; the
+    other form is built on first access."""
+
+    def __init__(self, objects: list[AnnotatedBox] | None, columns: BoxColumns | None):
+        if (objects is None) == (columns is None):
+            raise TypeError("give the boxes either as objects or as columns")
+        self._objects, self._columns = objects, columns
+
+    @property
+    def columns(self) -> BoxColumns:
+        if self._columns is None:
+            self._columns = BoxColumns.of(self._objects)
+        return self._columns
+
+    def _boxes(self) -> list[AnnotatedBox]:
+        if self._objects is None:
+            self._objects = self._columns.items
+        return self._objects
+
+
+class Dataset(_Boxes):
+    """Images, categories and annotations; the loader gives the annotations
+    as ``columns``, and ``annotations`` builds them as objects."""
+
+    def __init__(
+        self,
+        images: list[ImageInfo],
+        categories: list[Category],
+        annotations: list[AnnotatedBox] | None = None,
+        *,
+        columns: BoxColumns | None = None,
+    ):
+        super().__init__(annotations, columns)
+        self.images = images
+        self.categories = categories
+
+    @property
+    def annotations(self) -> list[AnnotatedBox]:
+        return self._boxes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.images, self.categories, self.annotations) == (
+            other.images, other.categories, other.annotations
+        )
+
+    @property
+    def num_categories(self) -> int:
+        return len(self.categories)
+
+    def image_map(self) -> dict[int, ImageInfo]:
+        return {img.id: img for img in self.images}
+
+    def dense_to_source(self) -> dict[int, int]:
+        return {c.id: c.source_id for c in self.categories}
+
+    def source_to_dense(self) -> dict[int, int]:
+        return {c.source_id: c.id for c in self.categories}
+
+
+class PredictionSet(_Boxes):
+    """Out-of-sample model detections for a companion :class:`Dataset`,
+    as ``columns`` from the loader or as ``boxes`` objects.
 
     Whether the predictions really are out-of-sample (the model never trained
     on the audited images) is the caller's responsibility; it cannot be
     checked from the files.
     """
 
-    boxes: list[AnnotatedBox]
+    def __init__(
+        self, boxes: list[AnnotatedBox] | None = None, *, columns: BoxColumns | None = None
+    ):
+        super().__init__(boxes, columns)
+
+    @property
+    def boxes(self) -> list[AnnotatedBox]:
+        return self._boxes()
 
 
 # --- JSON plumbing -----------------------------------------------------------
@@ -258,6 +341,81 @@ def _clamped_bbox(entry: dict, img: ImageInfo, where: Callable[[], str]) -> BBox
     return BBox(x0, y0, x1 - x0, y1 - y0)
 
 
+# --- bulk checks ---------------------------------------------------------------
+#
+# The box lists are checked whole: types through one set of types per
+# column, numbers through one numpy conversion, references through one dict
+# pass, and ranges and clamping as array operations. A list that fails
+# any of these goes back to the per-record loop, which finds and words the
+# first error. The bulk checks are never looser than the loop (they refuse
+# every non-finite number, for one), so a list they pass is one the loop
+# passes, with the same values.
+
+_INTS = {int}
+_NUMBERS = {int, float}
+
+
+def _columns(entries: list, keys: tuple[str, ...]) -> list[list] | None:
+    """The values of every entry under each of ``keys``, one list per key;
+    None when an entry is not a JSON object or lacks a key."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        return [list(map(itemgetter(key), entries)) for key in keys]
+    except KeyError:
+        return None
+
+
+def _of_types(values, types: set) -> bool:
+    return set(map(type, values)) <= types
+
+
+def _floats(values, count: int) -> np.ndarray | None:
+    """``count`` numbers as a float64 array; None when one is past the float
+    range or the array holds a non-finite value."""
+    try:
+        array = np.fromiter(values, np.float64, count)
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _placed_boxes(
+    image_ids: list, category_ids: list, bboxes: list,
+    images: list[ImageInfo], source_to_dense: dict[int, int],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dense classes and the [x, y, w, h] rows clamped to their images
+    of boxes given by image id, source category id and raw bbox, with the
+    float operations of :func:`_clamped_bbox` in its order. None when an id
+    is unknown, a bbox is not a list of 4 finite numbers or a box has no
+    area after clamping."""
+    rows = list(map({img.id: k for k, img in enumerate(images)}.get, image_ids))
+    classes = list(map(source_to_dense.get, category_ids))
+    if None in rows or None in classes:
+        return None
+    if not (
+        _of_types(bboxes, {list})
+        and set(map(len, bboxes)) <= {4}
+        and _of_types(chain.from_iterable(bboxes), _NUMBERS)
+    ):
+        return None
+    raw = _floats(chain.from_iterable(bboxes), 4 * len(bboxes))
+    if raw is None:
+        return None
+    sizes = np.array([(float(img.width), float(img.height)) for img in images]).reshape(-1, 2)
+    width, height = sizes[np.array(rows, dtype=np.intp)].T
+    x, y, w, h = raw.reshape(-1, 4).T
+    with np.errstate(over="ignore"):
+        right, bottom = x + w, y + h
+        x0 = np.where(0.0 > x, 0.0, x)
+        y0 = np.where(0.0 > y, 0.0, y)
+        w = np.where(width < right, width, right) - x0
+        h = np.where(height < bottom, height, bottom) - y0
+    if not ((w > 0) & (h > 0)).all():
+        return None
+    return np.array(classes, dtype=np.int64), np.stack((x0, y0, w, h), axis=1)
+
+
 # --- ground truth ------------------------------------------------------------
 
 _IMAGE_FIELDS = (("id", _INT), ("width", _INT), ("height", _INT), ("file_name", _ANY))
@@ -307,6 +465,43 @@ def load_ground_truth(path: str | Path) -> Dataset:
     ]
     source_to_dense = {c.source_id: c.id for c in categories}
 
+    columns = _annotation_columns(raw_anns, images, source_to_dense)
+    if columns is None:
+        annotations = _annotation_records(raw_anns, image_map, source_to_dense)
+        return Dataset(images=images, categories=categories, annotations=annotations)
+    return Dataset(images=images, categories=categories, columns=columns)
+
+
+_ANNOTATION_KEYS = ("id", "image_id", "category_id", "bbox")
+
+
+def _annotation_columns(
+    raw_anns: list, images: list[ImageInfo], source_to_dense: dict[int, int]
+) -> BoxColumns | None:
+    """The annotations as columns, or None when a bulk check fails."""
+    columns = _columns(raw_anns, _ANNOTATION_KEYS)
+    if columns is None:
+        return None
+    ids, image_ids, category_ids, bboxes = columns
+    if not all(_of_types(col, _INTS) for col in (ids, image_ids, category_ids)):
+        return None
+    if len(set(ids)) < len(ids):
+        return None
+    placed = _placed_boxes(image_ids, category_ids, bboxes, images, source_to_dense)
+    if placed is None:
+        return None
+    classes, xywh = placed
+    n = len(ids)
+    return BoxColumns(
+        int_array(ids), int_array(image_ids), classes, np.full(n, np.nan), xywh,
+        np.zeros(n, dtype=bool),
+    )
+
+
+def _annotation_records(
+    raw_anns: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
+) -> list[AnnotatedBox]:
+    """The annotations checked one record at a time; raises the first error."""
     annotations: list[AnnotatedBox] = []
     for i, entry in enumerate(raw_anns):
         where = lambda: f"annotations[{i}]"
@@ -325,8 +520,7 @@ def load_ground_truth(path: str | Path) -> Dataset:
             )
         )
     _check_unique((a.id for a in annotations), "annotation")
-
-    return Dataset(images=images, categories=categories, annotations=annotations)
+    return annotations
 
 
 def _check_unique(ids, kind: str) -> None:
@@ -351,8 +545,48 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level must be a JSON list of detections")
-    image_map = ds.image_map()
     source_to_dense = ds.source_to_dense()
+    columns = _detection_columns(data, ds.images, source_to_dense)
+    if columns is None:
+        return PredictionSet(_detection_records(data, ds.image_map(), source_to_dense))
+    return PredictionSet(columns=columns)
+
+
+_DETECTION_KEYS = ("image_id", "category_id", "score", "bbox")
+
+
+def _detection_columns(
+    data: list, images: list[ImageInfo], source_to_dense: dict[int, int]
+) -> BoxColumns | None:
+    """The detections as columns, or None when a bulk check fails."""
+    columns = _columns(data, _DETECTION_KEYS)
+    if columns is None:
+        return None
+    image_ids, category_ids, raw_scores, bboxes = columns
+    if not (
+        _of_types(image_ids, _INTS)
+        and _of_types(category_ids, _INTS)
+        and _of_types(raw_scores, _NUMBERS)
+    ):
+        return None
+    scores = _floats(raw_scores, len(raw_scores))
+    if scores is None or not ((0.0 <= scores) & (scores <= 1.0)).all():
+        return None
+    placed = _placed_boxes(image_ids, category_ids, bboxes, images, source_to_dense)
+    if placed is None:
+        return None
+    classes, xywh = placed
+    n = len(scores)
+    return BoxColumns(
+        np.arange(1, n + 1, dtype=np.int64), int_array(image_ids), classes, scores, xywh,
+        np.ones(n, dtype=bool),
+    )
+
+
+def _detection_records(
+    data: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
+) -> list[AnnotatedBox]:
+    """The detections checked one record at a time; raises the first error."""
     boxes: list[AnnotatedBox] = []
     for i, entry in enumerate(data):
         where = lambda: f"detections[{i}]"
@@ -373,7 +607,7 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
                 score=score,
             )
         )
-    return PredictionSet(boxes=boxes)
+    return boxes
 
 
 # --- dataset persistence -------------------------------------------------------
@@ -572,19 +806,6 @@ def _bbox_json(bbox: list[float] | None, indent: int) -> str:
     return _json_list([_json_number(v) for v in bbox], indent)
 
 
-def _box_json(box: AnnotatedBox, dense_to_source: dict[int, int]) -> str:
-    """A finding's member box: the fields of :func:`_box_record`."""
-    values = (
-        _bbox_json(box.bbox.as_list(), 10),
-        _json_int(dense_to_source[box.category_id]),
-        _json_int(box.id),
-        _json_int(box.image_id),
-    )
-    if box.score is None:
-        return _BOX.format(*values)
-    return _SCORED_BOX.format(*values, _json_number(box.score))
-
-
 def _write_records(fh, records) -> None:
     """Write an iterable of encoded records as a list under a top-level key."""
     sep = "["
@@ -607,8 +828,8 @@ def save_report(report: DetectionResult, path: str | Path) -> None:
     Each flagged cluster is one finding, carrying its first flagged
     verdict's kind, score and classes, its flagged annotation ids, the
     first region among its flagged verdicts and every member box. The
-    verdicts are written from the result's columns; no cluster or verdict
-    objects are built.
+    verdicts and member boxes are written from the result's columns; no
+    cluster, verdict or box objects are built.
     """
     path = Path(path)
     table, partition = report.table, report.partition
@@ -623,8 +844,23 @@ def save_report(report: DetectionResult, path: str | Path) -> None:
         flagged_by_cluster.setdefault(cluster_ids[i], []).append(i)
     row_of = dict(zip(partition.cluster_ids.tolist(), range(len(partition))))
     image_ids = partition.image_ids.tolist()
-    items, members = partition.boxes.items, partition.members.tolist()
-    ends = [0, *partition.ends.tolist()]
+    members, ends = partition.members.tolist(), [0, *partition.ends.tolist()]
+    boxes = partition.boxes
+    box_ids, box_images = boxes.ids.tolist(), boxes.image_ids.tolist()
+    box_classes, box_xywh = boxes.classes.tolist(), boxes.xywh.tolist()
+    box_scores, box_predicted = boxes.scores.tolist(), boxes.predicted.tolist()
+
+    def box_json(k: int) -> str:
+        """Member box k: the fields of :func:`_box_record`."""
+        values = (
+            _bbox_json(box_xywh[k], 10),
+            _json_int(dense_to_source[box_classes[k]]),
+            _json_int(box_ids[k]),
+            _json_int(box_images[k]),
+        )
+        if not box_predicted[k]:
+            return _BOX.format(*values)
+        return _SCORED_BOX.format(*values, _json_number(box_scores[k]))
 
     findings = []
     flagged_annotations = missing_regions = 0
@@ -641,8 +877,8 @@ def save_report(report: DetectionResult, path: str | Path) -> None:
             quality[first],
             _flagged_class_labels(table.flagged_classes[first], dense_to_source, background),
             next((regions[i] for i in flagged if i in regions), None),
-            [items[k] for k in members[ends[2 * row] : ends[2 * row + 1]]],
-            [items[k] for k in members[ends[2 * row + 1] : ends[2 * row + 2]]],
+            members[ends[2 * row] : ends[2 * row + 1]],
+            members[ends[2 * row + 1] : ends[2 * row + 2]],
         ))
         flagged_annotations += len(finding_ann_ids)
         if kinds[first] == "missing_region":
@@ -670,8 +906,8 @@ def save_report(report: DetectionResult, path: str | Path) -> None:
             _json_int(cluster_id),
             _json_list([_json_str(c) for c in class_labels], 6),
             _json_int(image_id),
-            _json_list([_box_json(b, dense_to_source) for b in originals], 6),
-            _json_list([_box_json(b, dense_to_source) for b in predictions], 6),
+            _json_list([box_json(k) for k in originals], 6),
+            _json_list([box_json(k) for k in predictions], 6),
             _json_number(score),
             _bbox_json(region, 6),
             _json_str(kind),
@@ -730,7 +966,7 @@ def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
     if not isinstance(raw, list):
         raise FormatError(f"{path}: 'verdicts' must be a list")
     image_ids = {img.id for img in ds.images}
-    known_ids = {a.id for a in ds.annotations}
+    known_ids = set(ds.columns.ids.tolist())
     seen: set[int] = set()
     columns: tuple[list, ...] = ([], [], [], [], [], [], [])
     for i, rec in enumerate(raw):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, ImageInfo
@@ -181,21 +181,19 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
 
     for i in targets:
         original = annotations[i]
+        category, bbox = original.category_id, original.bbox
         if spec.kind == NoiseKind.UNIFORM_LABEL:
-            others = [c for c in range(1, num_classes + 1) if c != original.category_id]
-            perturbed = replace(original, category_id=rng.choice(others))
+            others = [c for c in range(1, num_classes + 1) if c != category]
+            category = rng.choice(others)
         elif spec.kind == NoiseKind.LOCATION:
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            bbox = displace_box(
-                original.bbox, angle, spec.amplitude, image_map[original.image_id]
-            )
-            perturbed = replace(original, bbox=bbox)
+            bbox = displace_box(bbox, angle, spec.amplitude, image_map[original.image_id])
         else:  # scale
             grow = rng.random() < 0.5
-            bbox = rescale_box(
-                original.bbox, grow, spec.amplitude, image_map[original.image_id]
-            )
-            perturbed = replace(original, bbox=bbox)
+            bbox = rescale_box(bbox, grow, spec.amplitude, image_map[original.image_id])
+        perturbed = AnnotatedBox(
+            original.id, original.image_id, category, bbox, original.source, original.score
+        )
         annotations[i] = perturbed
         ledger.entries.append(
             LedgerEntry(

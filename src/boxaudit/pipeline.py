@@ -72,6 +72,11 @@ class PipelineConfig:
                 "give either a noise spec (--noise-kind ...) or an existing ledger "
                 "(--ledger), not both"
             )
+        if self.runs > 1 and self.ledger_path is not None:
+            raise InvalidSpecError(
+                f"--runs {self.runs} repeats noise injection (--noise-kind ...); "
+                "an existing ledger (--ledger) is evaluated once"
+            )
         self.output_dir = Path(self.output_dir)
 
 
@@ -109,10 +114,10 @@ def run_detection(
     """Cluster, reduce, and run confident learning over a dataset with its
     predictions; the one code path behind detect/eval.
 
-    The boxes are read into columns once, and every stage after that works
-    on arrays.
+    The ground-truth columns and then the prediction columns are joined
+    once, and every stage after that works on arrays.
     """
-    boxes = dataset_io.BoxColumns.of(ds.annotations + preds.boxes)
+    boxes = dataset_io.BoxColumns.join(ds.columns, preds.columns)
     partition = clustering.cluster_boxes(boxes, iou_threshold)
     labels, probs = reduction.reduce_partition(partition, ds.num_categories)
     thresholds = cl.class_thresholds(labels, probs)

@@ -349,6 +349,31 @@ def test_eval_rejects_ledger_with_noise_spec(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_rejects_runs_with_ledger(tmp_path, capsys):
+    """Runs repeat an injection; a ledger is evaluated once, so several runs
+    with one are refused before any file is read."""
+    absent = str(tmp_path / "absent.json")
+    rc = main(
+        ["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
+         "--runs", "3", "--output-dir", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--amplitude", "--fraction"])
+def test_eval_rejects_noise_flag_without_noise_kind(tmp_path, capsys, flag):
+    absent = str(tmp_path / "absent.json")
+    rc = main(
+        ["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
+         flag, "0.3", "--output-dir", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_without_noise_or_ledger_fails(tmp_path, capsys):
     gt, preds = write_synthetic(tmp_path, num_images=5, boxes_per_image=5, seed=13)
     rc = main(
