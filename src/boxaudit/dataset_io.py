@@ -129,11 +129,15 @@ class BoxColumns:
     classes: np.ndarray  # dense category ids
     scores: np.ndarray  # float64, NaN where a box has no score
     xywh: np.ndarray  # (n, 4) float64
-    predicted: np.ndarray  # bool
     _items: list[AnnotatedBox] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def predicted(self) -> np.ndarray:
+        """Whether each box is a prediction: a box has a score iff it is."""
+        return ~np.isnan(self.scores)
 
     @property
     def items(self) -> list[AnnotatedBox]:
@@ -158,16 +162,14 @@ class BoxColumns:
     def of(cls, boxes: list[AnnotatedBox]) -> BoxColumns:
         """The columns of ``boxes``, which are kept as the items."""
         n = len(boxes)
-        scores = np.array([b.score for b in boxes], dtype=np.float64)
         return cls(
             ids=int_array([b.id for b in boxes]),
             image_ids=int_array([b.image_id for b in boxes]),
             classes=int_array([b.category_id for b in boxes]),
-            scores=scores,
+            scores=np.array([b.score for b in boxes], dtype=np.float64),
             xywh=np.fromiter(
                 chain.from_iterable(map(_XYWH, map(_BBOX, boxes))), np.float64, 4 * n
             ).reshape(n, 4),
-            predicted=~np.isnan(scores),  # a box has a score iff it is predicted
             _items=list(boxes),
         )
 
@@ -177,50 +179,32 @@ class BoxColumns:
         only."""
         return cls(*(
             np.concatenate((getattr(first, name), getattr(second, name)))
-            for name in ("ids", "image_ids", "classes", "scores", "xywh", "predicted")
+            for name in ("ids", "image_ids", "classes", "scores", "xywh")
         ))
 
 
-class _Boxes:
-    """Boxes held in one form, as objects or as :class:`BoxColumns`; the
-    other form is built on first access."""
-
-    def __init__(self, objects: list[AnnotatedBox] | None, columns: BoxColumns | None):
-        if (objects is None) == (columns is None):
-            raise TypeError("give the boxes either as objects or as columns")
-        self._objects, self._columns = objects, columns
-
-    @property
-    def columns(self) -> BoxColumns:
-        if self._columns is None:
-            self._columns = BoxColumns.of(self._objects)
-        return self._columns
-
-    def _boxes(self) -> list[AnnotatedBox]:
-        if self._objects is None:
-            self._objects = self._columns.items
-        return self._objects
+def _as_columns(boxes: list[AnnotatedBox] | BoxColumns) -> BoxColumns:
+    return boxes if isinstance(boxes, BoxColumns) else BoxColumns.of(boxes)
 
 
-class Dataset(_Boxes):
-    """Images, categories and annotations; the loader gives the annotations
-    as ``columns``, and ``annotations`` builds them as objects."""
+class Dataset:
+    """Images, categories and annotations. The annotations are given as
+    :class:`AnnotatedBox` objects or as :class:`BoxColumns` and held as
+    ``columns``; ``annotations`` gives them as objects."""
 
     def __init__(
         self,
         images: list[ImageInfo],
         categories: list[Category],
-        annotations: list[AnnotatedBox] | None = None,
-        *,
-        columns: BoxColumns | None = None,
+        annotations: list[AnnotatedBox] | BoxColumns,
     ):
-        super().__init__(annotations, columns)
         self.images = images
         self.categories = categories
+        self.columns = _as_columns(annotations)
 
     @property
     def annotations(self) -> list[AnnotatedBox]:
-        return self._boxes()
+        return self.columns.items
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -243,23 +227,22 @@ class Dataset(_Boxes):
         return {c.source_id: c.id for c in self.categories}
 
 
-class PredictionSet(_Boxes):
+class PredictionSet:
     """Out-of-sample model detections for a companion :class:`Dataset`,
-    as ``columns`` from the loader or as ``boxes`` objects.
+    given as :class:`AnnotatedBox` objects or as :class:`BoxColumns` and
+    held as ``columns``; ``boxes`` gives them as objects.
 
     Whether the predictions really are out-of-sample (the model never trained
     on the audited images) is the caller's responsibility; it cannot be
     checked from the files.
     """
 
-    def __init__(
-        self, boxes: list[AnnotatedBox] | None = None, *, columns: BoxColumns | None = None
-    ):
-        super().__init__(boxes, columns)
+    def __init__(self, boxes: list[AnnotatedBox] | BoxColumns):
+        self.columns = _as_columns(boxes)
 
     @property
     def boxes(self) -> list[AnnotatedBox]:
-        return self._boxes()
+        return self.columns.items
 
 
 # --- JSON plumbing -----------------------------------------------------------
@@ -272,7 +255,9 @@ class PredictionSet(_Boxes):
 
 _INT = "an integer"
 _NUMBER = "a number"
+_STR = "a string"
 _ANY = None
+_TYPES = {_INT: {int}, _NUMBER: {int, float}, _STR: {str}}
 _MISSING = object()
 _BBOX_FIELD = (("bbox", _ANY),)
 
@@ -288,13 +273,25 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(
             f"{p}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (ValueError, RecursionError) as e:  # a too-long integer, non-UTF-8 bytes, deep nesting
+        raise FormatError(f"{p}: invalid JSON: {e}") from e
+
+
+def _float(value: int | float, where: Callable[[], str], key: str) -> float:
+    """``value``, the number under ``key``, as a float; an integer past the
+    float range raises a :class:`FormatError`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where()}.{key}: integer past the float range") from None
 
 
 def _fields(obj: Any, spec: tuple, where: Callable[[], str]) -> list:
     """The values of JSON object ``obj`` under the keys of ``spec``, a tuple
     of (key, kind) pairs, checked in order: kind ``_INT`` takes an integer,
-    ``_NUMBER`` a number (returned as a float), ``_ANY`` any value. The first
-    missing key or wrong type raises a :class:`FormatError`."""
+    ``_NUMBER`` a number (returned as a float), ``_STR`` a string, ``_ANY``
+    any value. The first missing key or wrong type raises a
+    :class:`FormatError`."""
     if type(obj) is not dict:
         raise FormatError(f"{where()}: missing required key '{spec[0][0]}'")
     values = []
@@ -302,16 +299,13 @@ def _fields(obj: Any, spec: tuple, where: Callable[[], str]) -> list:
         value = obj.get(key, _MISSING)
         if value is _MISSING:
             raise FormatError(f"{where()}: missing required key '{key}'")
-        if kind is not _ANY and type(value) is not int:
-            if kind is _INT or type(value) is not float:
-                raise FormatError(f"{where()}.{key}: expected {kind}, got {value!r}")
-        values.append(float(value) if kind is _NUMBER else value)
+        if kind is not _ANY and type(value) not in _TYPES[kind]:
+            raise FormatError(f"{where()}.{key}: expected {kind}, got {value!r}")
+        values.append(_float(value, where, key) if kind is _NUMBER else value)
     return values
 
 
-def _bbox_numbers(
-    raw: Any, where: Callable[[], str], key: str
-) -> tuple[float, float, float, float]:
+def _bbox_numbers(raw: Any, where: Callable[[], str], key: str) -> list[float]:
     """Check that ``raw``, the value under ``key``, is an [x, y, w, h] list
     of 4 numbers."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
@@ -319,8 +313,7 @@ def _bbox_numbers(
     for v in raw:
         if type(v) is not float and type(v) is not int:
             raise FormatError(f"{where()}.{key}: expected a number, got {v!r}")
-    x, y, w, h = raw
-    return float(x), float(y), float(w), float(h)
+    return [_float(v, where, key) for v in raw]
 
 
 def _clamped_bbox(entry: dict, img: ImageInfo, where: Callable[[], str]) -> BBox:
@@ -345,11 +338,10 @@ def _clamped_bbox(entry: dict, img: ImageInfo, where: Callable[[], str]) -> BBox
 #
 # The box lists are checked whole: types through one set of types per
 # column, numbers through one numpy conversion, references through one dict
-# pass, and ranges and clamping as array operations. A list that fails
-# any of these goes back to the per-record loop, which finds and words the
-# first error. The bulk checks are never looser than the loop (they refuse
-# every non-finite number, for one), so a list they pass is one the loop
-# passes, with the same values.
+# pass, and ranges and clamping as array operations. The bulk checks and
+# the per-record loop accept the same lists, with the same values; the loop
+# runs only on a list the bulk checks refuse, to find and word its first
+# error.
 
 _INTS = {int}
 _NUMBERS = {int, float}
@@ -372,12 +364,11 @@ def _of_types(values, types: set) -> bool:
 
 def _floats(values, count: int) -> np.ndarray | None:
     """``count`` numbers as a float64 array; None when one is past the float
-    range or the array holds a non-finite value."""
+    range."""
     try:
-        array = np.fromiter(values, np.float64, count)
+        return np.fromiter(values, np.float64, count)
     except OverflowError:
         return None
-    return array if np.isfinite(array).all() else None
 
 
 def _placed_boxes(
@@ -387,8 +378,10 @@ def _placed_boxes(
     """The dense classes and the [x, y, w, h] rows clamped to their images
     of boxes given by image id, source category id and raw bbox, with the
     float operations of :func:`_clamped_bbox` in its order. None when an id
-    is unknown, a bbox is not a list of 4 finite numbers or a box has no
-    area after clamping."""
+    is unknown, a bbox is not a list of 4 numbers within the float range or
+    a box has no area after clamping. NaN and infinite numbers are clamped
+    like any other; a positive clamped width lies between 0 and the finite
+    image width, so it is finite, and so is its x (likewise for heights)."""
     rows = list(map({img.id: k for k, img in enumerate(images)}.get, image_ids))
     classes = list(map(source_to_dense.get, category_ids))
     if None in rows or None in classes:
@@ -405,7 +398,7 @@ def _placed_boxes(
     sizes = np.array([(float(img.width), float(img.height)) for img in images]).reshape(-1, 2)
     width, height = sizes[np.array(rows, dtype=np.intp)].T
     x, y, w, h = raw.reshape(-1, 4).T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         right, bottom = x + w, y + h
         x0 = np.where(0.0 > x, 0.0, x)
         y0 = np.where(0.0 > y, 0.0, y)
@@ -418,8 +411,8 @@ def _placed_boxes(
 
 # --- ground truth ------------------------------------------------------------
 
-_IMAGE_FIELDS = (("id", _INT), ("width", _INT), ("height", _INT), ("file_name", _ANY))
-_CATEGORY_FIELDS = (("id", _INT), ("name", _ANY))
+_IMAGE_FIELDS = (("id", _INT), ("width", _INT), ("height", _INT), ("file_name", _STR))
+_CATEGORY_FIELDS = (("id", _INT), ("name", _STR))
 _ANNOTATION_FIELDS = (("id", _INT), ("image_id", _INT), ("category_id", _INT))
 
 
@@ -449,14 +442,16 @@ def load_ground_truth(path: str | Path) -> Dataset:
         img_id, width, height, file_name = _fields(entry, _IMAGE_FIELDS, where)
         if width <= 0 or height <= 0:
             raise FormatError(f"{where()}: image dimensions must be positive")
-        images.append(ImageInfo(id=img_id, width=width, height=height, file_name=str(file_name)))
+        _float(width, where, "width")  # boxes are clamped to the image as floats
+        _float(height, where, "height")
+        images.append(ImageInfo(id=img_id, width=width, height=height, file_name=file_name))
     _check_unique((img.id for img in images), "image")
     image_map = {img.id: img for img in images}
 
     sources: list[tuple[int, str]] = []
     for i, entry in enumerate(raw_cats):
         cat_id, name = _fields(entry, _CATEGORY_FIELDS, lambda: f"categories[{i}]")
-        sources.append((cat_id, str(name)))
+        sources.append((cat_id, name))
     _check_unique((cid for cid, _ in sources), "category")
     names = dict(sources)
     categories = [
@@ -467,9 +462,8 @@ def load_ground_truth(path: str | Path) -> Dataset:
 
     columns = _annotation_columns(raw_anns, images, source_to_dense)
     if columns is None:
-        annotations = _annotation_records(raw_anns, image_map, source_to_dense)
-        return Dataset(images=images, categories=categories, annotations=annotations)
-    return Dataset(images=images, categories=categories, columns=columns)
+        _annotation_records(raw_anns, image_map, source_to_dense)
+    return Dataset(images, categories, columns)
 
 
 _ANNOTATION_KEYS = ("id", "image_id", "category_id", "bbox")
@@ -491,18 +485,15 @@ def _annotation_columns(
     if placed is None:
         return None
     classes, xywh = placed
-    n = len(ids)
-    return BoxColumns(
-        int_array(ids), int_array(image_ids), classes, np.full(n, np.nan), xywh,
-        np.zeros(n, dtype=bool),
-    )
+    return BoxColumns(int_array(ids), int_array(image_ids), classes, np.full(len(ids), np.nan), xywh)
 
 
 def _annotation_records(
     raw_anns: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
-) -> list[AnnotatedBox]:
-    """The annotations checked one record at a time; raises the first error."""
-    annotations: list[AnnotatedBox] = []
+) -> None:
+    """Check the annotations one record at a time and raise the first error
+    of a list the bulk checks refused."""
+    ids = []
     for i, entry in enumerate(raw_anns):
         where = lambda: f"annotations[{i}]"
         ann_id, image_id, cat_id = _fields(entry, _ANNOTATION_FIELDS, where)
@@ -510,17 +501,9 @@ def _annotation_records(
             raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
         if cat_id not in source_to_dense:
             raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
-        annotations.append(
-            AnnotatedBox(
-                id=ann_id,
-                image_id=image_id,
-                category_id=source_to_dense[cat_id],
-                bbox=_clamped_bbox(entry, image_map[image_id], where),
-                source=BoxSource.ORIGINAL,
-            )
-        )
-    _check_unique((a.id for a in annotations), "annotation")
-    return annotations
+        _clamped_bbox(entry, image_map[image_id], where)
+        ids.append(ann_id)
+    _check_unique(ids, "annotation")
 
 
 def _check_unique(ids, kind: str) -> None:
@@ -548,8 +531,8 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     source_to_dense = ds.source_to_dense()
     columns = _detection_columns(data, ds.images, source_to_dense)
     if columns is None:
-        return PredictionSet(_detection_records(data, ds.image_map(), source_to_dense))
-    return PredictionSet(columns=columns)
+        _detection_records(data, ds.image_map(), source_to_dense)
+    return PredictionSet(columns)
 
 
 _DETECTION_KEYS = ("image_id", "category_id", "score", "bbox")
@@ -576,18 +559,16 @@ def _detection_columns(
     if placed is None:
         return None
     classes, xywh = placed
-    n = len(scores)
     return BoxColumns(
-        np.arange(1, n + 1, dtype=np.int64), int_array(image_ids), classes, scores, xywh,
-        np.ones(n, dtype=bool),
+        np.arange(1, len(scores) + 1, dtype=np.int64), int_array(image_ids), classes, scores, xywh
     )
 
 
 def _detection_records(
     data: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
-) -> list[AnnotatedBox]:
-    """The detections checked one record at a time; raises the first error."""
-    boxes: list[AnnotatedBox] = []
+) -> None:
+    """Check the detections one record at a time and raise the first error
+    of a list the bulk checks refused."""
     for i, entry in enumerate(data):
         where = lambda: f"detections[{i}]"
         image_id, cat_id, score = _fields(entry, _DETECTION_FIELDS, where)
@@ -597,17 +578,7 @@ def _detection_records(
             raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
         if not 0.0 <= score <= 1.0:
             raise InvalidScoreError(f"{where()}: score {score} outside [0, 1]")
-        boxes.append(
-            AnnotatedBox(
-                id=i + 1,
-                image_id=image_id,
-                category_id=source_to_dense[cat_id],
-                bbox=_clamped_bbox(entry, image_map[image_id], where),
-                source=BoxSource.PREDICTED,
-                score=score,
-            )
-        )
-    return boxes
+        _clamped_bbox(entry, image_map[image_id], where)
 
 
 # --- dataset persistence -------------------------------------------------------
@@ -821,9 +792,10 @@ def _flagged_class_labels(classes, dense_to_source: dict[int, int], background: 
     ]
 
 
-def save_report(report: DetectionResult, path: str | Path) -> None:
+def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     """Write a findings report: ``<path>`` as CSV (one row per flagged
-    cluster) and ``<path>.json`` with full cluster membership.
+    cluster) and ``<path>.json`` with full cluster membership. Returns the
+    report's summary counts.
 
     Each flagged cluster is one finding, carrying its first flagged
     verdict's kind, score and classes, its flagged annotation ids, the
@@ -940,6 +912,7 @@ def save_report(report: DetectionResult, path: str | Path) -> None:
         fh.write(',\n  "summary": ' + _nested_json(summary) + ',\n  "verdicts": ')
         _write_records(fh, verdicts)
         fh.write("\n}\n")
+    return summary
 
 
 _VERDICT_FIELDS = (

@@ -27,7 +27,7 @@ import numpy as np
 
 from boxaudit.confident_learning import VerdictTable
 from boxaudit.errors import EmptyLedgerError, InvalidInputError
-from boxaudit.geometry import iou_matrix
+from boxaudit.geometry import corner_iou, corners
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
 __all__ = [
@@ -152,8 +152,9 @@ def _matched_counts(
     for image_regions, image_removed in by_image.values():
         if not image_removed:
             continue
-        n = len(image_regions)
-        ious = iou_matrix(verdicts.regions[image_regions].tolist() + image_removed)[:n, n:]
+        ious = corner_iou(
+            [c[:, None] for c in corners(verdicts.regions[image_regions])], corners(image_removed)
+        )
         ri, mi = np.nonzero(ious >= match_iou)
         # descending IoU; nonzero's row-major order breaks ties by region,
         # then record

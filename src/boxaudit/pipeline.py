@@ -162,13 +162,11 @@ def cmd_detect(config: PipelineConfig) -> Path:
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / "report.csv"
-    dataset_io.save_report(result, report_path)
-    table = result.table
-    is_region = table.is_region
-    print(f"clusters: {len(result.partition)}")
-    print(f"flagged rows: {len(np.unique(table.cluster_ids[table.flagged]))}")
-    print(f"flagged annotations: {np.count_nonzero(table.flagged & ~is_region)}")
-    print(f"missing regions: {np.count_nonzero(table.flagged & is_region)}")
+    summary = dataset_io.save_report(result, report_path)
+    print(f"clusters: {summary['clusters']}")
+    print(f"flagged rows: {summary['flagged_clusters']}")
+    print(f"flagged annotations: {summary['flagged_annotations']}")
+    print(f"missing regions: {summary['missing_regions']}")
     print(f"report written to {report_path}")
     return report_path
 

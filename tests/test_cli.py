@@ -13,6 +13,8 @@ from boxaudit.cli import main
 from conftest import coco_payload, write_json
 from harness import build_synthetic, write_synthetic
 
+PAST_FLOAT_RANGE = 10**400  # an integer json reads but float() refuses
+
 
 def _small_gt(tmp_path, n=10):
     payload = coco_payload(
@@ -510,6 +512,10 @@ def _repeat_first(mirror):
             id="score-1.5-dense",
         ),
         pytest.param(_set_first("quality_score", float("nan")), [], "invalid-score", id="score-nan"),
+        pytest.param(
+            _set_first("quality_score", PAST_FLOAT_RANGE), [], "malformed-syntax",
+            id="score-past-float-range",
+        ),
         pytest.param(_set_first("flagged", "no"), [], "malformed-syntax", id="flagged-string"),
         pytest.param(_set_first("verdict_kind", 7), [], "malformed-syntax", id="kind-int"),
         pytest.param(_set_first("verdict_kind", "bogus"), [], "malformed-syntax", id="kind-unknown"),
@@ -624,3 +630,77 @@ def test_eval_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
     )
     assert rc == 1
     _single_error_line(capsys, "dangling-reference")
+
+
+# --- numbers past the float range and names that are not strings -------------------
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(
+            lambda gt, _: gt["annotations"][0]["bbox"].__setitem__(2, PAST_FLOAT_RANGE),
+            id="gt-bbox",
+        ),
+        pytest.param(
+            lambda gt, _: gt["images"][0].__setitem__("width", PAST_FLOAT_RANGE), id="image-width"
+        ),
+        pytest.param(
+            lambda _, preds: preds[0].__setitem__("score", PAST_FLOAT_RANGE), id="prediction-score"
+        ),
+    ],
+)
+def test_detect_rejects_number_past_float_range(tmp_path, capsys, mutate):
+    gt, preds = build_synthetic(num_images=3, boxes_per_image=3, seed=4)
+    mutate(gt, preds)
+    gt_path = write_json(tmp_path / "gt.json", gt)
+    pred_path = write_json(tmp_path / "preds.json", preds)
+    rc = main(["detect", "--ground-truth", str(gt_path), "--predictions", str(pred_path),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    _single_error_line(capsys, "malformed-syntax")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            b'{"images": [], "categories": [], "annotations": [], "n": ' + b"9" * 5000 + b"}",
+            id="5000-digit-integer",
+        ),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"images": "\xff"}', id="not-utf-8"),
+    ],
+)
+def test_detect_rejects_json_the_decoder_cannot_read(tmp_path, capsys, text):
+    gt = tmp_path / "gt.json"
+    gt.write_bytes(text)
+    preds = write_json(tmp_path / "preds.json", [])
+    rc = main(["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    _single_error_line(capsys, "malformed-syntax")
+
+
+def test_roc_rejects_ledger_bbox_past_float_range(tmp_path, capsys):
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    payload = json.loads(ledger.read_text())
+    payload["entries"][0]["original"]["bbox"][0] = PAST_FLOAT_RANGE
+    write_json(ledger, payload)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
+    _single_error_line(capsys, "malformed-syntax")
+
+
+@pytest.mark.parametrize("value", [None, {"x": 1}], ids=["null", "object"])
+@pytest.mark.parametrize("key, field", [("images", "file_name"), ("categories", "name")])
+def test_inject_rejects_name_that_is_not_a_string(tmp_path, capsys, key, field, value):
+    payload = json.loads(_small_gt(tmp_path).read_text())
+    payload[key][0][field] = value
+    gt = write_json(tmp_path / "gt.json", payload)
+    rc = main(["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
+               "--fraction", "0.2", "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    _single_error_line(capsys, "malformed-syntax")
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,9 @@
 """The bulk-checking, columnar ground-truth and prediction loaders against
 the per-record loaders they replaced (``loader_reference``): equal columns,
 dtypes and box objects on valid files, which load without building a box
-object, and the same exception type and text on invalid ones."""
+object, and the same exception type and text on invalid ones, except that
+an integer past the float range is refused with a ``FormatError`` where the
+reference lets an ``OverflowError`` escape."""
 
 import copy
 import json
@@ -15,6 +17,7 @@ import loader_reference as reference
 from boxaudit import pipeline
 from boxaudit.cli import main
 from boxaudit.dataset_io import AnnotatedBox, BoxColumns, load_ground_truth, load_predictions
+from boxaudit.errors import FormatError
 
 from harness import build_synthetic, write_synthetic
 from test_fuzz_boundary import MUTATORS
@@ -68,13 +71,13 @@ def _coordinate(rng, lo, hi):
 
 def _bbox(rng, width, height):
     """A bbox with positive area after clamping to the image; it may start
-    before the image and reach past its far edge."""
+    before the image and reach past its far edge, up to +Infinity."""
     bbox = []
     for size in (width, height):
         start = _coordinate(rng, -20, min(size, 10**6) - 2)
         extent = rng.randint(1, 30) if type(start) is int else rng.uniform(0.5, 30)
         if rng.random() < 0.05:
-            extent = rng.choice([10**20, 1e300])
+            extent = rng.choice([10**20, 1e300, float("inf")])
         bbox.append((start, max(-start, 0) + extent))
     (x, w), (y, h) = bbox
     return [x, y, w, h]
@@ -114,6 +117,7 @@ def _valid_files(rng, tmp_path, counts):
     counts["float coordinate"] += any(type(v) is float for v in boxes)
     counts["-0.0"] += any(str(v) == "-0.0" for v in boxes)
     sizes = {img["id"]: (img["width"], img["height"]) for img in images}
+    counts["+Infinity extent"] += any(v == float("inf") for v in boxes)
     counts["clamped"] += any(
         x < 0 or y < 0 or x + w > sizes[a["image_id"]][0] or y + h > sizes[a["image_id"]][1]
         for a in annotations + detections
@@ -153,8 +157,8 @@ def test_valid_files_load_as_reference_columns(tmp_path, box_objects):
         assert predictions.boxes == want.boxes, seed
         assert repr(predictions.boxes) == repr(want.boxes), seed
     assert all(counts[k] >= 20 for k in (
-        "int coordinate", "float coordinate", "-0.0", "clamped", "id past int64",
-        "extra keys", "no annotations", "no detections", "score 1",
+        "int coordinate", "float coordinate", "-0.0", "+Infinity extent", "clamped",
+        "id past int64", "extra keys", "no annotations", "no detections", "score 1",
     )), counts
 
 
@@ -162,8 +166,12 @@ def _break_one(rng, gt, detections):
     """Invalidate one annotation or detection in a way the fuzz mutators do
     not: an empty box after clamping, a negative-zero or tiny width, a box
     past float range, a score just outside [0, 1], a repeated id or a
-    non-list bbox."""
-    record = rng.choice(gt["annotations"] + detections)
+    non-list bbox. Returns the name of the broken value when it is an
+    integer past the float range, else None."""
+    name, record = rng.choice(
+        [(f"annotations[{k}]", a) for k, a in enumerate(gt["annotations"])]
+        + [(f"detections[{k}]", d) for k, d in enumerate(detections)]
+    )
     x, y, w, h = record["bbox"]
     change = rng.choice([
         ("bbox", [900.0, y, w, h]),  # starts past the right edge
@@ -180,7 +188,10 @@ def _break_one(rng, gt, detections):
         ("score", 10**400),
         ("id", gt["annotations"][0]["id"]),
     ])
-    record[change[0]] = change[1]
+    key, value = change
+    record[key] = value
+    read = key == "bbox" or name.startswith("detections")  # annotations carry no score
+    return f"{name}.{key}" if read and 10**400 in (value if key == "bbox" else [value]) else None
 
 
 def _load_pair(gt, preds, loaders):
@@ -226,13 +237,24 @@ def test_broken_boxes_and_scores_raise_as_reference(tmp_path):
         rng = random.Random(seed)
         gt_payload, detections = build_synthetic(num_images=3, boxes_per_image=3, num_classes=3,
                                                  seed=seed)
-        _break_one(rng, gt_payload, detections)
+        past_range = _break_one(rng, gt_payload, detections)
         gt, preds = tmp_path / "gt.json", tmp_path / "preds.json"
         gt.write_text(json.dumps(gt_payload))
         preds.write_text(json.dumps(detections))
-        error = _same_outcome(gt, preds, seed)
+        if past_range is None:
+            error = _same_outcome(gt, preds, seed)
+        else:
+            # the reference lets float() raise; the loaders word the error
+            _, want_error = _outcome(
+                _load_pair, gt, preds, (reference.load_ground_truth, reference.load_predictions)
+            )
+            assert want_error[0] is OverflowError, seed
+            error = (FormatError, f"{past_range}: integer past the float range")
+            assert _outcome(_load_pair, gt, preds, (load_ground_truth, load_predictions)) == (
+                None, error
+            ), seed
         errors[error[0].__name__ if error else None] += 1
-    assert len(errors) >= 4, errors
+    assert len(errors) >= 4 and errors["FormatError"] >= 20, errors
 
 
 def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
