@@ -34,7 +34,7 @@ from boxaudit.geometry import BBox
 if TYPE_CHECKING:
     from boxaudit.confident_learning import VerdictTable
     from boxaudit.evaluation import RocCurve
-    from boxaudit.noise_injection import NoiseLedger
+    from boxaudit.noise_injection import LedgerColumns, NoiseLedger
     from boxaudit.pipeline import DetectionResult
 
 __all__ = [
@@ -63,10 +63,20 @@ class BoxSource(str, Enum):
 
 @dataclass(frozen=True)
 class ImageInfo:
+    """An image: boxes on it are clamped to its width and height as floats,
+    so a size past the float range is refused here."""
+
     id: int
     width: int
     height: int
     file_name: str
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise InvalidInputError(f"image {self.id}: {name} past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,7 @@ def int_array(values) -> np.ndarray:
 
 _BBOX = attrgetter("bbox")
 _XYWH = attrgetter("x", "y", "w", "h")
+_COLUMN_NAMES = ("ids", "image_ids", "classes", "scores", "xywh")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +190,12 @@ class BoxColumns:
         only."""
         return cls(*(
             np.concatenate((getattr(first, name), getattr(second, name)))
-            for name in ("ids", "image_ids", "classes", "scores", "xywh")
+            for name in _COLUMN_NAMES
         ))
+
+    def take(self, rows: np.ndarray) -> BoxColumns:
+        """The boxes at ``rows`` (indices or a mask), as columns only."""
+        return BoxColumns(*(getattr(self, name)[rows] for name in _COLUMN_NAMES))
 
 
 def _as_columns(boxes: list[AnnotatedBox] | BoxColumns) -> BoxColumns:
@@ -371,6 +386,19 @@ def _floats(values, count: int) -> np.ndarray | None:
         return None
 
 
+def _bbox_rows(bboxes: list) -> np.ndarray | None:
+    """The raw [x, y, w, h] bboxes as an (n, 4) float64 array; None unless
+    each is a list of 4 numbers within the float range."""
+    if not (
+        _of_types(bboxes, {list})
+        and set(map(len, bboxes)) <= {4}
+        and _of_types(chain.from_iterable(bboxes), _NUMBERS)
+    ):
+        return None
+    raw = _floats(chain.from_iterable(bboxes), 4 * len(bboxes))
+    return None if raw is None else raw.reshape(-1, 4)
+
+
 def _placed_boxes(
     image_ids: list, category_ids: list, bboxes: list,
     images: list[ImageInfo], source_to_dense: dict[int, int],
@@ -386,18 +414,12 @@ def _placed_boxes(
     classes = list(map(source_to_dense.get, category_ids))
     if None in rows or None in classes:
         return None
-    if not (
-        _of_types(bboxes, {list})
-        and set(map(len, bboxes)) <= {4}
-        and _of_types(chain.from_iterable(bboxes), _NUMBERS)
-    ):
-        return None
-    raw = _floats(chain.from_iterable(bboxes), 4 * len(bboxes))
+    raw = _bbox_rows(bboxes)
     if raw is None:
         return None
     sizes = np.array([(float(img.width), float(img.height)) for img in images]).reshape(-1, 2)
     width, height = sizes[np.array(rows, dtype=np.intp)].T
-    x, y, w, h = raw.reshape(-1, 4).T
+    x, y, w, h = raw.T
     with np.errstate(over="ignore", invalid="ignore"):
         right, bottom = x + w, y + h
         x0 = np.where(0.0 > x, 0.0, x)
@@ -587,24 +609,18 @@ def _detection_records(
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to COCO format so that loading it reproduces
     the in-memory value exactly."""
-    dense_to_source = ds.dense_to_source()
+    boxes = ds.columns
+    annotations = _box_records(boxes, ds.dense_to_source())
+    for rec, area in zip(annotations, (boxes.xywh[:, 2] * boxes.xywh[:, 3]).tolist()):
+        rec["area"] = area
+        rec["iscrowd"] = 0
     payload = {
         "images": [
             {"id": i.id, "width": i.width, "height": i.height, "file_name": i.file_name}
             for i in ds.images
         ],
         "categories": [{"id": c.source_id, "name": c.name} for c in ds.categories],
-        "annotations": [
-            {
-                "id": a.id,
-                "image_id": a.image_id,
-                "category_id": dense_to_source[a.category_id],
-                "bbox": a.bbox.as_list(),
-                "area": a.bbox.area,
-                "iscrowd": 0,
-            }
-            for a in ds.annotations
-        ],
+        "annotations": annotations,
     }
     _write_json(payload, path)
 
@@ -618,55 +634,56 @@ def _write_json(payload: Any, path: str | Path, indent: int | None = None) -> No
 # --- ledger persistence --------------------------------------------------------
 
 
-def _box_record(box: AnnotatedBox, dense_to_source: dict[int, int]) -> dict:
-    rec = {
-        "id": box.id,
-        "image_id": box.image_id,
-        "category_id": dense_to_source[box.category_id],
-        "bbox": box.bbox.as_list(),
-    }
-    if box.score is not None:
-        rec["score"] = box.score
-    return rec
-
-
-def _parse_box_record(
-    rec: dict, source_to_dense: dict[int, int], image_ids: set[int], where: Callable[[], str]
-) -> AnnotatedBox:
-    (cat,) = _fields(rec, (("category_id", _INT),), where)
-    if cat not in source_to_dense:
-        raise DanglingReferenceError(f"{where()}: unknown category_id {cat}")
-    (raw_bbox,) = _fields(rec, _BBOX_FIELD, where)
-    x, y, w, h = _bbox_numbers(raw_bbox, where, "bbox")
-    ann_id, image_id = _fields(rec, (("id", _INT), ("image_id", _INT)), where)
-    if image_id not in image_ids:
-        raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
-    return AnnotatedBox(
-        id=ann_id,
-        image_id=image_id,
-        category_id=source_to_dense[cat],
-        bbox=BBox(x, y, w, h),
-        source=BoxSource.ORIGINAL,
-    )
+def _box_records(boxes: BoxColumns, dense_to_source: dict[int, int]) -> list[dict]:
+    """Each box as a dict of its id, image id, source category id and bbox."""
+    return [
+        {"id": i, "image_id": image_id, "category_id": dense_to_source[c], "bbox": xywh}
+        for i, image_id, c, xywh in zip(
+            boxes.ids.tolist(), boxes.image_ids.tolist(), boxes.classes.tolist(),
+            boxes.xywh.tolist(),
+        )
+    ]
 
 
 def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category]) -> None:
     """Persist a noise ledger; category ids are written in source-id space."""
     dense_to_source = {c.id: c.source_id for c in categories}
+    columns = ledger.columns
+    sides = []
+    for boxes in (columns.original, columns.perturbed):
+        records = _box_records(boxes, dense_to_source)
+        for rec, predicted, score in zip(records, boxes.predicted.tolist(), boxes.scores.tolist()):
+            if predicted:
+                rec["score"] = score
+        sides.append(records)
+    originals, perturbed = sides
     entries = []
-    for e in ledger.entries:
-        rec: dict[str, Any] = {"annotation_id": e.annotation_id, "noise_type": e.kind.value}
-        if e.original is not None:
-            rec["original"] = _box_record(e.original, dense_to_source)
-        if e.perturbed is not None:
-            rec["perturbed"] = _box_record(e.perturbed, dense_to_source)
+    for ann_id, kind, o, p in zip(
+        columns.annotation_ids.tolist(),
+        columns.kinds.tolist(),
+        columns.original_rows.tolist(),
+        columns.perturbed_rows.tolist(),
+    ):
+        rec: dict[str, Any] = {"annotation_id": ann_id, "noise_type": kind}
+        if o >= 0:
+            rec["original"] = originals[o]
+        if p >= 0:
+            rec["perturbed"] = perturbed[p]
         entries.append(rec)
     _write_json({"entries": entries}, path, indent=2)
 
 
+_LEDGER_SIDES = ("original", "perturbed")
+_LEDGER_BOX_KEYS = ("id", "image_id", "category_id", "bbox")
+
+
 def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
-    """Load a noise ledger saved by :func:`save_ledger`."""
-    from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
+    """Load a noise ledger saved by :func:`save_ledger`.
+
+    The entry list is checked in bulk; only a list the bulk checks refuse
+    is checked one record at a time, to raise its first error.
+    """
+    from boxaudit.noise_injection import NoiseLedger
 
     data = _read_json(path)
     (raw_entries,) = _fields(data, (("entries", _ANY),), lambda: str(path))
@@ -674,27 +691,95 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
         raise FormatError(f"{path}: 'entries' must be a list")
     source_to_dense = ds.source_to_dense()
     image_ids = {img.id for img in ds.images}
-    entries = []
+    columns = _ledger_columns(raw_entries, source_to_dense, image_ids)
+    if columns is None:
+        _ledger_records(raw_entries, source_to_dense, image_ids)
+    return NoiseLedger(columns)
+
+
+def _ledger_columns(
+    raw_entries: list, source_to_dense: dict[int, int], image_ids: set[int]
+) -> LedgerColumns | None:
+    """The ledger entries as columns, or None when a bulk check fails."""
+    from boxaudit.noise_injection import LedgerColumns, NoiseKind
+
+    columns = _columns(raw_entries, ("annotation_id", "noise_type"))
+    if columns is None:
+        return None
+    ann_ids, kinds = columns
+    if not (_of_types(ann_ids, _INTS) and _of_types(kinds, {str})):
+        return None
+    if not set(kinds) <= {k.value for k in NoiseKind}:
+        return None
+    sides = []
+    for side in _LEDGER_SIDES:
+        records = [entry.get(side) for entry in raw_entries]
+        present = [rec is not None for rec in records]
+        records = [rec for rec, here in zip(records, present) if here]
+        boxes = _ledger_boxes(records, source_to_dense, image_ids)
+        if boxes is None:
+            return None
+        sides += [boxes, LedgerColumns.rows(present)]
+    return LedgerColumns(int_array(ann_ids), np.array(kinds, dtype=str), *sides)
+
+
+def _ledger_boxes(
+    records: list, source_to_dense: dict[int, int], image_ids: set[int]
+) -> BoxColumns | None:
+    """The ledger's box records as columns, or None when a bulk check fails.
+    A bbox is taken as written: it must be finite with a positive width and
+    height, as a :class:`BBox` must."""
+    columns = _columns(records, _LEDGER_BOX_KEYS)
+    if columns is None:
+        return None
+    ids, box_images, category_ids, bboxes = columns
+    if not all(_of_types(col, _INTS) for col in (ids, box_images, category_ids)):
+        return None
+    classes = list(map(source_to_dense.get, category_ids))
+    if None in classes or not image_ids.issuperset(box_images):
+        return None
+    xywh = _bbox_rows(bboxes)
+    if xywh is None or not (np.isfinite(xywh).all() and (xywh[:, 2:] > 0).all()):
+        return None
+    return BoxColumns(
+        int_array(ids), int_array(box_images), np.array(classes, dtype=np.int64),
+        np.full(len(ids), np.nan), xywh,
+    )
+
+
+def _ledger_records(
+    raw_entries: list, source_to_dense: dict[int, int], image_ids: set[int]
+) -> None:
+    """Check the ledger entries one record at a time and raise the first
+    error of a list the bulk checks refused."""
+    from boxaudit.noise_injection import NoiseKind
+
     for i, rec in enumerate(raw_entries):
         where = lambda: f"entries[{i}]"
         (kind_raw,) = _fields(rec, (("noise_type", _ANY),), where)
         try:
-            kind = NoiseKind(kind_raw)
+            NoiseKind(kind_raw)
         except ValueError:
             raise FormatError(f"{where()}: unknown noise_type {kind_raw!r}") from None
-        (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
-        original, perturbed = (
-            _parse_box_record(
-                rec[side], source_to_dense, image_ids, lambda: f"{where()}.{side}"
-            )
-            if rec.get(side) is not None
-            else None
-            for side in ("original", "perturbed")
-        )
-        entries.append(
-            LedgerEntry(annotation_id=ann_id, kind=kind, original=original, perturbed=perturbed)
-        )
-    return NoiseLedger(entries=entries)
+        _fields(rec, (("annotation_id", _INT),), where)
+        for side in _LEDGER_SIDES:
+            if rec.get(side) is not None:
+                side_where = lambda: f"{where()}.{side}"
+                _ledger_box_record(rec[side], source_to_dense, image_ids, side_where)
+
+
+def _ledger_box_record(
+    rec: Any, source_to_dense: dict[int, int], image_ids: set[int], where: Callable[[], str]
+) -> None:
+    (cat,) = _fields(rec, (("category_id", _INT),), where)
+    if cat not in source_to_dense:
+        raise DanglingReferenceError(f"{where()}: unknown category_id {cat}")
+    (raw_bbox,) = _fields(rec, _BBOX_FIELD, where)
+    x, y, w, h = _bbox_numbers(raw_bbox, where, "bbox")
+    _, image_id = _fields(rec, (("id", _INT), ("image_id", _INT)), where)
+    if image_id not in image_ids:
+        raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
+    BBox(x, y, w, h)  # a non-finite or empty box raises here
 
 
 # --- report persistence ---------------------------------------------------------
@@ -771,9 +856,7 @@ _VERDICT = _json_object(
 )
 
 
-def _bbox_json(bbox: list[float] | None, indent: int) -> str:
-    if bbox is None:
-        return "null"
+def _bbox_json(bbox: list[float], indent: int) -> str:
     return _json_list([_json_number(v) for v in bbox], indent)
 
 
@@ -809,7 +892,8 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     background = len(report.categories) + 1
     ann_ids, cluster_ids = table.annotation_ids.tolist(), table.cluster_ids.tolist()
     quality, kinds = table.quality.tolist(), table.kinds.tolist()
-    regions = table.region_lists()
+    # a region is spelled once, for its verdict and for its finding
+    regions = {i: _bbox_json(r, 6) for i, r in table.region_lists().items()}
 
     flagged_by_cluster: dict[int, list[int]] = {}
     for i in np.flatnonzero(table.flagged).tolist():
@@ -823,7 +907,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     box_scores, box_predicted = boxes.scores.tolist(), boxes.predicted.tolist()
 
     def box_json(k: int) -> str:
-        """Member box k: the fields of :func:`_box_record`."""
+        """Member box k: the fields of :func:`_box_records`, and its score."""
         values = (
             _bbox_json(box_xywh[k], 10),
             _json_int(dense_to_source[box_classes[k]]),
@@ -848,7 +932,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
             kinds[first],
             quality[first],
             _flagged_class_labels(table.flagged_classes[first], dense_to_source, background),
-            next((regions[i] for i in flagged if i in regions), None),
+            next((regions[i] for i in flagged if i in regions), "null"),
             members[ends[2 * row] : ends[2 * row + 1]],
             members[ends[2 * row + 1] : ends[2 * row + 2]],
         ))
@@ -881,7 +965,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
             _json_list([box_json(k) for k in originals], 6),
             _json_list([box_json(k) for k in predictions], 6),
             _json_number(score),
-            _bbox_json(region, 6),
+            region,
             _json_str(kind),
         )
 
@@ -892,7 +976,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
             "true" if f else "false",
             _json_int(img),
             _json_number(q),
-            _bbox_json(regions.get(i), 6),
+            regions.get(i, "null"),
             _json_str(k),
         )
         for i, (a, c, f, img, q, k) in enumerate(

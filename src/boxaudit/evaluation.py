@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from boxaudit.confident_learning import VerdictTable
+from boxaudit.dataset_io import BoxColumns
 from boxaudit.errors import EmptyLedgerError, InvalidInputError
 from boxaudit.geometry import corner_iou, corners
-from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
+from boxaudit.noise_injection import NoiseKind, NoiseLedger
 
 __all__ = [
     "RocPoint",
@@ -87,10 +88,12 @@ def _sweep(
     columns."""
     if not 0.0 < match_iou <= 1.0:
         raise InvalidInputError(f"match_iou must lie in (0, 1], got {match_iou}")
-    removed = [e for e in ledger.entries if e.kind == NoiseKind.MISSING]
-    positive_ids = {
-        e.annotation_id for e in ledger.entries if e.kind != NoiseKind.MISSING
-    }
+    entries = ledger.columns
+    missing = entries.of_kind(NoiseKind.MISSING)
+    n_removed = int(np.count_nonzero(missing))
+    positive_ids = set(entries.annotation_ids[~missing].tolist())
+    rows = entries.original_rows[missing]
+    removed = entries.original.take(rows[rows >= 0])  # the removed records that hold a box
 
     is_region = verdicts.is_region
     ann_ids = verdicts.annotation_ids[~is_region].tolist()
@@ -120,7 +123,7 @@ def _sweep(
         (tp + matched).tolist(),
         (fp + flagged_regions - matched).tolist(),
         (n_negative - fp).tolist(),
-        (n_positive - tp + len(removed) - matched).tolist(),
+        (n_positive - tp + n_removed - matched).tolist(),
     )
     return [Confusion(tp=t, fp=f, tn=n, fn=m) for t, f, n, m in counts]
 
@@ -128,7 +131,7 @@ def _sweep(
 def _matched_counts(
     verdicts: VerdictTable,
     is_region: np.ndarray,
-    removed: list[LedgerEntry],
+    removed: BoxColumns,
     taus: np.ndarray,
     match_iou: float,
 ) -> np.ndarray:
@@ -143,9 +146,9 @@ def _matched_counts(
     by_image: dict[int, tuple[list[int], list[list[float]]]] = {}
     for i, image_id in zip(with_region.tolist(), verdicts.image_ids[with_region].tolist()):
         by_image.setdefault(image_id, ([], []))[0].append(i)
-    for e in removed:
-        if e.original is not None and e.original.image_id in by_image:
-            by_image[e.original.image_id][1].append(e.original.bbox.as_list())
+    for image_id, box in zip(removed.image_ids.tolist(), removed.xywh.tolist()):
+        if image_id in by_image:
+            by_image[image_id][1].append(box)
 
     event_scores: list[float] = []
     event_deltas: list[int] = []

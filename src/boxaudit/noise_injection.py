@@ -16,7 +16,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, ImageInfo
+import numpy as np
+
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Dataset, ImageInfo, int_array
 from boxaudit.errors import InvalidSpecError
 from boxaudit.geometry import BBox
 
@@ -24,6 +26,7 @@ __all__ = [
     "NoiseKind",
     "NoiseSpec",
     "LedgerEntry",
+    "LedgerColumns",
     "NoiseLedger",
     "inject",
     "replay",
@@ -83,12 +86,95 @@ class LedgerEntry:
     perturbed: AnnotatedBox | None = None
 
 
-@dataclass
-class NoiseLedger:
-    entries: list[LedgerEntry] = field(default_factory=list)
+@dataclass(frozen=True, eq=False)
+class LedgerColumns:
+    """Ledger entries as columns: entry k perturbed annotation
+    ``annotation_ids[k]`` with the noise kind whose value is ``kinds[k]``;
+    its original box is row ``original_rows[k]`` of ``original`` and its
+    perturbed box row ``perturbed_rows[k]`` of ``perturbed``, or absent where
+    the row is -1. ``entries`` holds them as :class:`LedgerEntry` objects,
+    built on first access unless the columns were made from objects."""
+
+    annotation_ids: np.ndarray
+    kinds: np.ndarray  # str
+    original: BoxColumns
+    original_rows: np.ndarray
+    perturbed: BoxColumns
+    perturbed_rows: np.ndarray
+    _entries: list[LedgerEntry] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.annotation_ids)
+
+    def of_kind(self, kind: NoiseKind) -> np.ndarray:
+        """Whether each entry is of ``kind``."""
+        return self.kinds == kind.value
+
+    @staticmethod
+    def rows(present: list[bool]) -> np.ndarray:
+        """The row of each entry's box among the entries that have one, -1
+        where it has none."""
+        present = np.array(present, dtype=bool)
+        return np.where(present, np.cumsum(present) - 1, -1)
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        if self._entries is None:
+            originals, perturbed = self.original.items, self.perturbed.items
+            rows = zip(
+                self.annotation_ids.tolist(),
+                self.kinds.tolist(),
+                self.original_rows.tolist(),
+                self.perturbed_rows.tolist(),
+            )
+            object.__setattr__(self, "_entries", [
+                LedgerEntry(
+                    a,
+                    NoiseKind(k),
+                    originals[o] if o >= 0 else None,
+                    perturbed[p] if p >= 0 else None,
+                )
+                for a, k, o, p in rows
+            ])
+        return self._entries
+
+    @classmethod
+    def of(cls, entries: list[LedgerEntry]) -> LedgerColumns:
+        """The columns of ``entries``, which are kept as the entries."""
+        has_original = [e.original is not None for e in entries]
+        has_perturbed = [e.perturbed is not None for e in entries]
+        return cls(
+            annotation_ids=int_array([e.annotation_id for e in entries]),
+            kinds=np.array([NoiseKind(e.kind).value for e in entries], dtype=str),
+            original=BoxColumns.of([e.original for e in entries if e.original is not None]),
+            original_rows=cls.rows(has_original),
+            perturbed=BoxColumns.of([e.perturbed for e in entries if e.perturbed is not None]),
+            perturbed_rows=cls.rows(has_perturbed),
+            _entries=list(entries),
+        )
+
+
+class NoiseLedger:
+    """The realized perturbations of one injection, given as
+    :class:`LedgerEntry` objects or as :class:`LedgerColumns` and held as
+    ``columns``; ``entries`` gives them as objects."""
+
+    def __init__(self, entries: list[LedgerEntry] | LedgerColumns = ()):
+        self.columns = (
+            entries if isinstance(entries, LedgerColumns) else LedgerColumns.of(list(entries))
+        )
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        return self.columns.entries
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NoiseLedger):
+            return NotImplemented
+        return self.entries == other.entries
 
 
 def displace_box(box: BBox, angle: float, amplitude: float, image: ImageInfo) -> BBox:
@@ -127,18 +213,17 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
 
     Returns the corrupted dataset and the ledger of exactly the realized
     perturbations. A zero target count yields an untouched copy and an empty
-    ledger.
+    ledger. Works on the dataset's columns: no box object is built.
     """
     rng = random.Random(spec.seed)
-    annotations = list(ds.annotations)
-    image_map = ds.image_map()
+    boxes = ds.columns
     num_classes = ds.num_categories
-    ledger = NoiseLedger()
 
     if spec.kind == NoiseKind.SPURIOUS:
-        count = round(spec.fraction * len(annotations))
-        next_id = max((a.id for a in annotations), default=0) + 1
+        count = round(spec.fraction * len(boxes))
+        first_id = max(boxes.ids.tolist(), default=0) + 1
         lo, hi = SPURIOUS_SIZE_RANGE
+        image_ids, classes, xywh = [], [], []
         for _ in range(count):
             image = ds.images[rng.randrange(len(ds.images))]
             while True:
@@ -148,82 +233,102 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
                 h = min(rng.uniform(lo * image.height, hi * image.height), image.height - y)
                 if w > 0 and h > 0:
                     break
-            added = AnnotatedBox(
-                id=next_id,
-                image_id=image.id,
-                category_id=rng.randint(1, num_classes),
-                bbox=BBox(x, y, w, h),
-                source=BoxSource.ORIGINAL,
-            )
-            next_id += 1
-            annotations.append(added)
-            ledger.entries.append(
-                LedgerEntry(annotation_id=added.id, kind=spec.kind, perturbed=added)
-            )
-        return _with_annotations(ds, annotations), ledger
+            image_ids.append(image.id)
+            classes.append(rng.randint(1, num_classes))
+            xywh.append((x, y, w, h))
+        added = BoxColumns(
+            int_array(list(range(first_id, first_id + count))),
+            int_array(image_ids),
+            np.array(classes, dtype=np.int64),
+            np.full(count, np.nan),
+            np.array(xywh, dtype=np.float64).reshape(-1, 4),
+        )
+        noisy = BoxColumns.join(boxes, added)
+        return _with_boxes(ds, noisy), _ledger(spec.kind, added.ids, perturbed=added)
 
-    targets = _pick_targets(rng, len(annotations), spec.fraction)
-    if spec.kind == NoiseKind.UNIFORM_LABEL and targets and num_classes < 2:
+    targets = np.array(_pick_targets(rng, len(boxes), spec.fraction), dtype=np.intp)
+    if spec.kind == NoiseKind.UNIFORM_LABEL and len(targets) and num_classes < 2:
         raise InvalidSpecError("uniform_label noise needs at least 2 categories")
+    original = boxes.take(targets)
 
     if spec.kind == NoiseKind.MISSING:
-        doomed = set(targets)
-        for i in targets:
-            ledger.entries.append(
-                LedgerEntry(
-                    annotation_id=annotations[i].id,
-                    kind=spec.kind,
-                    original=annotations[i],
-                )
-            )
-        kept = [a for i, a in enumerate(annotations) if i not in doomed]
-        return _with_annotations(ds, kept), ledger
+        kept = np.ones(len(boxes), dtype=bool)
+        kept[targets] = False
+        ledger = _ledger(spec.kind, original.ids, original=original)
+        return _with_boxes(ds, boxes.take(kept)), ledger
 
-    for i in targets:
-        original = annotations[i]
-        category, bbox = original.category_id, original.bbox
-        if spec.kind == NoiseKind.UNIFORM_LABEL:
-            others = [c for c in range(1, num_classes + 1) if c != category]
-            category = rng.choice(others)
-        elif spec.kind == NoiseKind.LOCATION:
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            bbox = displace_box(bbox, angle, spec.amplitude, image_map[original.image_id])
-        else:  # scale
-            grow = rng.random() < 0.5
-            bbox = rescale_box(bbox, grow, spec.amplitude, image_map[original.image_id])
-        perturbed = AnnotatedBox(
-            original.id, original.image_id, category, bbox, original.source, original.score
-        )
-        annotations[i] = perturbed
-        ledger.entries.append(
-            LedgerEntry(
-                annotation_id=original.id,
-                kind=spec.kind,
-                original=original,
-                perturbed=perturbed,
-            )
-        )
-    return _with_annotations(ds, annotations), ledger
+    classes, xywh = boxes.classes, boxes.xywh
+    if spec.kind == NoiseKind.UNIFORM_LABEL:
+        labels = original.classes.tolist()
+        others = {c: [o for o in range(1, num_classes + 1) if o != c] for c in set(labels)}
+        classes = classes.copy()
+        classes[targets] = [rng.choice(others[c]) for c in labels]
+    else:
+        image_map = ds.image_map()
+        xywh = xywh.copy()
+        rows = zip(targets.tolist(), original.image_ids.tolist(), original.xywh.tolist())
+        for i, image_id, row in rows:
+            if spec.kind == NoiseKind.LOCATION:
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                bbox = displace_box(BBox(*row), angle, spec.amplitude, image_map[image_id])
+            else:  # scale
+                grow = rng.random() < 0.5
+                bbox = rescale_box(BBox(*row), grow, spec.amplitude, image_map[image_id])
+            xywh[i] = bbox.as_list()
+    noisy = BoxColumns(boxes.ids, boxes.image_ids, classes, boxes.scores, xywh)
+    ledger = _ledger(spec.kind, original.ids, original=original, perturbed=noisy.take(targets))
+    return _with_boxes(ds, noisy), ledger
+
+
+def _ledger(
+    kind: NoiseKind,
+    annotation_ids: np.ndarray,
+    *,
+    original: BoxColumns | None = None,
+    perturbed: BoxColumns | None = None,
+) -> NoiseLedger:
+    """A ledger of entries of one kind whose boxes, where given, are the
+    rows of ``original`` and ``perturbed`` in entry order."""
+    n = len(annotation_ids)
+    empty = BoxColumns.of([])
+    absent, rows = np.full(n, -1), np.arange(n)
+    return NoiseLedger(LedgerColumns(
+        annotation_ids,
+        np.full(n, kind.value),
+        empty if original is None else original,
+        absent if original is None else rows,
+        empty if perturbed is None else perturbed,
+        absent if perturbed is None else rows,
+    ))
 
 
 def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
     """Apply a ledger to the clean dataset it was recorded against,
-    reconstructing the corrupted dataset exactly."""
-    by_id = {a.id: i for i, a in enumerate(ds.annotations)}
-    annotations: list[AnnotatedBox | None] = list(ds.annotations)
-    appended: list[AnnotatedBox] = []
-    for entry in ledger.entries:
-        if entry.kind == NoiseKind.SPURIOUS:
-            appended.append(entry.perturbed)
-        elif entry.kind == NoiseKind.MISSING:
-            annotations[by_id[entry.annotation_id]] = None
-        else:
-            annotations[by_id[entry.annotation_id]] = entry.perturbed
-    kept = [a for a in annotations if a is not None]
-    return _with_annotations(ds, kept + appended)
-
-
-def _with_annotations(ds: Dataset, annotations: list[AnnotatedBox]) -> Dataset:
-    return Dataset(
-        images=list(ds.images), categories=list(ds.categories), annotations=annotations
+    reconstructing the corrupted dataset exactly: entries are applied in
+    order, a missing entry removes its annotation, a spurious one appends
+    its perturbed box and any other replaces its annotation by its perturbed
+    box."""
+    boxes, columns = ds.columns, ledger.columns
+    n = len(boxes)
+    row_of = {a: k for k, a in enumerate(boxes.ids.tolist())}
+    # rows of boxes and then of the ledger's perturbed boxes; -1 removes
+    source = list(range(n))
+    appended = []
+    entries = zip(
+        columns.annotation_ids.tolist(),
+        columns.of_kind(NoiseKind.SPURIOUS).tolist(),
+        columns.of_kind(NoiseKind.MISSING).tolist(),
+        columns.perturbed_rows.tolist(),
     )
+    for ann_id, spurious, missing, p in entries:
+        if spurious:
+            if p >= 0:
+                appended.append(n + p)
+        else:
+            source[row_of[ann_id]] = -1 if missing or p < 0 else n + p
+    rows = np.array([k for k in source if k >= 0] + appended, dtype=np.intp)
+    return _with_boxes(ds, BoxColumns.join(boxes, columns.perturbed).take(rows))
+
+
+def _with_boxes(ds: Dataset, boxes: BoxColumns) -> Dataset:
+    return Dataset(images=list(ds.images), categories=list(ds.categories), annotations=boxes)

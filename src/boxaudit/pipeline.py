@@ -148,7 +148,7 @@ def cmd_inject(config: PipelineConfig) -> tuple[Path, Path]:
     ledger_path = config.output_dir / "ledger.json"
     dataset_io.save_dataset(noisy, noisy_path)
     dataset_io.save_ledger(ledger, ledger_path, noisy.categories)
-    print(f"noisy dataset: {noisy_path} ({len(noisy.annotations)} annotations)")
+    print(f"noisy dataset: {noisy_path} ({len(noisy.columns)} annotations)")
     print(f"ledger: {ledger_path} ({len(ledger)} entries)")
     return noisy_path, ledger_path
 

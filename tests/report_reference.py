@@ -3,8 +3,9 @@ dict-building ``save_report`` and ``save_roc`` that ``boxaudit.dataset_io``
 replaced with writers that stream ``report.json`` and ``roc.json`` one
 record at a time.
 
-``DetectionReport`` (the writer's old input), ``_flagged_class_labels``,
-``save_report`` and ``save_roc`` are kept verbatim; the whole mirror goes
+``DetectionReport`` (the writer's old input), ``_box_record``,
+``_flagged_class_labels``, ``save_report`` and ``save_roc`` are kept
+verbatim; the whole mirror goes
 through ``json.dump(..., sort_keys=True, indent=2)``.
 """
 
@@ -18,11 +19,23 @@ from typing import Any
 
 from boxaudit.dataset_io import (
     REPORT_COLUMNS,
+    AnnotatedBox,
     Category,
-    _box_record,
     _write_json,
 )
 from boxaudit.evaluation import RocCurve
+
+
+def _box_record(box: AnnotatedBox, dense_to_source: dict[int, int]) -> dict:
+    rec = {
+        "id": box.id,
+        "image_id": box.image_id,
+        "category_id": dense_to_source[box.category_id],
+        "bbox": box.bbox.as_list(),
+    }
+    if box.score is not None:
+        rec["score"] = box.score
+    return rec
 
 
 @dataclass

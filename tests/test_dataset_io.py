@@ -10,6 +10,7 @@ from boxaudit.dataset_io import (
     BoxSource,
     Category,
     Dataset,
+    ImageInfo,
     PredictionSet,
     load_ground_truth,
     load_ledger,
@@ -164,6 +165,17 @@ def test_gappy_category_ids_remap_densely(tmp_path):
 
 def _preds_path(tmp_path, entries):
     return write_json(tmp_path / "preds.json", entries)
+
+
+@pytest.mark.parametrize("size", ["width", "height"])
+def test_image_size_past_float_range_is_refused_in_code(size):
+    """Boxes are clamped to their image as floats: a dataset built in code
+    cannot hold an image too large for that, so predictions never meet it
+    (they raised a bare OverflowError)."""
+    sizes = {"width": 10, "height": 10, size: 10**400}
+    with pytest.raises(InvalidInputError, match=f"^image 1: {size} past the float range$"):
+        ImageInfo(1, sizes["width"], sizes["height"], "a.jpg")
+    assert ImageInfo(1, 2**1023, 2**1023, "a.jpg").width == 2**1023
 
 
 def test_empty_prediction_list(tmp_path, tiny_coco_path):

@@ -15,9 +15,9 @@ import pytest
 
 import loader_reference as reference
 from boxaudit import pipeline
-from boxaudit.cli import main
 from boxaudit.dataset_io import AnnotatedBox, BoxColumns, load_ground_truth, load_predictions
 from boxaudit.errors import FormatError
+from boxaudit.noise_injection import NoiseKind, NoiseSpec
 
 from harness import build_synthetic, write_synthetic
 from test_fuzz_boundary import MUTATORS
@@ -258,12 +258,15 @@ def test_broken_boxes_and_scores_raise_as_reference(tmp_path):
 
 
 def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
-    """detect and roc work on columns from load to write; roc builds only
-    the ledger's own box records."""
+    """inject, detect, eval (with a noise spec and with a ledger) and roc
+    work on columns from load to write, the ledger's boxes included."""
     gt, preds = write_synthetic(tmp_path, num_images=6, boxes_per_image=5, seed=3)
     noise = tmp_path / "noise"
-    assert main(["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
-                 "--fraction", "0.2", "--seed", "1", "--output-dir", str(noise)]) == 0
+    box_objects.clear()
+    pipeline.cmd_inject(pipeline.PipelineConfig(
+        ground_truth_path=gt, noise=NoiseSpec(NoiseKind.MISSING, 0.2, seed=1), output_dir=noise,
+    ))
+    assert box_objects["boxes"] == 0
     noisy, ledger = noise / "noisy.json", noise / "ledger.json"
     detect_out, roc_out = tmp_path / "detect", tmp_path / "roc"
 
@@ -274,11 +277,28 @@ def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
     ))
     assert box_objects["boxes"] == 0
 
+    for kind, amplitude in [(NoiseKind.UNIFORM_LABEL, None), (NoiseKind.LOCATION, 0.3),
+                            (NoiseKind.SCALE, 0.3), (NoiseKind.SPURIOUS, None),
+                            (NoiseKind.MISSING, None)]:
+        box_objects.clear()
+        pipeline.cmd_eval(pipeline.PipelineConfig(
+            ground_truth_path=gt, predictions_path=preds, runs=2,
+            noise=NoiseSpec(kind, 0.3, amplitude, seed=4), output_dir=tmp_path / "eval",
+        ))
+        assert box_objects["boxes"] == 0, kind
+
     entries = json.loads(ledger.read_text())["entries"]
-    ledger_boxes = sum(e.get(side) is not None for e in entries for side in ("original", "perturbed"))
+    assert sum(e.get(side) is not None for e in entries for side in ("original", "perturbed")) > 0
+    box_objects.clear()
+    pipeline.cmd_eval(pipeline.PipelineConfig(
+        ground_truth_path=noisy, predictions_path=preds, ledger_path=ledger,
+        output_dir=tmp_path / "eval-ledger",
+    ))
+    assert box_objects["boxes"] == 0
+
     box_objects.clear()
     pipeline.cmd_roc(pipeline.PipelineConfig(
         ground_truth_path=noisy, report_path=detect_out / "report.json", ledger_path=ledger,
         sweep="dense", output_dir=roc_out,
     ))
-    assert ledger_boxes > 0 and box_objects["boxes"] == ledger_boxes
+    assert box_objects["boxes"] == 0
