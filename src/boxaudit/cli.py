@@ -16,14 +16,10 @@ from boxaudit.noise_injection import NoiseKind, NoiseSpec
 from boxaudit.pipeline import PipelineConfig, cmd_detect, cmd_eval, cmd_inject, cmd_roc
 
 
-def _default_output_dir() -> str:
-    return os.environ.get("BOXAUDIT_OUTPUT_DIR", ".")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--output-dir",
-        default=_default_output_dir(),
+        default=os.environ.get("BOXAUDIT_OUTPUT_DIR", argparse.SUPPRESS),
         help="where result files go (env BOXAUDIT_OUTPUT_DIR overrides the default)",
     )
 
@@ -43,7 +39,7 @@ def _add_noise_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         type=float,
         help="displacement/scaling amplitude (location and scale noise only)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=int, help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,23 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inject = sub.add_parser("inject", help="corrupt a dataset and record a ledger")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # a flag left out stays out of the namespace, so PipelineConfig holds
+        # every default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p_inject = command("inject", help="corrupt a dataset and record a ledger")
     p_inject.add_argument("--ground-truth", required=True, help="COCO annotation file")
     _add_noise_flags(p_inject, required=True)
     _add_common(p_inject)
 
-    p_detect = sub.add_parser("detect", help="report suspicious annotations")
+    p_detect = command("detect", help="report suspicious annotations")
     p_detect.add_argument("--ground-truth", required=True, help="COCO annotation file")
     p_detect.add_argument(
         "--predictions", required=True, help="COCO detection-results file"
     )
-    p_detect.add_argument(
-        "--iou-threshold", type=float, default=0.5, help="clustering IoU threshold"
-    )
+    p_detect.add_argument("--iou-threshold", type=float, help="clustering IoU threshold")
     p_detect.add_argument(
         "--mode",
         choices=[cl.MODE_CONFIDENT_JOINT, cl.MODE_SCORE_THRESHOLD],
-        default=cl.MODE_CONFIDENT_JOINT,
         help="flagging mode",
     )
     p_detect.add_argument(
@@ -78,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_detect)
 
-    p_eval = sub.add_parser(
-        "eval", help="inject noise (or reuse a ledger) and measure ROC/AUROC"
-    )
+    p_eval = command("eval", help="inject noise (or reuse a ledger) and measure ROC/AUROC")
     p_eval.add_argument(
         "--ground-truth",
         required=True,
@@ -90,33 +86,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictions", required=True, help="COCO detection-results file"
     )
     p_eval.add_argument("--ledger", help="ledger file of an existing injection")
-    p_eval.add_argument("--iou-threshold", type=float, default=0.5)
-    p_eval.add_argument(
-        "--runs", type=int, default=1, help="independent runs aggregated by median"
-    )
+    p_eval.add_argument("--iou-threshold", type=float)
+    p_eval.add_argument("--runs", type=int, help="independent runs aggregated by median")
     p_eval.add_argument(
         "--sweep",
         choices=["grid", "dense"],
-        default="grid",
         help="threshold grid 0.0..1.0 step 0.1, or every distinct score",
     )
     p_eval.add_argument(
         "--match-iou",
         type=float,
-        default=0.5,
         help="IoU for matching missing-region findings to removed boxes",
     )
     _add_noise_flags(p_eval, required=False)
     _add_common(p_eval)
 
-    p_roc = sub.add_parser("roc", help="re-sweep an existing report against a ledger")
+    p_roc = command("roc", help="re-sweep an existing report against a ledger")
     p_roc.add_argument(
         "--ground-truth", required=True, help="the (noisy) COCO file the report covers"
     )
     p_roc.add_argument("--report", required=True, help="report JSON mirror from detect")
     p_roc.add_argument("--ledger", required=True, help="ledger file")
-    p_roc.add_argument("--sweep", choices=["grid", "dense"], default="grid")
-    p_roc.add_argument("--match-iou", type=float, default=0.5)
+    p_roc.add_argument("--sweep", choices=["grid", "dense"])
+    p_roc.add_argument("--match-iou", type=float)
     _add_common(p_roc)
 
     return parser
@@ -144,36 +136,38 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+# flags whose PipelineConfig field has another name
+_FIELDS = {
+    "ground_truth": "ground_truth_path",
+    "predictions": "predictions_path",
+    "mode": "cl_mode",
+    "ledger": "ledger_path",
+    "report": "report_path",
+}
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config of the flags given; a flag left out takes its
+    PipelineConfig default."""
+    flags = {_FIELDS.get(k, k): v for k, v in vars(args).items() if k != "command"}
+    kind, fraction, amplitude = (
+        flags.pop(k, None) for k in ("noise_kind", "fraction", "amplitude")
+    )
     noise = None
-    if getattr(args, "noise_kind", None) is None:
-        for flag in ("fraction", "amplitude"):
-            if getattr(args, flag, None) is not None:
+    if kind is None:
+        for flag, value in (("fraction", fraction), ("amplitude", amplitude)):
+            if value is not None:
                 raise InvalidSpecError(f"--{flag} requires --noise-kind")
     else:
-        if args.fraction is None:
+        if fraction is None:
             raise InvalidSpecError("--noise-kind requires --fraction")
         noise = NoiseSpec(
-            kind=NoiseKind(args.noise_kind),
-            fraction=args.fraction,
-            amplitude=args.amplitude,
-            seed=args.seed,
+            kind=NoiseKind(kind),
+            fraction=fraction,
+            amplitude=amplitude,
+            seed=flags.get("seed", PipelineConfig.seed),
         )
-    return PipelineConfig(
-        ground_truth_path=getattr(args, "ground_truth", None),
-        predictions_path=getattr(args, "predictions", None),
-        iou_threshold=getattr(args, "iou_threshold", 0.5),
-        cl_mode=getattr(args, "mode", cl.MODE_CONFIDENT_JOINT),
-        tau=getattr(args, "tau", None),
-        noise=noise,
-        ledger_path=getattr(args, "ledger", None),
-        report_path=getattr(args, "report", None),
-        output_dir=args.output_dir,
-        runs=getattr(args, "runs", 1),
-        seed=getattr(args, "seed", 0),
-        sweep=getattr(args, "sweep", "grid"),
-        match_iou=getattr(args, "match_iou", 0.5),
-    )
+    return PipelineConfig(noise=noise, **flags)
 
 
 if __name__ == "__main__":

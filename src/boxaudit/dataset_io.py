@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -603,74 +602,157 @@ def _detection_records(
         _clamped_bbox(entry, image_map[image_id], where)
 
 
-# --- dataset persistence -------------------------------------------------------
+# --- JSON writers ------------------------------------------------------------------
+#
+# ledger.json, report.json and roc.json are written by one encoder, in the
+# layout json.dump gives them with sorted keys and indent 2: numbers are
+# spelled a column at a time, records are str.format templates filled with
+# them, and the files are streamed one record at a time. Before Python 3.13 an
+# indented json.dump runs the pure-Python encoder with one write per token,
+# and the mirror it encodes would hold every record as a dict. noisy.json is
+# flat, so json.dumps writes it through the C encoder.
+
+_json_str = json.encoder.encode_basestring_ascii
+_json_int = int.__repr__
+
+
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """The numbers of a column spelled as json.dump spells them: integers
+    (int64, or Python ints past it) through ``int.__repr__``, floats through
+    ``float.__repr__``, with json's NaN and Infinity spellings only when the
+    column holds a non-finite float."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(int.__repr__, values))
+    if np.isfinite(column).all():
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """Encoded ``items`` as an indented JSON list whose closing bracket sits
+    ``indent`` spaces in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_object(keys: tuple[str, ...], indent: int) -> str:
+    """A ``str.format`` template of an indented JSON object with ``keys``
+    (given sorted), one field per value, whose closing brace sits ``indent``
+    spaces in."""
+    pad = "\n" + " " * indent
+    return "{{" + ",".join(f'{pad}  "{k}": {{}}' for k in keys) + pad + "}}"
+
+
+def _json_bboxes(xywh: np.ndarray, indent: int) -> list[str]:
+    """Each [x, y, w, h] row as a JSON list whose closing bracket sits
+    ``indent`` spaces in."""
+    return list(map(_json_list(["{}"] * 4, indent).format, *map(_json_numbers, xywh.T)))
+
+
+_BOX_KEYS = ("bbox", "category_id", "id", "image_id")
+
+
+def _json_boxes(boxes: BoxColumns, dense_to_source: dict[int, int], indent: int) -> list[str]:
+    """Each box as a JSON record of its bbox, source category id, id and
+    image id, and its score when it is a prediction, whose closing brace
+    sits ``indent`` spaces in."""
+    plain = _json_object(_BOX_KEYS, indent)
+    scored = _json_object((*_BOX_KEYS, "score"), indent)
+    predicted = boxes.predicted
+    scores = iter(_json_numbers(boxes.scores[predicted]))
+    rows = zip(
+        _json_bboxes(boxes.xywh, indent + 2),
+        map(_json_int, map(dense_to_source.__getitem__, boxes.classes.tolist())),
+        _json_numbers(boxes.ids),
+        _json_numbers(boxes.image_ids),
+    )
+    return [
+        scored.format(*row, next(scores)) if p else plain.format(*row)
+        for p, row in zip(predicted.tolist(), rows)
+    ]
+
+
+def _write_object(path: str | Path, fields: dict) -> None:
+    """Write a JSON object whose values are encoded text or iterables of
+    encoded records, the records streamed one at a time as a list."""
+    with open(path, "w", encoding="utf-8") as fh:
+        sep = "{"
+        for key in sorted(fields):
+            fh.write(f'{sep}\n  "{key}": ')
+            sep = ","
+            value = fields[key]
+            if isinstance(value, str):
+                fh.write(value)
+                continue
+            start = "["
+            for record in value:
+                fh.write(start + "\n    " + record)
+                start = ","
+            fh.write("[]" if start == "[" else "\n  ]")
+        fh.write("\n}\n")
+
+
+# --- dataset and ledger persistence ------------------------------------------------
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to COCO format so that loading it reproduces
     the in-memory value exactly."""
     boxes = ds.columns
-    annotations = _box_records(boxes, ds.dense_to_source())
-    for rec, area in zip(annotations, (boxes.xywh[:, 2] * boxes.xywh[:, 3]).tolist()):
-        rec["area"] = area
-        rec["iscrowd"] = 0
+    dense_to_source = ds.dense_to_source()
+    with np.errstate(over="ignore"):  # the area of a box on a huge image may be inf
+        areas = (boxes.xywh[:, 2] * boxes.xywh[:, 3]).tolist()
     payload = {
         "images": [
             {"id": i.id, "width": i.width, "height": i.height, "file_name": i.file_name}
             for i in ds.images
         ],
         "categories": [{"id": c.source_id, "name": c.name} for c in ds.categories],
-        "annotations": annotations,
+        "annotations": [
+            {
+                "id": i, "image_id": image_id, "category_id": dense_to_source[c],
+                "bbox": bbox, "area": area, "iscrowd": 0,
+            }
+            for i, image_id, c, bbox, area in zip(
+                boxes.ids.tolist(), boxes.image_ids.tolist(), boxes.classes.tolist(),
+                boxes.xywh.tolist(), areas,
+            )
+        ],
     }
-    _write_json(payload, path)
-
-
-def _write_json(payload: Any, path: str | Path, indent: int | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-# --- ledger persistence --------------------------------------------------------
-
-
-def _box_records(boxes: BoxColumns, dense_to_source: dict[int, int]) -> list[dict]:
-    """Each box as a dict of its id, image id, source category id and bbox."""
-    return [
-        {"id": i, "image_id": image_id, "category_id": dense_to_source[c], "bbox": xywh}
-        for i, image_id, c, xywh in zip(
-            boxes.ids.tolist(), boxes.image_ids.tolist(), boxes.classes.tolist(),
-            boxes.xywh.tolist(),
-        )
-    ]
+# an entry's template by whether it has an original and a perturbed box
+_LEDGER_ENTRY = {
+    (o, p): _json_object(
+        ("annotation_id", "noise_type") + ("original",) * o + ("perturbed",) * p, 4
+    )
+    for o in (False, True) for p in (False, True)
+}
 
 
 def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category]) -> None:
     """Persist a noise ledger; category ids are written in source-id space."""
     dense_to_source = {c.id: c.source_id for c in categories}
     columns = ledger.columns
-    sides = []
-    for boxes in (columns.original, columns.perturbed):
-        records = _box_records(boxes, dense_to_source)
-        for rec, predicted, score in zip(records, boxes.predicted.tolist(), boxes.scores.tolist()):
-            if predicted:
-                rec["score"] = score
-        sides.append(records)
-    originals, perturbed = sides
-    entries = []
-    for ann_id, kind, o, p in zip(
-        columns.annotation_ids.tolist(),
+    originals = _json_boxes(columns.original, dense_to_source, 6)
+    perturbed = _json_boxes(columns.perturbed, dense_to_source, 6)
+
+    def entry_json(ann_id: str, kind: str, o: int, p: int) -> str:
+        sides = ([originals[o]] if o >= 0 else []) + ([perturbed[p]] if p >= 0 else [])
+        return _LEDGER_ENTRY[o >= 0, p >= 0].format(ann_id, _json_str(kind), *sides)
+
+    _write_object(path, {"entries": map(
+        entry_json,
+        _json_numbers(columns.annotation_ids),
         columns.kinds.tolist(),
         columns.original_rows.tolist(),
         columns.perturbed_rows.tolist(),
-    ):
-        rec: dict[str, Any] = {"annotation_id": ann_id, "noise_type": kind}
-        if o >= 0:
-            rec["original"] = originals[o]
-        if p >= 0:
-            rec["perturbed"] = perturbed[p]
-        entries.append(rec)
-    _write_json({"entries": entries}, path, indent=2)
+    )})
 
 
 _LEDGER_SIDES = ("original", "perturbed")
@@ -783,13 +865,6 @@ def _ledger_box_record(
 
 
 # --- report persistence ---------------------------------------------------------
-#
-# report.json and roc.json are streamed one record at a time, each record a
-# string built straight from the verdict columns and the member boxes, in
-# exactly the layout of json.dump(mirror, sort_keys=True, indent=2). Before
-# Python 3.13 an indented json.dump runs the pure-Python encoder with one
-# write per token, and the mirror it encodes would hold every record as a
-# dict.
 
 REPORT_COLUMNS = [
     "cluster_id",
@@ -800,73 +875,18 @@ REPORT_COLUMNS = [
     "flagged_class_ids",
 ]
 
-_json_str = json.encoder.encode_basestring_ascii
-_json_int = int.__repr__
-
-
-def _json_number(v: float) -> str:
-    """An int or a float, spelled as json.dump spells it."""
-    if isinstance(v, float):
-        return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
-    return int.__repr__(v)
-
-
-def _json_list(items: list[str], indent: int) -> str:
-    """Encoded ``items`` as an indented JSON list whose closing bracket sits
-    ``indent`` spaces in."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * indent
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
-
-
-def _json_object(keys: tuple[str, ...], indent: int) -> str:
-    """A ``str.format`` template of an indented JSON object with ``keys``
-    (given sorted), one field per value, whose closing brace sits ``indent``
-    spaces in."""
-    pad = "\n" + " " * indent
-    return "{{" + ",".join(f'{pad}  "{k}": {{}}' for k in keys) + pad + "}}"
-
-
-def _nested_json(value: Any) -> str:
-    """A small value encoded by json itself, to sit under a top-level key."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-# Templates of the records at the depth each sits at in report.json.
-_BOX = _json_object(("bbox", "category_id", "id", "image_id"), 8)
-_SCORED_BOX = _json_object(("bbox", "category_id", "id", "image_id", "score"), 8)
-_FINDING = _json_object(
-    (
-        "annotation_ids",
-        "cluster_id",
-        "flagged_classes",
-        "image_id",
-        "original_members",
-        "predicted_members",
-        "quality_score",
-        "region",
-        "verdict_kind",
-    ),
-    4,
+_CATEGORY = _json_object(("id", "name"), 4)
+_SUMMARY = _json_object(
+    ("clusters", "flagged_annotations", "flagged_clusters", "missing_regions"), 2
 )
+_FINDING = _json_object((
+    "annotation_ids", "cluster_id", "flagged_classes", "image_id", "original_members",
+    "predicted_members", "quality_score", "region", "verdict_kind",
+), 4)
 _VERDICT = _json_object(
     ("annotation_id", "cluster_id", "flagged", "image_id", "quality_score", "region", "verdict_kind"),
     4,
 )
-
-
-def _bbox_json(bbox: list[float], indent: int) -> str:
-    return _json_list([_json_number(v) for v in bbox], indent)
-
-
-def _write_records(fh, records) -> None:
-    """Write an iterable of encoded records as a list under a top-level key."""
-    sep = "["
-    for record in records:
-        fh.write(sep + "\n    " + record)
-        sep = ","
-    fh.write("[]" if sep == "[" else "\n  ]")
 
 
 def _flagged_class_labels(classes, dense_to_source: dict[int, int], background: int) -> list[str]:
@@ -892,8 +912,10 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     background = len(report.categories) + 1
     ann_ids, cluster_ids = table.annotation_ids.tolist(), table.cluster_ids.tolist()
     quality, kinds = table.quality.tolist(), table.kinds.tolist()
+    quality_json = _json_numbers(table.quality)
     # a region is spelled once, for its verdict and for its finding
-    regions = {i: _bbox_json(r, 6) for i, r in table.region_lists().items()}
+    with_region = np.flatnonzero(~np.isnan(table.regions[:, 0]))
+    regions = dict(zip(with_region.tolist(), _json_bboxes(table.regions[with_region], 6)))
 
     flagged_by_cluster: dict[int, list[int]] = {}
     for i in np.flatnonzero(table.flagged).tolist():
@@ -901,41 +923,28 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     row_of = dict(zip(partition.cluster_ids.tolist(), range(len(partition))))
     image_ids = partition.image_ids.tolist()
     members, ends = partition.members.tolist(), [0, *partition.ends.tolist()]
-    boxes = partition.boxes
-    box_ids, box_images = boxes.ids.tolist(), boxes.image_ids.tolist()
-    box_classes, box_xywh = boxes.classes.tolist(), boxes.xywh.tolist()
-    box_scores, box_predicted = boxes.scores.tolist(), boxes.predicted.tolist()
-
-    def box_json(k: int) -> str:
-        """Member box k: the fields of :func:`_box_records`, and its score."""
-        values = (
-            _bbox_json(box_xywh[k], 10),
-            _json_int(dense_to_source[box_classes[k]]),
-            _json_int(box_ids[k]),
-            _json_int(box_images[k]),
-        )
-        if not box_predicted[k]:
-            return _BOX.format(*values)
-        return _SCORED_BOX.format(*values, _json_number(box_scores[k]))
 
     findings = []
+    member_rows: list[int] = []  # the findings' member boxes, in the order they are written
     flagged_annotations = missing_regions = 0
     for cluster_id in sorted(flagged_by_cluster):
         flagged = flagged_by_cluster[cluster_id]
         first = flagged[0]
         row = row_of[cluster_id]
+        start, split, end = ends[2 * row : 2 * row + 3]
         finding_ann_ids = [ann_ids[i] for i in flagged if ann_ids[i] is not None]
         findings.append((
             cluster_id,
             image_ids[row],
             finding_ann_ids,
             kinds[first],
-            quality[first],
+            first,
             _flagged_class_labels(table.flagged_classes[first], dense_to_source, background),
             next((regions[i] for i in flagged if i in regions), "null"),
-            members[ends[2 * row] : ends[2 * row + 1]],
-            members[ends[2 * row + 1] : ends[2 * row + 2]],
+            split - start,
+            end - split,
         ))
+        member_rows += members[start:end]
         flagged_annotations += len(finding_ann_ids)
         if kinds[first] == "missing_region":
             missing_regions += 1
@@ -943,59 +952,54 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for cluster_id, image_id, finding_ann_ids, kind, score, class_labels, *_ in findings:
-            writer.writerow(
-                [
-                    cluster_id,
-                    image_id,
-                    ";".join(str(i) for i in finding_ann_ids),
-                    kind,
-                    f"{score:.6f}",
-                    ";".join(class_labels),
-                ]
-            )
+        for cluster_id, image_id, finding_ann_ids, kind, first, class_labels, *_ in findings:
+            writer.writerow([
+                cluster_id, image_id, ";".join(map(str, finding_ann_ids)), kind,
+                f"{quality[first]:.6f}", ";".join(class_labels),
+            ])
 
-    def finding_json(cluster_id, image_id, finding_ann_ids, kind, score, class_labels,
+    member_json = iter(_json_boxes(
+        partition.boxes.take(np.array(member_rows, dtype=np.intp)), dense_to_source, 8
+    ))
+
+    def finding_json(cluster_id, image_id, finding_ann_ids, kind, first, class_labels,
                      region, originals, predictions) -> str:
         return _FINDING.format(
-            _json_list([_json_int(a) for a in finding_ann_ids], 6),
+            _json_list(list(map(_json_int, finding_ann_ids)), 6),
             _json_int(cluster_id),
-            _json_list([_json_str(c) for c in class_labels], 6),
+            _json_list(list(map(_json_str, class_labels)), 6),
             _json_int(image_id),
-            _json_list([box_json(k) for k in originals], 6),
-            _json_list([box_json(k) for k in predictions], 6),
-            _json_number(score),
+            _json_list(list(islice(member_json, originals)), 6),
+            _json_list(list(islice(member_json, predictions)), 6),
+            quality_json[first],
             region,
             _json_str(kind),
         )
 
-    verdicts = (
-        _VERDICT.format(
-            "null" if a is None else _json_int(a),
-            _json_int(c),
-            "true" if f else "false",
-            _json_int(img),
-            _json_number(q),
-            regions.get(i, "null"),
-            _json_str(k),
-        )
-        for i, (a, c, f, img, q, k) in enumerate(
-            zip(ann_ids, cluster_ids, table.flagged.tolist(), table.image_ids.tolist(), quality, kinds)
-        )
+    verdicts = map(
+        _VERDICT.format,
+        ("null" if a is None else _json_int(a) for a in ann_ids),
+        _json_numbers(table.cluster_ids),
+        ("true" if f else "false" for f in table.flagged.tolist()),
+        _json_numbers(table.image_ids),
+        quality_json,
+        (regions.get(i, "null") for i in range(len(table))),
+        map(_json_str, kinds),
     )
-    categories = [{"id": c.source_id, "name": c.name} for c in report.categories]
     summary = {
         "clusters": len(partition),
         "flagged_clusters": len(findings),
         "flagged_annotations": flagged_annotations,
         "missing_regions": missing_regions,
     }
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        fh.write('{\n  "categories": ' + _nested_json(categories) + ',\n  "findings": ')
-        _write_records(fh, (finding_json(*f) for f in findings))
-        fh.write(',\n  "summary": ' + _nested_json(summary) + ',\n  "verdicts": ')
-        _write_records(fh, verdicts)
-        fh.write("\n}\n")
+    _write_object(path.with_suffix(".json"), {
+        "categories": _json_list([
+            _CATEGORY.format(_json_int(c.source_id), _json_str(c.name)) for c in report.categories
+        ], 2),
+        "findings": (finding_json(*f) for f in findings),
+        "summary": _SUMMARY.format(*(_json_int(summary[k]) for k in sorted(summary))),
+        "verdicts": verdicts,
+    })
     return summary
 
 
@@ -1082,19 +1086,19 @@ def save_roc(
             writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
         fh.write(f"# auroc = {curve.auroc:.6f}\n")
 
-    with open(path.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        fh.write('{\n  "auroc": ' + _json_number(curve.auroc))
-        if run_aurocs is not None:
-            median = statistics.median(a for _, a in run_aurocs)
-            fh.write(',\n  "median_auroc": ' + _json_number(median))
-        fh.write(',\n  "points": ')
-        _write_records(fh, (
-            _ROC_POINT.format(_json_number(p.fpr), _json_number(p.threshold), _json_number(p.tpr))
-            for p in curve.points
-        ))
-        if run_aurocs is not None:
-            fh.write(',\n  "runs": ')
-            _write_records(fh, (
-                _ROC_RUN.format(_json_number(a), _json_number(s)) for s, a in run_aurocs
-            ))
-        fh.write("\n}\n")
+    fields = {
+        "auroc": _json_numbers(np.array([curve.auroc]))[0],
+        "points": map(_ROC_POINT.format, *(
+            _json_numbers(np.array([getattr(p, name) for p in curve.points]))
+            for name in ("fpr", "threshold", "tpr")
+        )),
+    }
+    if run_aurocs is not None:
+        aurocs = [a for _, a in run_aurocs]
+        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0]
+        fields["runs"] = map(
+            _ROC_RUN.format,
+            _json_numbers(np.array(aurocs)),
+            _json_numbers(int_array([s for s, _ in run_aurocs])),
+        )
+    _write_object(path.with_suffix(".json"), fields)

@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box arithmetic: area and IoU, scalar and vectorized."""
+"""Axis-aligned bounding boxes and their IoU, scalar and vectorized."""
 
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class BBox:
     @property
     def bottom(self) -> float:
         return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     @property
     def center(self) -> tuple[float, float]:

@@ -1,29 +1,32 @@
-"""Test-only slow references for the report and ROC writers: the
-dict-building ``save_report`` and ``save_roc`` that ``boxaudit.dataset_io``
-replaced with writers that stream ``report.json`` and ``roc.json`` one
-record at a time.
+"""Test-only slow references for the JSON writers: the dict-building
+``save_report``, ``save_roc``, ``save_ledger`` and ``save_dataset`` that
+``boxaudit.dataset_io`` replaced with one encoder over columns.
 
-``DetectionReport`` (the writer's old input), ``_box_record``,
+``DetectionReport`` (the report writer's old input), ``_box_record``,
 ``_flagged_class_labels``, ``save_report`` and ``save_roc`` are kept
-verbatim; the whole mirror goes
-through ``json.dump(..., sort_keys=True, indent=2)``.
+verbatim. Each reference builds its whole mirror from objects and writes it
+with ``json.dump``: indented for the report, ROC and ledger files, flat for
+the dataset.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from boxaudit.dataset_io import (
-    REPORT_COLUMNS,
-    AnnotatedBox,
-    Category,
-    _write_json,
-)
+from boxaudit.dataset_io import REPORT_COLUMNS, AnnotatedBox, Category, Dataset
 from boxaudit.evaluation import RocCurve
+from boxaudit.noise_injection import NoiseLedger
+
+
+def _write_json(payload: Any, path: str | Path, indent: int | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 def _box_record(box: AnnotatedBox, dense_to_source: dict[int, int]) -> dict:
@@ -162,3 +165,38 @@ def save_roc(
         mirror["runs"] = [{"seed": s, "auroc": a} for s, a in run_aurocs]
         mirror["median_auroc"] = statistics.median(a for _, a in run_aurocs)
     _write_json(mirror, path.with_suffix(".json"), indent=2)
+
+
+def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category]) -> None:
+    """Persist a noise ledger; category ids are written in source-id space."""
+    dense_to_source = {c.id: c.source_id for c in categories}
+    entries = []
+    for e in ledger.entries:
+        rec: dict[str, Any] = {"annotation_id": e.annotation_id, "noise_type": e.kind.value}
+        if e.original is not None:
+            rec["original"] = _box_record(e.original, dense_to_source)
+        if e.perturbed is not None:
+            rec["perturbed"] = _box_record(e.perturbed, dense_to_source)
+        entries.append(rec)
+    _write_json({"entries": entries}, path, indent=2)
+
+
+def save_dataset(ds: Dataset, path: str | Path) -> None:
+    """Write a dataset back to COCO format."""
+    dense_to_source = ds.dense_to_source()
+    annotations = []
+    for a in ds.annotations:
+        rec = _box_record(a, dense_to_source)
+        rec.pop("score", None)
+        rec["area"] = a.bbox.w * a.bbox.h
+        rec["iscrowd"] = 0
+        annotations.append(rec)
+    payload = {
+        "images": [
+            {"id": i.id, "width": i.width, "height": i.height, "file_name": i.file_name}
+            for i in ds.images
+        ],
+        "categories": [{"id": c.source_id, "name": c.name} for c in ds.categories],
+        "annotations": annotations,
+    }
+    _write_json(payload, path)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import boxaudit
-from boxaudit.cli import main
+from boxaudit.cli import _build_config, build_parser, main
+from boxaudit.noise_injection import NoiseKind, NoiseSpec
+from boxaudit.pipeline import PipelineConfig
 
 from conftest import coco_payload, write_json
 from harness import build_synthetic, write_synthetic
@@ -704,3 +706,62 @@ def test_inject_rejects_name_that_is_not_a_string(tmp_path, capsys, key, field, 
     assert rc == 1
     _single_error_line(capsys, "malformed-syntax")
     assert not (tmp_path / "out").exists()
+
+
+# --- start-up: the config each subcommand builds and the modules it loads ----
+
+_TODAYS_DEFAULTS = dict(
+    iou_threshold=0.5, cl_mode="confident_joint", tau=None, noise=None, ledger_path=None,
+    report_path=None, output_dir=Path("."), runs=1, seed=0, sweep="grid", match_iou=0.5,
+)
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["inject", "--ground-truth", "gt.json", "--noise-kind", "missing", "--fraction", "0.2"],
+     {"ground_truth_path": "gt.json", "predictions_path": None,
+      "noise": NoiseSpec(NoiseKind.MISSING, 0.2, None, 0)}),
+    (["detect", "--ground-truth", "gt.json", "--predictions", "p.json"],
+     {"ground_truth_path": "gt.json", "predictions_path": "p.json"}),
+    (["eval", "--ground-truth", "gt.json", "--predictions", "p.json"],
+     {"ground_truth_path": "gt.json", "predictions_path": "p.json"}),
+    (["eval", "--ground-truth", "gt.json", "--predictions", "p.json", "--noise-kind", "scale",
+      "--fraction", "0.2", "--amplitude", "0.3", "--seed", "4", "--runs", "3"],
+     {"ground_truth_path": "gt.json", "predictions_path": "p.json", "runs": 3, "seed": 4,
+      "noise": NoiseSpec(NoiseKind.SCALE, 0.2, 0.3, 4)}),
+    (["roc", "--ground-truth", "gt.json", "--report", "r.json", "--ledger", "l.json"],
+     {"ground_truth_path": "gt.json", "predictions_path": None, "report_path": "r.json",
+      "ledger_path": "l.json"}),
+], ids=["inject", "detect", "eval", "eval-noise", "roc"])
+def test_minimal_argv_builds_todays_config(monkeypatch, argv, fields):
+    monkeypatch.delenv("BOXAUDIT_OUTPUT_DIR", raising=False)
+    config = _build_config(build_parser().parse_args(argv))
+    assert config == PipelineConfig(**{**_TODAYS_DEFAULTS, **fields})
+
+
+# the modules src/boxaudit imports at top level from outside the package
+_TOP_LEVEL_IMPORTS = (
+    "__future__", "argparse", "csv", "dataclasses", "enum", "itertools", "json", "math",
+    "numpy", "operator", "os", "pathlib", "random", "statistics", "sys", "typing",
+)
+
+
+def test_import_cli_loads_no_module_outside_the_package():
+    """Once the package's own top-level imports are loaded, ``import
+    boxaudit.cli`` adds only boxaudit modules: a new dependency or a heavy
+    stdlib import would show here before it shows in the CLI's start-up
+    time."""
+    code = "\n".join([
+        "import sys",
+        *(f"import {name}" for name in _TOP_LEVEL_IMPORTS),
+        "before = set(sys.modules)",
+        "import boxaudit.cli",
+        "print(*sorted(set(sys.modules) - before))",
+    ])
+    src = str(Path(boxaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+        timeout=120,
+    ).stdout.split()
+    assert "boxaudit.cli" in added
+    assert all(name == "boxaudit" or name.startswith("boxaudit.") for name in added), added

@@ -2,16 +2,19 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from boxaudit.confident_learning import MODE_SCORE_THRESHOLD
 from boxaudit.dataset_io import (
     AnnotatedBox,
+    BoxColumns,
     BoxSource,
     Category,
     Dataset,
     ImageInfo,
     PredictionSet,
+    int_array,
     load_ground_truth,
     load_ledger,
     load_predictions,
@@ -30,11 +33,13 @@ from boxaudit.errors import (
     MissingFileError,
 )
 from boxaudit.geometry import BBox
-from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
+from boxaudit.noise_injection import LedgerColumns, NoiseKind, NoiseLedger, NoiseSpec, inject
 from boxaudit.pipeline import run_detection
 
 from conftest import coco_payload, write_json
 from report_reference import DetectionReport
+from report_reference import save_dataset as reference_save_dataset
+from report_reference import save_ledger as reference_save_ledger
 from report_reference import save_report as reference_save_report
 from report_reference import save_roc as reference_save_roc
 
@@ -413,4 +418,124 @@ def test_roc_writer_matches_json_dump_reference(tmp_path):
             assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
     assert all(seen[k] >= 20 for k in (
         "runs", "no runs", "repeated thresholds", "0.1+0.2", "1e-17", "0", "1",
+    )), seen
+
+
+# --- ledger and dataset writers vs. the json.dump references ---------------------
+
+_INT64_MAX = 2**63 - 1
+_HUGE = 1e200  # two such sides make an area past the float range
+
+
+def _random_categories(rng):
+    source_ids = rng.sample(_IDS + [12, 99], rng.randint(1, 4))
+    return [
+        Category(id=m, name=rng.choice(_NAMES), source_id=src)
+        for m, src in enumerate(source_ids, start=1)
+    ]
+
+
+def _random_columns(rng, n, num_classes, scored, huge=False):
+    """``n`` boxes as columns, with ids past int64, floats without a short
+    repr and, where ``scored``, a score on about half of them."""
+    sizes = _SIZES + [_HUGE] * 3 if huge else _SIZES
+    xywh = [
+        [_pick(rng, _COORDS), _pick(rng, _COORDS), _pick(rng, sizes), _pick(rng, sizes)]
+        for _ in range(n)
+    ]
+    return BoxColumns(
+        ids=int_array([rng.choice(_IDS) + k for k in range(n)]),
+        image_ids=int_array([rng.choice(_IDS) for _ in range(n)]),
+        classes=np.array([rng.randint(1, num_classes) for _ in range(n)], dtype=np.int64),
+        scores=np.array(
+            [_pick(rng, _SCORES, spread=1.0) if scored and rng.random() < 0.5 else np.nan
+             for _ in range(n)],
+            dtype=np.float64,
+        ),
+        xywh=np.array(xywh, dtype=np.float64).reshape(n, 4),
+    )
+
+
+def _count_awkward_values(seen, ids, xywh):
+    seen["id past int64"] += any(i > _INT64_MAX for i in ids)
+    seen["no short repr"] += any(len(repr(v)) > 17 for v in xywh.ravel().tolist())
+
+
+def _random_ledger(rng, seen):
+    """A ledger with scored boxes, entries that lack an original or a
+    perturbed box, and sometimes no entries at all."""
+    categories = _random_categories(rng)
+    n = 0 if rng.random() < 0.2 else rng.randint(1, 6)
+    has_original = [rng.random() < 0.7 for _ in range(n)]
+    has_perturbed = [rng.random() < 0.7 for _ in range(n)]
+    original, perturbed = (
+        _random_columns(rng, sum(present), len(categories), scored=True)
+        for present in (has_original, has_perturbed)
+    )
+    ledger = NoiseLedger(LedgerColumns(
+        annotation_ids=int_array([rng.choice(_IDS) for _ in range(n)]),
+        kinds=np.array([rng.choice(list(NoiseKind)).value for _ in range(n)], dtype=str),
+        original=original,
+        original_rows=LedgerColumns.rows(has_original),
+        perturbed=perturbed,
+        perturbed_rows=LedgerColumns.rows(has_perturbed),
+    ))
+    seen["empty ledger"] += n == 0
+    seen["no original"] += not all(has_original)
+    seen["no perturbed"] += not all(has_perturbed)
+    for boxes in (original, perturbed):
+        seen["scored box"] += bool(boxes.predicted.any())
+        ids = [*ledger.columns.annotation_ids.tolist(), *boxes.ids.tolist()]
+        _count_awkward_values(seen, ids, boxes.xywh)
+    return ledger, categories
+
+
+def test_ledger_writer_matches_json_dump_reference(tmp_path):
+    seen = Counter()
+    for seed in range(300):
+        ledger, categories = _random_ledger(random.Random(seed), seen)
+        save_ledger(ledger, tmp_path / "new.json", categories)
+        reference_save_ledger(ledger, tmp_path / "ref.json", categories)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), seed
+    assert all(seen[k] >= 20 for k in (
+        "empty ledger", "no original", "no perturbed", "scored box", "id past int64",
+        "no short repr",
+    )), seen
+
+
+def _random_dataset(rng, seen):
+    """A dataset with escaped and non-ASCII names, huge images and ids, and
+    boxes whose area overflows to infinity."""
+    categories = _random_categories(rng)
+    images = [
+        ImageInfo(
+            id=rng.choice(_IDS) + k,
+            width=rng.choice([1, 640, 10**200]),
+            height=rng.choice([1, 480, 10**200]),
+            file_name=rng.choice(_NAMES),
+        )
+        for k in range(rng.randint(0, 3))
+    ]
+    n = 0 if rng.random() < 0.2 else rng.randint(1, 6)
+    boxes = _random_columns(rng, n, len(categories), scored=False, huge=True)
+    names = [c.name for c in categories] + [img.file_name for img in images]
+    seen["escaped name"] += any(json.dumps(name)[1:-1] != name for name in names if name.isascii())
+    seen["non-ASCII name"] += not all(name.isascii() for name in names)
+    seen["no boxes"] += n == 0
+    areas = [w * h for w, h in boxes.xywh[:, 2:].tolist()]
+    seen["area past float range"] += float("inf") in areas
+    _count_awkward_values(seen, boxes.ids.tolist(), boxes.xywh)
+    return Dataset(images, categories, boxes)
+
+
+def test_dataset_writer_matches_json_dump_reference(tmp_path):
+    seen = Counter()
+    for seed in range(300):
+        ds = _random_dataset(random.Random(seed), seen)
+        save_dataset(ds, tmp_path / "new.json")
+        reference_save_dataset(ds, tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), seed
+    assert all(seen[k] >= 20 for k in (
+        "escaped name", "non-ASCII name", "no boxes", "area past float range", "id past int64",
+        "no short repr",
     )), seen
