@@ -1,12 +1,15 @@
-"""Test-only slow references for the JSON writers: the dict-building
+"""Test-only slow references for the report boundary: the dict-building
 ``save_report``, ``save_roc``, ``save_ledger`` and ``save_dataset`` that
-``boxaudit.dataset_io`` replaced with one encoder over columns.
+``boxaudit.dataset_io`` replaced with one encoder over columns, and the
+per-record ``load_report`` it replaced with checks over columns.
 
 ``DetectionReport`` (the report writer's old input), ``_box_record``,
 ``_flagged_class_labels``, ``save_report`` and ``save_roc`` are kept
 verbatim. Each reference builds its whole mirror from objects and writes it
 with ``json.dump``: indented for the report, ROC and ledger files, flat for
-the dataset.
+the dataset. ``load_report`` and every helper it calls are kept verbatim
+too, so they fix the checks, their order and the error texts of the report
+loader.
 """
 
 from __future__ import annotations
@@ -16,10 +19,19 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from boxaudit.confident_learning import VerdictTable
 from boxaudit.dataset_io import REPORT_COLUMNS, AnnotatedBox, Category, Dataset
+from boxaudit.errors import (
+    DanglingReferenceError,
+    DuplicateIdError,
+    FormatError,
+    InvalidScoreError,
+    MissingFileError,
+)
 from boxaudit.evaluation import RocCurve
+from boxaudit.geometry import BBox
 from boxaudit.noise_injection import NoiseLedger
 
 
@@ -200,3 +212,127 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         "annotations": annotations,
     }
     _write_json(payload, path)
+
+
+# --- the report loader -----------------------------------------------------------
+
+_INT = "an integer"
+_NUMBER = "a number"
+_STR = "a string"
+_ANY = None
+_TYPES = {_INT: {int}, _NUMBER: {int, float}, _STR: {str}}
+_MISSING = object()
+
+
+def _read_json(path: str | Path) -> Any:
+    p = Path(path)
+    if not p.is_file():
+        raise MissingFileError(f"no such file: {p}")
+    try:
+        with open(p, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise FormatError(
+            f"{p}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
+    except (ValueError, RecursionError) as e:  # a too-long integer, non-UTF-8 bytes, deep nesting
+        raise FormatError(f"{p}: invalid JSON: {e}") from e
+
+
+def _float(value: int | float, where: Callable[[], str], key: str) -> float:
+    """``value``, the number under ``key``, as a float; an integer past the
+    float range raises a :class:`FormatError`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where()}.{key}: integer past the float range") from None
+
+
+def _fields(obj: Any, spec: tuple, where: Callable[[], str]) -> list:
+    """The values of JSON object ``obj`` under the keys of ``spec``, a tuple
+    of (key, kind) pairs, checked in order: kind ``_INT`` takes an integer,
+    ``_NUMBER`` a number (returned as a float), ``_STR`` a string, ``_ANY``
+    any value. The first missing key or wrong type raises a
+    :class:`FormatError`."""
+    if type(obj) is not dict:
+        raise FormatError(f"{where()}: missing required key '{spec[0][0]}'")
+    values = []
+    for key, kind in spec:
+        value = obj.get(key, _MISSING)
+        if value is _MISSING:
+            raise FormatError(f"{where()}: missing required key '{key}'")
+        if kind is not _ANY and type(value) not in _TYPES[kind]:
+            raise FormatError(f"{where()}.{key}: expected {kind}, got {value!r}")
+        values.append(_float(value, where, key) if kind is _NUMBER else value)
+    return values
+
+
+def _bbox_numbers(raw: Any, where: Callable[[], str], key: str) -> list[float]:
+    """Check that ``raw``, the value under ``key``, is an [x, y, w, h] list
+    of 4 numbers."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
+        raise FormatError(f"{where()}.{key}: must be a list of 4 numbers, got {raw!r}")
+    for v in raw:
+        if type(v) is not float and type(v) is not int:
+            raise FormatError(f"{where()}.{key}: expected a number, got {v!r}")
+    return [_float(v, where, key) for v in raw]
+
+
+_VERDICT_FIELDS = (
+    ("cluster_id", _INT),
+    ("image_id", _INT),
+    ("quality_score", _NUMBER),
+    ("verdict_kind", _ANY),
+)
+
+
+def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
+    """Reload the verdicts from a report's JSON mirror (for the ``roc``
+    stage's file-based handoff), against the dataset the report covers.
+
+    Every verdict must carry a known kind, a quality score in [0, 1], a
+    boolean ``flagged`` (false when absent) and ids of the dataset's images
+    and annotations; an annotation may have one verdict only. The flagged
+    classes are not reloaded.
+    """
+    from boxaudit.confident_learning import VERDICT_KINDS, VerdictTable
+
+    data = _read_json(path)
+    (raw,) = _fields(data, (("verdicts", _ANY),), lambda: str(path))
+    if not isinstance(raw, list):
+        raise FormatError(f"{path}: 'verdicts' must be a list")
+    image_ids = {img.id for img in ds.images}
+    known_ids = set(ds.columns.ids.tolist())
+    seen: set[int] = set()
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    for i, rec in enumerate(raw):
+        where = lambda: f"verdicts[{i}]"
+        if not isinstance(rec, dict):
+            raise FormatError(f"{where()}: must be a JSON object, got {rec!r}")
+        ann_id = rec.get("annotation_id")
+        if ann_id is not None:
+            (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
+        cluster_id, image_id, quality_score, verdict_kind = _fields(rec, _VERDICT_FIELDS, where)
+        flagged = rec.get("flagged", False)
+        if type(flagged) is not bool:
+            raise FormatError(f"{where()}.flagged: expected true or false, got {flagged!r}")
+        if type(verdict_kind) is not str or verdict_kind not in VERDICT_KINDS:
+            raise FormatError(f"{where()}.verdict_kind: unknown kind {verdict_kind!r}")
+        if not 0.0 <= quality_score <= 1.0:
+            raise InvalidScoreError(f"{where()}.quality_score: {quality_score} outside [0, 1]")
+        region = rec.get("region")
+        if region is not None:
+            region = BBox(*_bbox_numbers(region, where, "region")).as_list()
+        if image_id not in image_ids:
+            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
+        if ann_id is not None:
+            if ann_id not in known_ids:
+                raise DanglingReferenceError(f"{where()}: unknown annotation_id {ann_id}")
+            if ann_id in seen:
+                raise DuplicateIdError(f"{where()}: duplicate annotation_id {ann_id}")
+            seen.add(ann_id)
+        for column, value in zip(
+            columns, (ann_id, cluster_id, image_id, quality_score, flagged, verdict_kind, region)
+        ):
+            column.append(value)
+    return VerdictTable.of_values(*columns)
