@@ -13,14 +13,15 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from boxaudit.errors import (
+    AuditError,
     DanglingReferenceError,
     DuplicateIdError,
     FormatError,
@@ -28,7 +29,7 @@ from boxaudit.errors import (
     InvalidScoreError,
     MissingFileError,
 )
-from boxaudit.geometry import BBox
+from boxaudit.geometry import DEGENERATE, NOT_FINITE, BBox
 
 if TYPE_CHECKING:
     from boxaudit.confident_learning import VerdictTable
@@ -259,21 +260,31 @@ class PredictionSet:
         return self.columns.items
 
 
-# --- JSON plumbing -----------------------------------------------------------
+# --- the rule table ------------------------------------------------------------
 #
-# Error messages name the offending value, e.g. "detections[12].bbox". The
-# ``where`` arguments are callables that build that name, so the text is
-# formatted only on the way to raising. Type tests compare ``type(v)`` with
-# int and float: json.load yields exactly those (and bool, which is
-# rejected), never subclasses of them.
+# Each kind of record is checked against one ordered table of rules. A rule
+# names a check of :data:`_CHECKS` and the column it checks: the values
+# under a key, the members of a box, or numbers an earlier check converted.
+# A check returns the mask of the rows it refuses, with the error class and
+# message template that word a refusal. When a rule refuses rows, every
+# column is cut back to the rows before the first of them, so each later rule
+# sees only rows that passed the earlier ones, and the last refusal is the
+# list's first error: its lowest failing row, worded by the first rule that
+# row fails. A list no rule refuses is built from the checked columns.
+#
+# Messages name the offending value, e.g. "detections[12].bbox". Type tests
+# compare ``type(v)`` with int and float: json.load yields exactly those (and
+# bool, which is rejected), never subclasses of them.
 
 _INT = "an integer"
 _NUMBER = "a number"
 _STR = "a string"
-_ANY = None
-_TYPES = {_INT: {int}, _NUMBER: {int, float}, _STR: {str}}
-_MISSING = object()
-_BBOX_FIELD = (("bbox", _ANY),)
+_BOOL = "true or false"
+_MISSING = object()  # the value under a key a record lacks
+# the types of each kind; an absent flag is false, and ``_MISSING`` is the
+# only value of type ``object``
+_TYPES = {_INT: {int}, _NUMBER: {int, float}, _STR: {str}, _BOOL: {bool, object}}
+_NO_BOX = [np.nan] * 4
 
 
 def _read_json(path: str | Path) -> Any:
@@ -291,150 +302,269 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(f"{p}: invalid JSON: {e}") from e
 
 
-def _float(value: int | float, where: Callable[[], str], key: str) -> float:
-    """``value``, the number under ``key``, as a float; an integer past the
-    float range raises a :class:`FormatError`."""
+class _Rows:
+    """Records being checked, as columns by name: ``""`` holds the records,
+    ``"key"`` the value under key of each record (``_MISSING`` where it has
+    none), ``"side.key"`` the value under key of each record's ``side``
+    object, and ``"bbox.0"`` to ``"bbox.3"`` the members of each ``bbox``
+    list of 4 (NaN where it is not a list). ``where(row)`` names a record in
+    messages, and ``context`` holds what references are checked against."""
+
+    def __init__(self, records: list, where: Callable[[int], str], **context):
+        self.columns: dict[Any, Any] = {"": records}
+        self.where = where
+        self.context = context
+
+    def __len__(self) -> int:
+        return len(self.columns[""])
+
+    def __getitem__(self, column: str):
+        if column not in self.columns:
+            parent, _, key = column.rpartition(".")
+            values = self[parent]
+            if key.isdigit():
+                if not set(map(type, values)) <= {list}:
+                    values = [v if type(v) is list else _NO_BOX for v in values]
+                members = list(chain.from_iterable(values))
+                self.columns.update((f"{parent}.{k}", members[k::4]) for k in range(4))
+            else:
+                try:
+                    values = list(map(dict.get, values, repeat(key), repeat(_MISSING)))
+                except TypeError:  # some of them are not JSON objects
+                    values = [(v if type(v) is dict else {}).get(key, _MISSING) for v in values]
+                self.columns[column] = values
+        return self.columns[column]
+
+    def given(self, column: str) -> np.ndarray:
+        """Which rows hold a value in ``column``: not absent, not null."""
+        if (column,) not in self.columns:
+            values = self[column]
+            self.columns[column,] = ~(_is(values, _MISSING) | _is(values, None))
+        return self.columns[column,]
+
+    def check(self, rules: tuple[tuple[str, ...], ...]) -> _Rows:
+        """Apply ``rules`` in order and raise the first error they find. A
+        rule is a check's name, its column and, for optional values, the
+        column a row must hold a value in to be checked."""
+        error = None
+        for check, column, *optional in rules:
+            bad, error_class, message = _CHECKS[check]
+            refused = bad(self, column)
+            if optional:
+                refused = refused & self.given(*optional)
+            refused = np.flatnonzero(refused)
+            if len(refused):
+                row = int(refused[0])
+                parent, key = _named(column)
+                error = error_class(message.format(
+                    where=self.where(row), parent=parent, key=key, check=check,
+                    value=self[column][row],
+                ))
+                self.columns = {name: values[:row] for name, values in self.columns.items()}
+        if error is not None:
+            raise error
+        return self
+
+
+def _named(column: str) -> tuple[str, str]:
+    """How messages name ``column``: the path of the object that holds it
+    (".original", or "" for the record itself) and its key, box members
+    left out."""
+    *parents, key = [part for part in column.split(".") if not part.isdigit()]
+    return "".join(f".{p}" for p in parents), key
+
+
+# Each mask below first tests the whole column at once, which is cheaper, and
+# builds the mask value by value only when that test fails.
+
+def _is(values, obj) -> np.ndarray:
+    if not any(map(is_, values, repeat(obj))):
+        return np.zeros(len(values), bool)
+    return np.fromiter(map(is_, values, repeat(obj)), bool, len(values))
+
+
+def _not_of(types: set, values) -> np.ndarray:
+    if set(map(type, values)) <= types:
+        return np.zeros(len(values), bool)
+    return ~np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _floats(rows: _Rows, column: str) -> np.ndarray:
+    """Refuse an integer past the float range; the column becomes float64
+    (NaN where refused)."""
+    values = rows[column]
+    try:
+        rows.columns[column] = np.fromiter(values, np.float64, len(values))
+        return np.zeros(len(values), bool)
+    except OverflowError:
+        floats = list(map(_float_or_none, values))
+        rows.columns[column] = np.array(floats, np.float64)  # None becomes NaN
+        return _is(floats, None)
+
+
+def _float_or_none(value: int | float) -> float | None:
     try:
         return float(value)
     except OverflowError:
-        raise FormatError(f"{where()}.{key}: integer past the float range") from None
-
-
-def _fields(obj: Any, spec: tuple, where: Callable[[], str]) -> list:
-    """The values of JSON object ``obj`` under the keys of ``spec``, a tuple
-    of (key, kind) pairs, checked in order: kind ``_INT`` takes an integer,
-    ``_NUMBER`` a number (returned as a float), ``_STR`` a string, ``_ANY``
-    any value. The first missing key or wrong type raises a
-    :class:`FormatError`."""
-    if type(obj) is not dict:
-        raise FormatError(f"{where()}: missing required key '{spec[0][0]}'")
-    values = []
-    for key, kind in spec:
-        value = obj.get(key, _MISSING)
-        if value is _MISSING:
-            raise FormatError(f"{where()}: missing required key '{key}'")
-        if kind is not _ANY and type(value) not in _TYPES[kind]:
-            raise FormatError(f"{where()}.{key}: expected {kind}, got {value!r}")
-        values.append(_float(value, where, key) if kind is _NUMBER else value)
-    return values
-
-
-def _bbox_numbers(raw: Any, where: Callable[[], str], key: str) -> list[float]:
-    """Check that ``raw``, the value under ``key``, is an [x, y, w, h] list
-    of 4 numbers."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise FormatError(f"{where()}.{key}: must be a list of 4 numbers, got {raw!r}")
-    for v in raw:
-        if type(v) is not float and type(v) is not int:
-            raise FormatError(f"{where()}.{key}: expected a number, got {v!r}")
-    return [_float(v, where, key) for v in raw]
-
-
-def _clamped_bbox(entry: dict, img: ImageInfo, where: Callable[[], str]) -> BBox:
-    """Parse the entry's [x, y, w, h] ``bbox`` and clamp it to the image
-    rectangle. (The conditional expressions are ``max(x, 0.0)`` and
-    ``min(x + w, width)`` without the call overhead.)"""
-    (raw,) = _fields(entry, _BBOX_FIELD, where)
-    x, y, w, h = _bbox_numbers(raw, where, "bbox")
-    width, height = float(img.width), float(img.height)
-    x0 = 0.0 if 0.0 > x else x
-    y0 = 0.0 if 0.0 > y else y
-    x1 = width if width < x + w else x + w
-    y1 = height if height < y + h else y + h
-    if x1 - x0 <= 0 or y1 - y0 <= 0:
-        raise InvalidInputError(
-            f"{where()}: zero-area box after clamping to image {img.id} bounds"
-        )
-    return BBox(x0, y0, x1 - x0, y1 - y0)
-
-
-# --- bulk checks ---------------------------------------------------------------
-#
-# The box lists are checked whole: types through one set of types per
-# column, numbers through one numpy conversion, references through one dict
-# pass, and ranges and clamping as array operations. The bulk checks and
-# the per-record loop accept the same lists, with the same values; the loop
-# runs only on a list the bulk checks refuse, to find and word its first
-# error.
-
-_INTS = {int}
-_NUMBERS = {int, float}
-
-
-def _columns(entries: list, keys: tuple[str, ...]) -> list[list] | None:
-    """The values of every entry under each of ``keys``, one list per key;
-    None when an entry is not a JSON object or lacks a key."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        return [list(map(itemgetter(key), entries)) for key in keys]
-    except KeyError:
         return None
 
 
-def _of_types(values, types: set) -> bool:
-    return set(map(type, values)) <= types
+def _unknown(rows: _Rows, column: str) -> np.ndarray:
+    """Values the context does not hold under the column's key: ids, or
+    names outside a tuple of names (a tuple compares values, so it takes
+    any value)."""
+    known = rows.context[_named(column)[1]]
+    return ~np.fromiter(map(known.__contains__, rows[column]), bool, len(rows))
 
 
-def _floats(values, count: int) -> np.ndarray | None:
-    """``count`` numbers as a float64 array; None when one is past the float
-    range."""
-    try:
-        return np.fromiter(values, np.float64, count)
-    except OverflowError:
-        return None
+def _outside_unit_range(rows: _Rows, column: str) -> np.ndarray:
+    return ~((0.0 <= rows[column]) & (rows[column] <= 1.0))
 
 
-def _bbox_rows(bboxes: list) -> np.ndarray | None:
-    """The raw [x, y, w, h] bboxes as an (n, 4) float64 array; None unless
-    each is a list of 4 numbers within the float range."""
-    if not (
-        _of_types(bboxes, {list})
-        and set(map(len, bboxes)) <= {4}
-        and _of_types(chain.from_iterable(bboxes), _NUMBERS)
-    ):
-        return None
-    raw = _floats(chain.from_iterable(bboxes), 4 * len(bboxes))
-    return None if raw is None else raw.reshape(-1, 4)
+def _xywh(rows: _Rows, column: str) -> np.ndarray:
+    """The boxes of ``column`` as an (n, 4) float64 array, which then
+    replaces the column."""
+    if not isinstance(rows[column], np.ndarray):
+        rows.columns[column] = np.stack([rows[f"{column}.{k}"] for k in range(4)], axis=1)
+    return rows[column]
 
 
-def _placed_boxes(
-    image_ids: list, category_ids: list, bboxes: list,
-    images: list[ImageInfo], source_to_dense: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The dense classes and the [x, y, w, h] rows clamped to their images
-    of boxes given by image id, source category id and raw bbox, with the
-    float operations of :func:`_clamped_bbox` in its order. None when an id
-    is unknown, a bbox is not a list of 4 numbers within the float range or
-    a box has no area after clamping. NaN and infinite numbers are clamped
-    like any other; a positive clamped width lies between 0 and the finite
-    image width, so it is finite, and so is its x (likewise for heights)."""
-    rows = list(map({img.id: k for k, img in enumerate(images)}.get, image_ids))
-    classes = list(map(source_to_dense.get, category_ids))
-    if None in rows or None in classes:
-        return None
-    raw = _bbox_rows(bboxes)
-    if raw is None:
-        return None
-    sizes = np.array([(float(img.width), float(img.height)) for img in images]).reshape(-1, 2)
-    width, height = sizes[np.array(rows, dtype=np.intp)].T
-    x, y, w, h = raw.T
+def _unclamped(rows: _Rows, column: str) -> np.ndarray:
+    """Clamp the ``bbox`` column to the images ``column`` names as ``max(x,
+    0.0)`` and ``min(x + w, width)`` do, refusing a box left without area.
+    NaN sides pass here and fail ``finite``; a positive clamped width lies
+    between 0 and the finite image width, so it and its x are finite
+    (likewise for heights)."""
+    image_rows = rows.context[column]
+    images = np.fromiter(map(image_rows.__getitem__, rows[column]), np.intp, len(rows))
+    width, height = rows.context["image_sizes"][images].T
+    x, y, w, h = _xywh(rows, "bbox").T
     with np.errstate(over="ignore", invalid="ignore"):
         right, bottom = x + w, y + h
         x0 = np.where(0.0 > x, 0.0, x)
         y0 = np.where(0.0 > y, 0.0, y)
         w = np.where(width < right, width, right) - x0
         h = np.where(height < bottom, height, bottom) - y0
-    if not ((w > 0) & (h > 0)).all():
-        return None
-    return np.array(classes, dtype=np.int64), np.stack((x0, y0, w, h), axis=1)
+    rows.columns["bbox"] = np.stack((x0, y0, w, h), axis=1)
+    return (w <= 0) | (h <= 0)
+
+
+def _repeats(values) -> np.ndarray:
+    """Which values occur at an earlier row."""
+    n = len(values)
+    first = dict(zip(reversed(values), range(n - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, values), np.intp, n) != np.arange(n)
+
+
+# The checks a rule can name, each as the mask of the rows it refuses (given
+# the rows and the rule's column), an error class and a message template. A
+# message is formatted with the row's name as ``where``, the column's
+# ``parent`` and ``key`` as :func:`_named` gives them, the check's name as
+# ``check`` and the row's value in the column as ``value``.
+_CHECKS: dict[str, tuple[Callable[[_Rows, str], np.ndarray], type[AuditError], str]] = {
+    "present": (
+        lambda rows, column: _is(rows[column], _MISSING),
+        FormatError, "{where}{parent}: missing required key '{key}'",
+    ),
+    **{
+        kind: (
+            lambda rows, column, types=types: _not_of(types, rows[column]),
+            FormatError, "{where}{parent}.{key}: expected {check}, got {value!r}",
+        )
+        for kind, types in _TYPES.items()
+    },
+    "float": (_floats, FormatError, "{where}{parent}.{key}: integer past the float range"),
+    "known": (_unknown, DanglingReferenceError, "{where}{parent}: unknown {key} {value}"),
+    "noise_type": (_unknown, FormatError, "{where}: unknown {key} {value!r}"),
+    "verdict_kind": (_unknown, FormatError, "{where}.{key}: unknown kind {value!r}"),
+    "score": (_outside_unit_range, InvalidScoreError, "{where}: score {value} outside [0, 1]"),
+    "quality": (_outside_unit_range, InvalidScoreError, "{where}.{key}: {value} outside [0, 1]"),
+    "box": (
+        lambda rows, column: np.fromiter(
+            (type(v) is not list or len(v) != 4 for v in rows[column]), bool, len(rows)
+        ),
+        FormatError, "{where}{parent}.{key}: must be a list of 4 numbers, got {value!r}",
+    ),
+    "clamped": (
+        _unclamped, InvalidInputError,
+        "{where}: zero-area box after clamping to image {value} bounds",
+    ),
+    "finite": (
+        lambda rows, column: ~np.isfinite(_xywh(rows, column)).all(1),
+        InvalidInputError, NOT_FINITE,
+    ),
+    "degenerate": (
+        lambda rows, column: (_xywh(rows, column)[:, 2:] <= 0).any(1),
+        InvalidInputError, DEGENERATE,
+    ),
+    "positive": (
+        lambda rows, column: np.fromiter(
+            (w <= 0 or h <= 0 for w, h in zip(rows["width"], rows["height"])), bool, len(rows)
+        ),
+        FormatError, "{where}: image dimensions must be positive",
+    ),
+    "repeated": (
+        lambda rows, column: _repeats(rows[column]),
+        DuplicateIdError, "{where}: duplicate {key} {value}",
+    ),
+    "object": (
+        lambda rows, column: _not_of({dict}, rows[column]),
+        FormatError, "{where}: must be a JSON object, got {value!r}",
+    ),
+    "list": (
+        lambda rows, column: _not_of({list}, rows[column]),
+        FormatError, "{where}: '{key}' must be a list",
+    ),
+}
+
+
+def _fields(kind: str, *columns: str) -> list[tuple[str, str]]:
+    """Rules for required values of ``kind``; numbers are then floats."""
+    checks = ("present", kind, "float") if kind == _NUMBER else ("present", kind)
+    return [(check, column) for column in columns for check in checks]
+
+
+def _box(column: str) -> list[tuple[str, str]]:
+    """Rules for an [x, y, w, h] list of 4 numbers within the float range."""
+    members = [f"{column}.{k}" for k in range(4)]
+    return [("box", column), *((_NUMBER, m) for m in members), *(("float", m) for m in members)]
+
+
+def _lists(data: Any, path: str | Path, keys: tuple[str, ...]) -> list[list]:
+    """The lists under ``keys`` of a file's top-level JSON object."""
+    rules = [*(("present", key) for key in keys), *(("list", key) for key in keys)]
+    rows = _Rows([data], lambda row: str(path)).check(rules)
+    return [rows[key][0] for key in keys]
+
+
+def _check_unique(ids: list, kind: str) -> None:
+    repeats = np.flatnonzero(_repeats(ids))
+    if len(repeats):
+        raise DuplicateIdError(f"duplicate {kind} id {ids[repeats[0]]}")
 
 
 # --- ground truth ------------------------------------------------------------
 
-_IMAGE_FIELDS = (("id", _INT), ("width", _INT), ("height", _INT), ("file_name", _STR))
-_CATEGORY_FIELDS = (("id", _INT), ("name", _STR))
-_ANNOTATION_FIELDS = (("id", _INT), ("image_id", _INT), ("category_id", _INT))
+_IMAGE_RULES = (
+    *_fields(_INT, "id", "width", "height"),
+    *_fields(_STR, "file_name"),
+    ("positive", ""),
+    ("float", "width"),  # boxes are clamped to the image as floats
+    ("float", "height"),
+)
+_CATEGORY_RULES = (*_fields(_INT, "id"), *_fields(_STR, "name"))
+# a box clamped to the image it is on; "clamped" names the image ids, which
+# its message shows, and clamps the "bbox" column
+_PLACED_BOX_RULES = (
+    ("present", "bbox"), *_box("bbox"), ("clamped", "image_id"), ("finite", "bbox"),
+    ("degenerate", "bbox"),
+)
+_ANNOTATION_RULES = (
+    *_fields(_INT, "id", "image_id", "category_id"),
+    ("known", "image_id"),
+    ("known", "category_id"),
+    *_PLACED_BOX_RULES,
+)
 
 
 def load_ground_truth(path: str | Path) -> Dataset:
@@ -448,96 +578,56 @@ def load_ground_truth(path: str | Path) -> Dataset:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
-    raw_images, raw_cats, raw_anns = _fields(
-        data,
-        (("images", _ANY), ("categories", _ANY), ("annotations", _ANY)),
-        lambda: str(path),
-    )
-    for key, raw in (("images", raw_images), ("categories", raw_cats), ("annotations", raw_anns)):
-        if not isinstance(raw, list):
-            raise FormatError(f"{path}: '{key}' must be a list")
+    raw_images, raw_cats, raw_anns = _lists(data, path, ("images", "categories", "annotations"))
 
-    images: list[ImageInfo] = []
-    for i, entry in enumerate(raw_images):
-        where = lambda: f"images[{i}]"
-        img_id, width, height, file_name = _fields(entry, _IMAGE_FIELDS, where)
-        if width <= 0 or height <= 0:
-            raise FormatError(f"{where()}: image dimensions must be positive")
-        _float(width, where, "width")  # boxes are clamped to the image as floats
-        _float(height, where, "height")
-        images.append(ImageInfo(id=img_id, width=width, height=height, file_name=file_name))
-    _check_unique((img.id for img in images), "image")
-    image_map = {img.id: img for img in images}
+    rows = _Rows(raw_images, lambda row: f"images[{row}]").check(_IMAGE_RULES)
+    _check_unique(rows["id"], "image")
+    images = [ImageInfo(r["id"], r["width"], r["height"], r["file_name"]) for r in raw_images]
 
-    sources: list[tuple[int, str]] = []
-    for i, entry in enumerate(raw_cats):
-        cat_id, name = _fields(entry, _CATEGORY_FIELDS, lambda: f"categories[{i}]")
-        sources.append((cat_id, name))
-    _check_unique((cid for cid, _ in sources), "category")
-    names = dict(sources)
+    rows = _Rows(raw_cats, lambda row: f"categories[{row}]").check(_CATEGORY_RULES)
+    _check_unique(rows["id"], "category")
+    names = dict(zip(rows["id"], rows["name"]))
     categories = [
         Category(id=dense, name=names[src], source_id=src)
         for dense, src in enumerate(sorted(names), start=1)
     ]
+
+    rows = _placed_boxes(raw_anns, "annotations", images, categories, _ANNOTATION_RULES)
+    _check_unique(rows["id"], "annotation")
+    return Dataset(images, categories, BoxColumns(
+        int_array(rows["id"]), int_array(rows["image_id"]), rows["category_id"],
+        np.full(len(rows), np.nan), rows["bbox"],
+    ))
+
+
+def _placed_boxes(
+    records: list, name: str, images: list[ImageInfo], categories: list[Category], rules: tuple
+) -> _Rows:
+    """Check boxes placed on the images by image id and source category id;
+    the category ids are then dense."""
     source_to_dense = {c.source_id: c.id for c in categories}
-
-    columns = _annotation_columns(raw_anns, images, source_to_dense)
-    if columns is None:
-        _annotation_records(raw_anns, image_map, source_to_dense)
-    return Dataset(images, categories, columns)
-
-
-_ANNOTATION_KEYS = ("id", "image_id", "category_id", "bbox")
-
-
-def _annotation_columns(
-    raw_anns: list, images: list[ImageInfo], source_to_dense: dict[int, int]
-) -> BoxColumns | None:
-    """The annotations as columns, or None when a bulk check fails."""
-    columns = _columns(raw_anns, _ANNOTATION_KEYS)
-    if columns is None:
-        return None
-    ids, image_ids, category_ids, bboxes = columns
-    if not all(_of_types(col, _INTS) for col in (ids, image_ids, category_ids)):
-        return None
-    if len(set(ids)) < len(ids):
-        return None
-    placed = _placed_boxes(image_ids, category_ids, bboxes, images, source_to_dense)
-    if placed is None:
-        return None
-    classes, xywh = placed
-    return BoxColumns(int_array(ids), int_array(image_ids), classes, np.full(len(ids), np.nan), xywh)
-
-
-def _annotation_records(
-    raw_anns: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
-) -> None:
-    """Check the annotations one record at a time and raise the first error
-    of a list the bulk checks refused."""
-    ids = []
-    for i, entry in enumerate(raw_anns):
-        where = lambda: f"annotations[{i}]"
-        ann_id, image_id, cat_id = _fields(entry, _ANNOTATION_FIELDS, where)
-        if image_id not in image_map:
-            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
-        if cat_id not in source_to_dense:
-            raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
-        _clamped_bbox(entry, image_map[image_id], where)
-        ids.append(ann_id)
-    _check_unique(ids, "annotation")
-
-
-def _check_unique(ids, kind: str) -> None:
-    seen: set[int] = set()
-    for i in ids:
-        if i in seen:
-            raise DuplicateIdError(f"duplicate {kind} id {i}")
-        seen.add(i)
+    rows = _Rows(
+        records, lambda row: f"{name}[{row}]",
+        image_id={img.id: k for k, img in enumerate(images)},
+        category_id=source_to_dense,
+        image_sizes=np.array([(float(i.width), float(i.height)) for i in images]).reshape(-1, 2),
+    ).check(rules)
+    rows.columns["category_id"] = np.fromiter(
+        map(source_to_dense.__getitem__, rows["category_id"]), np.int64, len(rows)
+    )
+    return rows
 
 
 # --- predictions --------------------------------------------------------------
 
-_DETECTION_FIELDS = (("image_id", _INT), ("category_id", _INT), ("score", _NUMBER))
+_DETECTION_RULES = (
+    *_fields(_INT, "image_id", "category_id"),
+    *_fields(_NUMBER, "score"),
+    ("known", "image_id"),
+    ("known", "category_id"),
+    ("score", "score"),
+    *_PLACED_BOX_RULES,
+)
 
 
 def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
@@ -549,57 +639,11 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level must be a JSON list of detections")
-    source_to_dense = ds.source_to_dense()
-    columns = _detection_columns(data, ds.images, source_to_dense)
-    if columns is None:
-        _detection_records(data, ds.image_map(), source_to_dense)
-    return PredictionSet(columns)
-
-
-_DETECTION_KEYS = ("image_id", "category_id", "score", "bbox")
-
-
-def _detection_columns(
-    data: list, images: list[ImageInfo], source_to_dense: dict[int, int]
-) -> BoxColumns | None:
-    """The detections as columns, or None when a bulk check fails."""
-    columns = _columns(data, _DETECTION_KEYS)
-    if columns is None:
-        return None
-    image_ids, category_ids, raw_scores, bboxes = columns
-    if not (
-        _of_types(image_ids, _INTS)
-        and _of_types(category_ids, _INTS)
-        and _of_types(raw_scores, _NUMBERS)
-    ):
-        return None
-    scores = _floats(raw_scores, len(raw_scores))
-    if scores is None or not ((0.0 <= scores) & (scores <= 1.0)).all():
-        return None
-    placed = _placed_boxes(image_ids, category_ids, bboxes, images, source_to_dense)
-    if placed is None:
-        return None
-    classes, xywh = placed
-    return BoxColumns(
-        np.arange(1, len(scores) + 1, dtype=np.int64), int_array(image_ids), classes, scores, xywh
-    )
-
-
-def _detection_records(
-    data: list, image_map: dict[int, ImageInfo], source_to_dense: dict[int, int]
-) -> None:
-    """Check the detections one record at a time and raise the first error
-    of a list the bulk checks refused."""
-    for i, entry in enumerate(data):
-        where = lambda: f"detections[{i}]"
-        image_id, cat_id, score = _fields(entry, _DETECTION_FIELDS, where)
-        if image_id not in image_map:
-            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
-        if cat_id not in source_to_dense:
-            raise DanglingReferenceError(f"{where()}: unknown category_id {cat_id}")
-        if not 0.0 <= score <= 1.0:
-            raise InvalidScoreError(f"{where()}: score {score} outside [0, 1]")
-        _clamped_bbox(entry, image_map[image_id], where)
+    rows = _placed_boxes(data, "detections", ds.images, ds.categories, _DETECTION_RULES)
+    return PredictionSet(BoxColumns(
+        np.arange(1, len(rows) + 1, dtype=np.int64), int_array(rows["image_id"]),
+        rows["category_id"], rows["score"], rows["bbox"],
+    ))
 
 
 # --- JSON writers ------------------------------------------------------------------
@@ -756,112 +800,59 @@ def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category
 
 
 _LEDGER_SIDES = ("original", "perturbed")
-_LEDGER_BOX_KEYS = ("id", "image_id", "category_id", "bbox")
+
+
+def _ledger_box(side: str) -> list[tuple[str, ...]]:
+    """Rules for the box an entry holds as ``side``: taken as written, so it
+    must be finite with a positive width and height, as a :class:`BBox`
+    must."""
+    box = f"{side}.bbox"
+    rules = [
+        *_fields(_INT, f"{side}.category_id"), ("known", f"{side}.category_id"),
+        ("present", box), *_box(box),
+        *_fields(_INT, f"{side}.id", f"{side}.image_id"), ("known", f"{side}.image_id"),
+        ("finite", box), ("degenerate", box),
+    ]
+    return [(*rule, side) for rule in rules]
+
+
+_LEDGER_RULES = (
+    ("present", "noise_type"),
+    ("noise_type", "noise_type"),
+    *_fields(_INT, "annotation_id"),
+    *_ledger_box("original"),
+    *_ledger_box("perturbed"),
+)
 
 
 def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
-    """Load a noise ledger saved by :func:`save_ledger`.
+    """Load a noise ledger saved by :func:`save_ledger`."""
+    from boxaudit.noise_injection import LedgerColumns, NoiseKind, NoiseLedger
 
-    The entry list is checked in bulk; only a list the bulk checks refuse
-    is checked one record at a time, to raise its first error.
-    """
-    from boxaudit.noise_injection import NoiseLedger
-
-    data = _read_json(path)
-    (raw_entries,) = _fields(data, (("entries", _ANY),), lambda: str(path))
-    if not isinstance(raw_entries, list):
-        raise FormatError(f"{path}: 'entries' must be a list")
+    (raw_entries,) = _lists(_read_json(path), path, ("entries",))
     source_to_dense = ds.source_to_dense()
-    image_ids = {img.id for img in ds.images}
-    columns = _ledger_columns(raw_entries, source_to_dense, image_ids)
-    if columns is None:
-        _ledger_records(raw_entries, source_to_dense, image_ids)
-    return NoiseLedger(columns)
-
-
-def _ledger_columns(
-    raw_entries: list, source_to_dense: dict[int, int], image_ids: set[int]
-) -> LedgerColumns | None:
-    """The ledger entries as columns, or None when a bulk check fails."""
-    from boxaudit.noise_injection import LedgerColumns, NoiseKind
-
-    columns = _columns(raw_entries, ("annotation_id", "noise_type"))
-    if columns is None:
-        return None
-    ann_ids, kinds = columns
-    if not (_of_types(ann_ids, _INTS) and _of_types(kinds, {str})):
-        return None
-    if not set(kinds) <= {k.value for k in NoiseKind}:
-        return None
+    rows = _Rows(
+        raw_entries, lambda row: f"entries[{row}]",
+        noise_type=tuple(k.value for k in NoiseKind),
+        category_id=source_to_dense,
+        image_id={img.id for img in ds.images},
+    ).check(_LEDGER_RULES)
     sides = []
     for side in _LEDGER_SIDES:
-        records = [entry.get(side) for entry in raw_entries]
-        present = [rec is not None for rec in records]
-        records = [rec for rec, here in zip(records, present) if here]
-        boxes = _ledger_boxes(records, source_to_dense, image_ids)
-        if boxes is None:
-            return None
+        present = rows.given(side)
+        ids, image_ids, category_ids = (
+            list(compress(rows[f"{side}.{key}"], present))
+            for key in ("id", "image_id", "category_id")
+        )
+        boxes = BoxColumns(
+            int_array(ids), int_array(image_ids),
+            np.fromiter(map(source_to_dense.__getitem__, category_ids), np.int64, len(ids)),
+            np.full(len(ids), np.nan), rows[f"{side}.bbox"][present],
+        )
         sides += [boxes, LedgerColumns.rows(present)]
-    return LedgerColumns(int_array(ann_ids), np.array(kinds, dtype=str), *sides)
-
-
-def _ledger_boxes(
-    records: list, source_to_dense: dict[int, int], image_ids: set[int]
-) -> BoxColumns | None:
-    """The ledger's box records as columns, or None when a bulk check fails.
-    A bbox is taken as written: it must be finite with a positive width and
-    height, as a :class:`BBox` must."""
-    columns = _columns(records, _LEDGER_BOX_KEYS)
-    if columns is None:
-        return None
-    ids, box_images, category_ids, bboxes = columns
-    if not all(_of_types(col, _INTS) for col in (ids, box_images, category_ids)):
-        return None
-    classes = list(map(source_to_dense.get, category_ids))
-    if None in classes or not image_ids.issuperset(box_images):
-        return None
-    xywh = _bbox_rows(bboxes)
-    if xywh is None or not (np.isfinite(xywh).all() and (xywh[:, 2:] > 0).all()):
-        return None
-    return BoxColumns(
-        int_array(ids), int_array(box_images), np.array(classes, dtype=np.int64),
-        np.full(len(ids), np.nan), xywh,
-    )
-
-
-def _ledger_records(
-    raw_entries: list, source_to_dense: dict[int, int], image_ids: set[int]
-) -> None:
-    """Check the ledger entries one record at a time and raise the first
-    error of a list the bulk checks refused."""
-    from boxaudit.noise_injection import NoiseKind
-
-    for i, rec in enumerate(raw_entries):
-        where = lambda: f"entries[{i}]"
-        (kind_raw,) = _fields(rec, (("noise_type", _ANY),), where)
-        try:
-            NoiseKind(kind_raw)
-        except ValueError:
-            raise FormatError(f"{where()}: unknown noise_type {kind_raw!r}") from None
-        _fields(rec, (("annotation_id", _INT),), where)
-        for side in _LEDGER_SIDES:
-            if rec.get(side) is not None:
-                side_where = lambda: f"{where()}.{side}"
-                _ledger_box_record(rec[side], source_to_dense, image_ids, side_where)
-
-
-def _ledger_box_record(
-    rec: Any, source_to_dense: dict[int, int], image_ids: set[int], where: Callable[[], str]
-) -> None:
-    (cat,) = _fields(rec, (("category_id", _INT),), where)
-    if cat not in source_to_dense:
-        raise DanglingReferenceError(f"{where()}: unknown category_id {cat}")
-    (raw_bbox,) = _fields(rec, _BBOX_FIELD, where)
-    x, y, w, h = _bbox_numbers(raw_bbox, where, "bbox")
-    _, image_id = _fields(rec, (("id", _INT), ("image_id", _INT)), where)
-    if image_id not in image_ids:
-        raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
-    BBox(x, y, w, h)  # a non-finite or empty box raises here
+    return NoiseLedger(LedgerColumns(
+        int_array(rows["annotation_id"]), np.array(rows["noise_type"], dtype=str), *sides
+    ))
 
 
 # --- report persistence ---------------------------------------------------------
@@ -1003,11 +994,21 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     return summary
 
 
-_VERDICT_FIELDS = (
-    ("cluster_id", _INT),
-    ("image_id", _INT),
-    ("quality_score", _NUMBER),
-    ("verdict_kind", _ANY),
+_VERDICT_RULES = (
+    ("object", ""),
+    (_INT, "annotation_id", "annotation_id"),
+    *_fields(_INT, "cluster_id", "image_id"),
+    *_fields(_NUMBER, "quality_score"),
+    ("present", "verdict_kind"),
+    (_BOOL, "flagged"),
+    ("verdict_kind", "verdict_kind"),
+    ("quality", "quality_score"),
+    *((*rule, "region") for rule in _box("region")),
+    ("finite", "region", "region"),
+    ("degenerate", "region", "region"),
+    ("known", "image_id"),
+    ("known", "annotation_id", "annotation_id"),
+    ("repeated", "annotation_id", "annotation_id"),
 )
 
 
@@ -1022,45 +1023,21 @@ def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
     """
     from boxaudit.confident_learning import VERDICT_KINDS, VerdictTable
 
-    data = _read_json(path)
-    (raw,) = _fields(data, (("verdicts", _ANY),), lambda: str(path))
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: 'verdicts' must be a list")
-    image_ids = {img.id for img in ds.images}
-    known_ids = set(ds.columns.ids.tolist())
-    seen: set[int] = set()
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    for i, rec in enumerate(raw):
-        where = lambda: f"verdicts[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{where()}: must be a JSON object, got {rec!r}")
-        ann_id = rec.get("annotation_id")
-        if ann_id is not None:
-            (ann_id,) = _fields(rec, (("annotation_id", _INT),), where)
-        cluster_id, image_id, quality_score, verdict_kind = _fields(rec, _VERDICT_FIELDS, where)
-        flagged = rec.get("flagged", False)
-        if type(flagged) is not bool:
-            raise FormatError(f"{where()}.flagged: expected true or false, got {flagged!r}")
-        if type(verdict_kind) is not str or verdict_kind not in VERDICT_KINDS:
-            raise FormatError(f"{where()}.verdict_kind: unknown kind {verdict_kind!r}")
-        if not 0.0 <= quality_score <= 1.0:
-            raise InvalidScoreError(f"{where()}.quality_score: {quality_score} outside [0, 1]")
-        region = rec.get("region")
-        if region is not None:
-            region = BBox(*_bbox_numbers(region, where, "region")).as_list()
-        if image_id not in image_ids:
-            raise DanglingReferenceError(f"{where()}: unknown image_id {image_id}")
-        if ann_id is not None:
-            if ann_id not in known_ids:
-                raise DanglingReferenceError(f"{where()}: unknown annotation_id {ann_id}")
-            if ann_id in seen:
-                raise DuplicateIdError(f"{where()}: duplicate annotation_id {ann_id}")
-            seen.add(ann_id)
-        for column, value in zip(
-            columns, (ann_id, cluster_id, image_id, quality_score, flagged, verdict_kind, region)
-        ):
-            column.append(value)
-    return VerdictTable.of_values(*columns)
+    (raw,) = _lists(_read_json(path), path, ("verdicts",))
+    rows = _Rows(
+        raw, lambda row: f"verdicts[{row}]",
+        verdict_kind=VERDICT_KINDS,
+        image_id={img.id for img in ds.images},
+        annotation_id=set(ds.columns.ids.tolist()),
+    ).check(_VERDICT_RULES)
+    n = len(rows)
+    annotation_ids = np.array(rows["annotation_id"], dtype=object).reshape(n)
+    annotation_ids[~rows.given("annotation_id")] = None
+    return VerdictTable(
+        annotation_ids, int_array(rows["cluster_id"]), int_array(rows["image_id"]),
+        rows["quality_score"], _is(rows["flagged"], True),
+        np.array(rows["verdict_kind"], dtype=object).reshape(n), rows["region"], [()] * n,
+    )
 
 
 # --- ROC persistence -------------------------------------------------------------

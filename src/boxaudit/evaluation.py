@@ -21,6 +21,7 @@ a single cutoff.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +96,25 @@ def _sweep(
     rows = entries.original_rows[missing]
     removed = entries.original.take(rows[rows >= 0])  # the removed records that hold a box
 
+    repeated = [a for a, count in Counter(entries.annotation_ids.tolist()).items() if count > 1]
+    if repeated:
+        raise InvalidInputError(
+            f"ledger lists annotations more than once (e.g. {sorted(repeated)[:3]}); "
+            f"each annotation is perturbed at most once"
+        )
+
     is_region = verdicts.is_region
     ann_ids = verdicts.annotation_ids[~is_region].tolist()
-    stray = positive_ids.difference(ann_ids)
-    if stray:
-        raise InvalidInputError(
-            f"ledger references annotations absent from the verdicts "
-            f"(e.g. {sorted(stray)[:3]}); verdicts and ledger must come "
-            f"from the same dataset"
-        )
+    for ids, problem in (
+        (positive_ids.difference(ann_ids), "references annotations absent from the verdicts"),
+        (set(entries.annotation_ids[missing].tolist()).intersection(ann_ids),
+         "marks annotations removed that still have verdicts"),
+    ):
+        if ids:
+            raise InvalidInputError(
+                f"ledger {problem} (e.g. {sorted(ids)[:3]}); verdicts and ledger must come "
+                f"from the same dataset"
+            )
 
     taus = np.asarray(thresholds, dtype=np.float64)
     ann_scores = verdicts.quality[~is_region]

@@ -12,6 +12,15 @@ from boxaudit.errors import InvalidInputError
 __all__ = ["BBox", "iou", "iou_matrix", "corners", "corner_iou"]
 
 
+# the errors of a box that is not finite or has no area, as str.format
+# templates over its [x, y, w, h] as ``value``
+NOT_FINITE = (
+    "box coordinates must be finite, "
+    "got BBox(x={value[0]}, y={value[1]}, w={value[2]}, h={value[3]})"
+)
+DEGENERATE = "degenerate box: width and height must be > 0, got w={value[2]}, h={value[3]}"
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned rectangle in pixels, top-left [x, y, w, h] convention.
@@ -27,11 +36,9 @@ class BBox:
     def __post_init__(self):
         for v in (self.x, self.y, self.w, self.h):
             if not math.isfinite(v):
-                raise InvalidInputError(f"box coordinates must be finite, got {self}")
+                raise InvalidInputError(NOT_FINITE.format(value=self.as_list()))
         if self.w <= 0 or self.h <= 0:
-            raise InvalidInputError(
-                f"degenerate box: width and height must be > 0, got w={self.w}, h={self.h}"
-            )
+            raise InvalidInputError(DEGENERATE.format(value=self.as_list()))
 
     @property
     def right(self) -> float:

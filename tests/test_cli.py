@@ -468,6 +468,20 @@ def _single_error_line(capsys, category):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_roc_rejects_ledger_that_removed_annotations_of_the_report(tmp_path, capsys):
+    """A report over the ground truth before injection still holds the
+    annotations the ledger says were removed."""
+    noisy, _, ledger, preds = _roc_inputs(tmp_path)
+    gt = tmp_path / "gt.json"
+    assert main(["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+                 "--mode", "score_threshold", "--tau", "1.0",
+                 "--output-dir", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    assert _roc(gt, tmp_path / "clean" / "report.json", ledger, tmp_path / "roc") == 1
+    _single_error_line(capsys, "invalid-input")
+    assert not (tmp_path / "roc").exists()
+
+
 def _set_verdict(key, value):
     return lambda mirror: mirror["verdicts"][0].__setitem__(key, value)
 

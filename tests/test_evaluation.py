@@ -103,6 +103,24 @@ def test_ledger_for_different_dataset_rejected():
         confusion_at(verdict_table(verdicts), ledger, 0.5)
 
 
+def test_removed_annotation_that_still_has_a_verdict_rejected():
+    """A missing entry for an annotation the verdicts still hold would count
+    as removed and as present at once."""
+    verdicts = [ann_verdict(1, 0.5), ann_verdict(2, 0.9)]
+    ledger = NoiseLedger(entries=[missing_entry(1, 10, 10, 20, 20)])
+    with pytest.raises(InvalidInputError, match=r"marks annotations removed .*\(e\.g\. \[1\]\)"):
+        roc_curve(verdict_table(verdicts), ledger)
+
+
+@pytest.mark.parametrize("entry", [missing_entry(50, 10, 10, 20, 20), label_entry(1)])
+def test_repeated_ledger_annotation_rejected(entry):
+    """Each repeat of a missing entry would count one more removed box."""
+    table = verdict_table([ann_verdict(1, 0.9), region_verdict(0.1, BBox(10, 10, 20, 20))])
+    with pytest.raises(InvalidInputError, match=r"more than once \(e\.g\. \[(50|1)\]\)"):
+        roc_curve(table, NoiseLedger(entries=[entry, entry]))
+    roc_curve(table, NoiseLedger(entries=[entry]))  # once is fine
+
+
 def test_missing_record_matched_by_overlapping_region():
     verdicts = [
         ann_verdict(1, 0.9),
