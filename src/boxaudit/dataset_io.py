@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -329,8 +329,8 @@ class _Rows:
                 self.columns.update((f"{parent}.{k}", members[k::4]) for k in range(4))
             else:
                 try:
-                    values = list(map(dict.get, values, repeat(key), repeat(_MISSING)))
-                except TypeError:  # some of them are not JSON objects
+                    values = list(map(itemgetter(key), values))
+                except (KeyError, TypeError):  # a value lacks the key or is not an object
                     values = [(v if type(v) is dict else {}).get(key, _MISSING) for v in values]
                 self.columns[column] = values
         return self.columns[column]
@@ -349,10 +349,8 @@ class _Rows:
         error = None
         for check, column, *optional in rules:
             bad, error_class, message = _CHECKS[check]
-            refused = bad(self, column)
-            if optional:
-                refused = refused & self.given(*optional)
-            refused = np.flatnonzero(refused)
+            checked = self.given(*optional) if optional else True
+            refused = np.flatnonzero(bad(self, column) & checked)
             if len(refused):
                 row = int(refused[0])
                 parent, key = _named(column)
@@ -387,6 +385,14 @@ def _not_of(types: set, values) -> np.ndarray:
     if set(map(type, values)) <= types:
         return np.zeros(len(values), bool)
     return ~np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _not_boxes(rows: _Rows, column: str) -> np.ndarray:
+    """Values that are not a list of 4."""
+    values = rows[column]
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {4}:
+        return np.zeros(len(values), bool)
+    return np.fromiter((type(v) is not list or len(v) != 4 for v in values), bool, len(values))
 
 
 def _floats(rows: _Rows, column: str) -> np.ndarray:
@@ -480,10 +486,8 @@ _CHECKS: dict[str, tuple[Callable[[_Rows, str], np.ndarray], type[AuditError], s
     "score": (_outside_unit_range, InvalidScoreError, "{where}: score {value} outside [0, 1]"),
     "quality": (_outside_unit_range, InvalidScoreError, "{where}.{key}: {value} outside [0, 1]"),
     "box": (
-        lambda rows, column: np.fromiter(
-            (type(v) is not list or len(v) != 4 for v in rows[column]), bool, len(rows)
-        ),
-        FormatError, "{where}{parent}.{key}: must be a list of 4 numbers, got {value!r}",
+        _not_boxes, FormatError,
+        "{where}{parent}.{key}: must be a list of 4 numbers, got {value!r}",
     ),
     "clamped": (
         _unclamped, InvalidInputError,
@@ -820,8 +824,7 @@ _LEDGER_RULES = (
     ("present", "noise_type"),
     ("noise_type", "noise_type"),
     *_fields(_INT, "annotation_id"),
-    *_ledger_box("original"),
-    *_ledger_box("perturbed"),
+    *(rule for side in _LEDGER_SIDES for rule in _ledger_box(side)),
 )
 
 

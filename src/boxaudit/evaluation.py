@@ -96,16 +96,11 @@ def _sweep(
     rows = entries.original_rows[missing]
     removed = entries.original.take(rows[rows >= 0])  # the removed records that hold a box
 
-    repeated = [a for a, count in Counter(entries.annotation_ids.tolist()).items() if count > 1]
-    if repeated:
-        raise InvalidInputError(
-            f"ledger lists annotations more than once (e.g. {sorted(repeated)[:3]}); "
-            f"each annotation is perturbed at most once"
-        )
-
     is_region = verdicts.is_region
     ann_ids = verdicts.annotation_ids[~is_region].tolist()
     for ids, problem in (
+        ([a for a, n in Counter(entries.annotation_ids.tolist()).items() if n > 1],
+         "lists annotations more than once"),
         (positive_ids.difference(ann_ids), "references annotations absent from the verdicts"),
         (set(entries.annotation_ids[missing].tolist()).intersection(ann_ids),
          "marks annotations removed that still have verdicts"),

@@ -12,8 +12,7 @@ from boxaudit.errors import InvalidInputError
 __all__ = ["BBox", "iou", "iou_matrix", "corners", "corner_iou"]
 
 
-# the errors of a box that is not finite or has no area, as str.format
-# templates over its [x, y, w, h] as ``value``
+# the errors of a non-finite or empty box: templates over its [x, y, w, h] as ``value``
 NOT_FINITE = (
     "box coordinates must be finite, "
     "got BBox(x={value[0]}, y={value[1]}, w={value[2]}, h={value[3]})"

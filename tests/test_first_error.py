@@ -91,13 +91,19 @@ def test_detections_later_check_at_lower_index(tmp_path):
     dets[1]["score"] = 2  # the range comes after every type and reference
     dets[4] = ["not", "an", "object"]
     path.write_text(json.dumps(dets))
-    _raises(InvalidScoreError, "detections[1]: score 2.0 outside [0, 1]", load_predictions, path, ds)
+    _raises(InvalidScoreError, "detections[1]: score 2.0 outside [0, 1]",
+            load_predictions, path, ds)
 
     dets[0]["bbox"] = [150, 5, 10, 10]  # clamping comes last
     dets[1] = _detection(category_id=8)
     dets[3] = _detection(bbox=[1, 2, "3", 4])
     path.write_text(json.dumps(dets))
     _raises(InvalidInputError, "detections[0]: zero-area box after clamping to image 2 bounds",
+            load_predictions, path, ds)
+
+    # within one record, the references before the score's range
+    path.write_text(json.dumps([_detection(), _detection(category_id=8, score=-1)]))
+    _raises(DanglingReferenceError, "detections[1]: unknown category_id 8",
             load_predictions, path, ds)
 
 
