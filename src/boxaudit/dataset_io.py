@@ -336,7 +336,7 @@ class _Rows:
         return self.columns[column]
 
     def given(self, column: str) -> np.ndarray:
-        """Which rows hold a value in ``column``: not absent, not null."""
+        """Which rows hold a value in ``column`` (not absent, not null), kept as a column."""
         if (column,) not in self.columns:
             values = self[column]
             self.columns[column,] = ~(_is(values, _MISSING) | _is(values, None))
