@@ -653,28 +653,42 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
 # --- JSON writers ------------------------------------------------------------------
 #
 # ledger.json, report.json and roc.json are written by one encoder, in the
-# layout json.dump gives them with sorted keys and indent 2: numbers are
-# spelled a column at a time, records are str.format templates filled with
-# them, and the files are streamed one record at a time. Before Python 3.13 an
+# layout json.dump gives them with sorted keys and indent 2. A list's records
+# are written ``_BLOCK`` at a time: a block's numbers are spelled a column at
+# a time, each distinct float once, its records are str.format templates
+# filled with them, and the block takes one write. Before Python 3.13 an
 # indented json.dump runs the pure-Python encoder with one write per token,
 # and the mirror it encodes would hold every record as a dict. noisy.json is
 # flat, so json.dumps writes it through the C encoder.
 
+_BLOCK = 256  # records spelled and written at a time
 _json_str = json.encoder.encode_basestring_ascii
 _json_int = int.__repr__
 
 
-def _json_numbers(column: np.ndarray) -> list[str]:
-    """The numbers of a column spelled as json.dump spells them: integers
-    (int64, or Python ints past it) through ``int.__repr__``, floats through
-    ``float.__repr__``, with json's NaN and Infinity spellings only when the
-    column holds a non-finite float."""
-    values = column.tolist()
-    if column.dtype.kind != "f":
-        return list(map(int.__repr__, values))
-    if np.isfinite(column).all():
-        return list(map(float.__repr__, values))
-    return list(map(json.dumps, values))
+def _blocks(n: int):
+    """Slices of ``_BLOCK`` rows covering rows 0 to ``n``."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
+def _json_numbers(*columns: np.ndarray) -> list[list[str]]:
+    """The numbers of each column, flattened, spelled as json.dump spells
+    them: integers (int64, or Python ints past it) through ``int.__repr__``,
+    floats through ``float.__repr__``, or as json's NaN and Infinity. Each
+    distinct float of the columns is spelled once, told apart by its bits, so
+    -0.0 keeps its sign."""
+    floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
+    if floats:
+        bits, inverse = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
+        unique = bits.view(np.float64)
+        spelled = list(map(float.__repr__, unique.tolist()))
+        for k in np.flatnonzero(~np.isfinite(unique)).tolist():
+            spelled[k] = json.dumps(unique[k].item())
+        floats = iter(np.array(spelled, dtype=object)[inverse].tolist())
+    return [
+        list(islice(floats, c.size)) if c.dtype.kind == "f" else list(map(_json_int, c.tolist()))
+        for c in columns
+    ]
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -694,38 +708,40 @@ def _json_object(keys: tuple[str, ...], indent: int) -> str:
     return "{{" + ",".join(f'{pad}  "{k}": {{}}' for k in keys) + pad + "}}"
 
 
-def _json_bboxes(xywh: np.ndarray, indent: int) -> list[str]:
-    """Each [x, y, w, h] row as a JSON list whose closing bracket sits
-    ``indent`` spaces in."""
-    return list(map(_json_list(["{}"] * 4, indent).format, *map(_json_numbers, xywh.T)))
+def _json_bboxes(xywh: list[str], indent: int):
+    """[x, y, w, h] lists of the spelled ``xywh`` taken 4 at a time, each
+    closing ``indent`` spaces in."""
+    return map(_json_list(["{}"] * 4, indent).format, *[iter(xywh)] * 4)
 
 
 _BOX_KEYS = ("bbox", "category_id", "id", "image_id")
 
 
-def _json_boxes(boxes: BoxColumns, dense_to_source: dict[int, int], indent: int) -> list[str]:
+def _json_boxes(boxes: BoxColumns, dense_to_source: dict, indent: int, xywh, scores) -> list[str]:
     """Each box as a JSON record of its bbox, source category id, id and
     image id, and its score when it is a prediction, whose closing brace
-    sits ``indent`` spaces in."""
-    plain = _json_object(_BOX_KEYS, indent)
-    scored = _json_object((*_BOX_KEYS, "score"), indent)
-    predicted = boxes.predicted
-    scores = iter(_json_numbers(boxes.scores[predicted]))
+    sits ``indent`` spaces in; ``xywh`` and ``scores`` spell the boxes'
+    coordinates and scores. The bbox members are fields of the record."""
+    bbox = '"bbox": ' + _json_list(["{}"] * 4, indent + 2)
+    plain, scored = (
+        _json_object(keys, indent).replace('"bbox": {}', bbox)
+        for keys in (_BOX_KEYS, (*_BOX_KEYS, "score"))
+    )
     rows = zip(
-        _json_bboxes(boxes.xywh, indent + 2),
+        *[iter(xywh)] * 4,
         map(_json_int, map(dense_to_source.__getitem__, boxes.classes.tolist())),
-        _json_numbers(boxes.ids),
-        _json_numbers(boxes.image_ids),
+        map(_json_int, boxes.ids.tolist()),
+        map(_json_int, boxes.image_ids.tolist()),
     )
     return [
-        scored.format(*row, next(scores)) if p else plain.format(*row)
-        for p, row in zip(predicted.tolist(), rows)
+        scored.format(*row, score) if p else plain.format(*row)
+        for p, score, row in zip(boxes.predicted.tolist(), scores, rows)
     ]
 
 
 def _write_object(path: str | Path, fields: dict) -> None:
     """Write a JSON object whose values are encoded text or iterables of
-    encoded records, the records streamed one at a time as a list."""
+    blocks of encoded records, the records listed one block per write."""
     with open(path, "w", encoding="utf-8") as fh:
         sep = "{"
         for key in sorted(fields):
@@ -735,12 +751,20 @@ def _write_object(path: str | Path, fields: dict) -> None:
             if isinstance(value, str):
                 fh.write(value)
                 continue
-            start = "["
-            for record in value:
-                fh.write(start + "\n    " + record)
-                start = ","
-            fh.write("[]" if start == "[" else "\n  ]")
+            start = "[\n    "
+            for block in value:
+                if block:
+                    fh.write(start + ",\n    ".join(block))
+                    start = ",\n    "
+            fh.write("[]" if start == "[\n    " else "\n  ]")
         fh.write("\n}\n")
+
+
+def _json_mirror(path: Path) -> Path:
+    """The JSON mirror of the CSV at ``path``, which must be another file."""
+    if path.with_suffix(".json") == path:
+        raise InvalidInputError(f"{path}: the CSV would be overwritten by its .json mirror")
+    return path.with_suffix(".json")
 
 
 # --- dataset and ledger persistence ------------------------------------------------
@@ -787,20 +811,29 @@ def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category
     """Persist a noise ledger; category ids are written in source-id space."""
     dense_to_source = {c.id: c.source_id for c in categories}
     columns = ledger.columns
-    originals = _json_boxes(columns.original, dense_to_source, 6)
-    perturbed = _json_boxes(columns.perturbed, dense_to_source, 6)
 
-    def entry_json(ann_id: str, kind: str, o: int, p: int) -> str:
-        sides = ([originals[o]] if o >= 0 else []) + ([perturbed[p]] if p >= 0 else [])
-        return _LEDGER_ENTRY[o >= 0, p >= 0].format(ann_id, _json_str(kind), *sides)
+    def entry_blocks():
+        for block in _blocks(len(columns)):
+            o_rows, p_rows = columns.original_rows[block], columns.perturbed_rows[block]
+            originals = columns.original.take(o_rows[o_rows >= 0])
+            perturbed = columns.perturbed.take(p_rows[p_rows >= 0])
+            ann_ids, o_xywh, o_scores, p_xywh, p_scores = _json_numbers(
+                columns.annotation_ids[block], originals.xywh, originals.scores,
+                perturbed.xywh, perturbed.scores,
+            )
+            o_json = iter(_json_boxes(originals, dense_to_source, 6, o_xywh, o_scores))
+            p_json = iter(_json_boxes(perturbed, dense_to_source, 6, p_xywh, p_scores))
+            yield [
+                _LEDGER_ENTRY[o, p].format(
+                    ann_id, _json_str(kind), *islice(o_json, o), *islice(p_json, p)
+                )
+                for ann_id, kind, o, p in zip(
+                    ann_ids, columns.kinds[block].tolist(),
+                    (o_rows >= 0).tolist(), (p_rows >= 0).tolist(),
+                )
+            ]
 
-    _write_object(path, {"entries": map(
-        entry_json,
-        _json_numbers(columns.annotation_ids),
-        columns.kinds.tolist(),
-        columns.original_rows.tolist(),
-        columns.perturbed_rows.tolist(),
-    )})
+    _write_object(path, {"entries": entry_blocks()})
 
 
 _LEDGER_SIDES = ("original", "perturbed")
@@ -883,117 +916,124 @@ _VERDICT = _json_object(
 )
 
 
-def _flagged_class_labels(classes, dense_to_source: dict[int, int], background: int) -> list[str]:
-    return [
-        "background" if m == background else str(dense_to_source.get(m, m)) for m in classes
-    ]
+def _findings(report: DetectionResult) -> tuple[np.ndarray, ...]:
+    """Finding k as arrays: its cluster ``cluster_ids[k]`` (ascending) is row
+    ``rows[k]`` of the partition; of its flagged verdicts, ``firsts[k]`` is the
+    first, ``region_of[k]`` the first with a region (-1 for none) and
+    ``id_counts[k]`` how many have annotation ids, listed finding by finding in ``ann_ids``."""
+    table, partition = report.table, report.partition
+    flagged = np.flatnonzero(table.flagged)
+    cluster_ids, first_at, finding_of = np.unique(
+        table.cluster_ids[flagged], return_index=True, return_inverse=True
+    )
+    has_id = ~np.equal(table.annotation_ids[flagged], None)
+    ann_ids = table.annotation_ids[flagged[has_id]][np.argsort(finding_of[has_id], kind="stable")]
+    hits = np.flatnonzero(~np.isnan(table.regions[flagged, 0]))
+    found, first_hit = np.unique(finding_of[hits], return_index=True)
+    region_of = np.full(len(cluster_ids), -1)
+    region_of[found] = flagged[hits[first_hit]]
+    by_id = np.argsort(partition.cluster_ids, kind="stable")
+    rows = by_id[np.searchsorted(partition.cluster_ids[by_id], cluster_ids)]
+    id_counts = np.bincount(finding_of[has_id], minlength=len(cluster_ids))
+    return cluster_ids, rows, flagged[first_at], region_of, id_counts, ann_ids
 
 
 def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
-    """Write a findings report: ``<path>`` as CSV (one row per flagged
-    cluster) and ``<path>.json`` with full cluster membership. Returns the
-    report's summary counts.
+    """Write a findings report: ``path`` as CSV (one row per flagged cluster;
+    refused if it ends in .json) and ``path.with_suffix(".json")`` with full
+    cluster membership. Returns the report's summary counts.
 
     Each flagged cluster is one finding, carrying its first flagged
     verdict's kind, score and classes, its flagged annotation ids, the
-    first region among its flagged verdicts and every member box. The
-    verdicts and member boxes are written from the result's columns; no
-    cluster, verdict or box objects are built.
+    first region among its flagged verdicts and every member box, all
+    found with array operations over the verdict table and the partition.
+    Findings and verdicts are then written ``_BLOCK`` rows at a time.
     """
     path = Path(path)
+    mirror = _json_mirror(path)
     table, partition = report.table, report.partition
     dense_to_source = {c.id: c.source_id for c in report.categories}
     background = len(report.categories) + 1
-    ann_ids, cluster_ids = table.annotation_ids.tolist(), table.cluster_ids.tolist()
-    quality, kinds = table.quality.tolist(), table.kinds.tolist()
-    quality_json = _json_numbers(table.quality)
-    # a region is spelled once, for its verdict and for its finding
-    with_region = np.flatnonzero(~np.isnan(table.regions[:, 0]))
-    regions = dict(zip(with_region.tolist(), _json_bboxes(table.regions[with_region], 6)))
+    cluster_ids, rows, firsts, region_of, id_counts, ann_ids = _findings(report)
+    n, flagged_annotations, ann_ids = len(cluster_ids), len(ann_ids), iter(ann_ids)
 
-    flagged_by_cluster: dict[int, list[int]] = {}
-    for i in np.flatnonzero(table.flagged).tolist():
-        flagged_by_cluster.setdefault(cluster_ids[i], []).append(i)
-    row_of = dict(zip(partition.cluster_ids.tolist(), range(len(partition))))
-    image_ids = partition.image_ids.tolist()
-    members, ends = partition.members.tolist(), [0, *partition.ends.tolist()]
+    def finding_blocks(write_csv: Callable):
+        """The findings' JSON records by block; each block's CSV rows go to ``write_csv``."""
+        for block in _blocks(n):
+            splits, stops = partition.ends.reshape(-1, 2)[rows[block]].T
+            starts = np.where(rows[block] > 0, partition.ends[2 * rows[block] - 1], 0)
+            sizes = stops - starts
+            heads = np.cumsum(sizes) - sizes
+            boxes = partition.boxes.take(partition.members[
+                np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
+            ])
+            has_region = region_of[block] >= 0
+            ids, image_ids, quality, region_xywh, xywh, scores = _json_numbers(
+                cluster_ids[block], partition.image_ids[rows[block]], table.quality[firsts[block]],
+                table.regions[region_of[block][has_region]], boxes.xywh, boxes.scores,
+            )
+            regions = _json_bboxes(region_xywh, 6)
+            members = iter(_json_boxes(boxes, dense_to_source, 8, xywh, scores))
+            csv_rows, records = [], []
+            findings = zip(
+                ids, image_ids, firsts[block].tolist(), quality,
+                table.kinds[firsts[block]].tolist(), has_region.tolist(),
+                id_counts[block].tolist(), (splits - starts).tolist(), (stops - splits).tolist(),
+            )
+            for cluster_id, image_id, first, q, kind, region, n_ids, n_orig, n_pred in findings:
+                finding_ann_ids = list(map(_json_int, islice(ann_ids, n_ids)))
+                labels = [
+                    "background" if m == background else str(dense_to_source.get(m, m))
+                    for m in table.flagged_classes[first]
+                ]
+                csv_rows.append([
+                    cluster_id, image_id, ";".join(finding_ann_ids), kind,
+                    f"{table.quality[first]:.6f}", ";".join(labels),
+                ])
+                records.append(_FINDING.format(
+                    _json_list(finding_ann_ids, 6), cluster_id,
+                    _json_list(list(map(_json_str, labels)), 6), image_id,
+                    _json_list(list(islice(members, n_orig)), 6),
+                    _json_list(list(islice(members, n_pred)), 6), q,
+                    next(regions) if region else "null", _json_str(kind),
+                ))
+            write_csv(csv_rows)
+            yield records
 
-    findings = []
-    member_rows: list[int] = []  # the findings' member boxes, in the order they are written
-    flagged_annotations = missing_regions = 0
-    for cluster_id in sorted(flagged_by_cluster):
-        flagged = flagged_by_cluster[cluster_id]
-        first = flagged[0]
-        row = row_of[cluster_id]
-        start, split, end = ends[2 * row : 2 * row + 3]
-        finding_ann_ids = [ann_ids[i] for i in flagged if ann_ids[i] is not None]
-        findings.append((
-            cluster_id,
-            image_ids[row],
-            finding_ann_ids,
-            kinds[first],
-            first,
-            _flagged_class_labels(table.flagged_classes[first], dense_to_source, background),
-            next((regions[i] for i in flagged if i in regions), "null"),
-            split - start,
-            end - split,
-        ))
-        member_rows += members[start:end]
-        flagged_annotations += len(finding_ann_ids)
-        if kinds[first] == "missing_region":
-            missing_regions += 1
+    def verdict_blocks():
+        for block in _blocks(len(table)):
+            has_region = ~np.isnan(table.regions[block, 0])
+            ids, image_ids, quality, region_xywh = _json_numbers(
+                table.cluster_ids[block], table.image_ids[block], table.quality[block],
+                table.regions[block][has_region],
+            )
+            regions = _json_bboxes(region_xywh, 6)
+            yield list(map(
+                _VERDICT.format,
+                ["null" if a is None else _json_int(a) for a in table.annotation_ids[block]],
+                ids, ["true" if f else "false" for f in table.flagged[block].tolist()], image_ids,
+                quality, [next(regions) if r else "null" for r in has_region.tolist()],
+                map(_json_str, table.kinds[block].tolist()),
+            ))
 
+    summary = {
+        "clusters": len(partition),
+        "flagged_clusters": n,
+        "flagged_annotations": flagged_annotations,
+        "missing_regions": int(np.count_nonzero(table.kinds[firsts] == "missing_region")),
+    }
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for cluster_id, image_id, finding_ann_ids, kind, first, class_labels, *_ in findings:
-            writer.writerow([
-                cluster_id, image_id, ";".join(map(str, finding_ann_ids)), kind,
-                f"{quality[first]:.6f}", ";".join(class_labels),
-            ])
-
-    member_json = iter(_json_boxes(
-        partition.boxes.take(np.array(member_rows, dtype=np.intp)), dense_to_source, 8
-    ))
-
-    def finding_json(cluster_id, image_id, finding_ann_ids, kind, first, class_labels,
-                     region, originals, predictions) -> str:
-        return _FINDING.format(
-            _json_list(list(map(_json_int, finding_ann_ids)), 6),
-            _json_int(cluster_id),
-            _json_list(list(map(_json_str, class_labels)), 6),
-            _json_int(image_id),
-            _json_list(list(islice(member_json, originals)), 6),
-            _json_list(list(islice(member_json, predictions)), 6),
-            quality_json[first],
-            region,
-            _json_str(kind),
-        )
-
-    verdicts = map(
-        _VERDICT.format,
-        ("null" if a is None else _json_int(a) for a in ann_ids),
-        _json_numbers(table.cluster_ids),
-        ("true" if f else "false" for f in table.flagged.tolist()),
-        _json_numbers(table.image_ids),
-        quality_json,
-        (regions.get(i, "null") for i in range(len(table))),
-        map(_json_str, kinds),
-    )
-    summary = {
-        "clusters": len(partition),
-        "flagged_clusters": len(findings),
-        "flagged_annotations": flagged_annotations,
-        "missing_regions": missing_regions,
-    }
-    _write_object(path.with_suffix(".json"), {
-        "categories": _json_list([
-            _CATEGORY.format(_json_int(c.source_id), _json_str(c.name)) for c in report.categories
-        ], 2),
-        "findings": (finding_json(*f) for f in findings),
-        "summary": _SUMMARY.format(*(_json_int(summary[k]) for k in sorted(summary))),
-        "verdicts": verdicts,
-    })
+        _write_object(mirror, {
+            "categories": _json_list([
+                _CATEGORY.format(_json_int(c.source_id), _json_str(c.name))
+                for c in report.categories
+            ], 2),
+            "findings": finding_blocks(writer.writerows),
+            "summary": _SUMMARY.format(*(_json_int(summary[k]) for k in sorted(summary))),
+            "verdicts": verdict_blocks(),
+        })
     return summary
 
 
@@ -1055,10 +1095,12 @@ def save_roc(
     *,
     run_aurocs: list[tuple[int, float]] | None = None,
 ) -> None:
-    """Write a ROC sweep: ``<path>`` as plottable CSV with an AUROC summary
-    line, plus a ``<path>.json`` mirror (with per-run AUROCs and their median
-    when several runs were aggregated)."""
+    """Write a ROC sweep: ``path`` as plottable CSV with an AUROC summary
+    line, plus a ``path.with_suffix(".json")`` mirror (with per-run AUROCs
+    and their median when several runs were aggregated), refusing a
+    ``path`` that already ends in .json."""
     path = Path(path)
+    mirror = _json_mirror(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
@@ -1066,19 +1108,16 @@ def save_roc(
             writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
         fh.write(f"# auroc = {curve.auroc:.6f}\n")
 
+    points = [np.array([getattr(p, k) for p in curve.points]) for k in ("fpr", "threshold", "tpr")]
     fields = {
-        "auroc": _json_numbers(np.array([curve.auroc]))[0],
-        "points": map(_ROC_POINT.format, *(
-            _json_numbers(np.array([getattr(p, name) for p in curve.points]))
-            for name in ("fpr", "threshold", "tpr")
-        )),
+        "auroc": _json_numbers(np.array([curve.auroc]))[0][0],
+        "points": (list(map(_ROC_POINT.format, *_json_numbers(*(c[b] for c in points))))
+                   for b in _blocks(len(curve.points))),
     }
     if run_aurocs is not None:
         aurocs = [a for _, a in run_aurocs]
-        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0]
-        fields["runs"] = map(
-            _ROC_RUN.format,
-            _json_numbers(np.array(aurocs)),
-            _json_numbers(int_array([s for s, _ in run_aurocs])),
-        )
-    _write_object(path.with_suffix(".json"), fields)
+        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0][0]
+        fields["runs"] = [list(map(_ROC_RUN.format, *_json_numbers(
+            np.array(aurocs), int_array([s for s, _ in run_aurocs])
+        )))]
+    _write_object(mirror, fields)

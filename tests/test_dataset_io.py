@@ -1,11 +1,15 @@
 import json
+import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from boxaudit.confident_learning import MODE_SCORE_THRESHOLD
+from boxaudit import dataset_io
+from boxaudit.clustering import Partition
+from boxaudit.confident_learning import MODE_SCORE_THRESHOLD, VerdictTable
 from boxaudit.dataset_io import (
     AnnotatedBox,
     BoxColumns,
@@ -34,7 +38,7 @@ from boxaudit.errors import (
 )
 from boxaudit.geometry import BBox
 from boxaudit.noise_injection import LedgerColumns, NoiseKind, NoiseLedger, NoiseSpec, inject
-from boxaudit.pipeline import run_detection
+from boxaudit.pipeline import DetectionResult, run_detection
 
 from conftest import coco_payload, write_json
 from report_reference import DetectionReport
@@ -295,9 +299,16 @@ def test_empty_report_has_header_only(tmp_path):
 
 _NAMES = ["car", 'say "hi"', "back\\slash", "naïve 猫", "tab\tnew\nline", "🐱", ""]
 _IDS = [0, 1, 7, 2**63 + 5, 10**30]
-_COORDS = [0, 3, 0.0, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**20]
+_COORDS = [0, 3, 0.0, -0.0, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**20]
 _SIZES = [1, 1.0, 0.1 + 0.2, 1e-17, 1e16, 10**18]
-_SCORES = [0.0, 1.0, 0, 1, 0.1 + 0.2, 1e-17, 0.5]
+_SCORES = [0.0, -0.0, 1.0, 0, 1, 0.1 + 0.2, 1e-17, 0.5]
+# the writers' default block and blocks small enough that findings, their
+# member lists and verdicts cross block edges
+_BLOCKS = (dataset_io._BLOCK, 1, 2, 3)
+
+
+def _is_negative_zero(v: float) -> bool:
+    return v == 0 and math.copysign(1.0, v) < 0
 
 
 def _pick(rng, choices, spread=1e3):
@@ -362,25 +373,106 @@ def _random_result(rng, seen):
     if not any(v.flagged for v in verdicts):
         seen["no flagged clusters"] += 1
     seen["empty verdicts"] += not verdicts
+    boxes = result.partition.boxes
+    coords = [*boxes.xywh.ravel().tolist(), *result.table.regions.ravel().tolist()]
+    seen["-0.0 coordinate"] += any(map(_is_negative_zero, coords))
+    seen["-0.0 score"] += any(map(_is_negative_zero, boxes.scores.tolist()))
+    seen["quality is a coordinate"] += not set(coords).isdisjoint(result.table.quality.tolist())
     return result
 
 
-def test_report_writer_matches_json_dump_reference(tmp_path):
+def test_report_writer_matches_json_dump_reference(tmp_path, monkeypatch):
     seen = Counter()
     for seed in range(300):
         result = _random_result(random.Random(seed), seen)
-        save_report(result, tmp_path / "new.csv")
         reference_save_report(
             DetectionReport(list(result.table), result.partition.clusters(), result.categories),
             tmp_path / "ref.csv",
         )
-        for name in ("new.csv", "new.json"):
-            ref = name.replace("new", "ref")
-            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
+        for block in _BLOCKS:
+            monkeypatch.setattr(dataset_io, "_BLOCK", block)
+            save_report(result, tmp_path / "new.csv")
+            for name in ("new.csv", "new.json"):
+                ref = (tmp_path / name.replace("new", "ref")).read_bytes()
+                assert (tmp_path / name).read_bytes() == ref, (seed, block, name)
     assert all(seen[k] >= 5 for k in (
         "region", "no region", "background cluster", "flagged, no classes",
-        "annotation_id None", "no flagged clusters", "empty verdicts",
+        "annotation_id None", "no flagged clusters", "empty verdicts", "-0.0 coordinate",
+        "-0.0 score", "quality is a coordinate",
     )), seen
+
+
+def test_report_writer_groups_verdicts_by_cluster_and_takes_the_first_region(
+    tmp_path, monkeypatch
+):
+    """Verdicts of two clusters interleaved, the partition not in cluster id
+    order, and a finding whose first flagged verdict has no region while two
+    later ones do: ``run_detection`` makes none of these."""
+    boxes = BoxColumns(
+        ids=np.array([10, 1, 2, 20, 3]), image_ids=np.array([5, 5, 5, 6, 6]),
+        classes=np.array([1, 1, 2, 2, 1]), scores=np.array([np.nan, 0.5, 0.25, np.nan, 0.75]),
+        xywh=np.arange(1.0, 21.0).reshape(5, 4),
+    )
+    partition = Partition(boxes, np.array([7, 3]), np.array([5, 6]), np.arange(5),
+                          np.array([1, 3, 4, 5]))
+    table = VerdictTable.of_values(
+        [10, 20, None, None, 20], [7, 3, 7, 7, 3], [5, 6, 5, 5, 6], [0.5, 0.25, 0.125, 0.0, 1.0],
+        [True, True, True, True, False],
+        ["wrong_label", "wrong_label", "missing_region", "missing_region", "ok"],
+        [None, None, [1, 2, 3, 4], [5, 6, 7, 8], None], [(1,), (2, 3), (), (), ()],
+    )
+    categories = [Category(id=1, name="a", source_id=4), Category(id=2, name="b", source_id=9)]
+    result = DetectionResult(partition, None, None, None, None, None, table, categories)
+    reference_save_report(
+        DetectionReport(list(table), partition.clusters(), categories), tmp_path / "ref.csv"
+    )
+    for block in _BLOCKS:
+        monkeypatch.setattr(dataset_io, "_BLOCK", block)
+        save_report(result, tmp_path / "new.csv")
+        for name in ("new.csv", "new.json"):
+            ref = (tmp_path / name.replace("new", "ref")).read_bytes()
+            assert (tmp_path / name).read_bytes() == ref, (block, name)
+    findings = json.loads((tmp_path / "new.json").read_text())["findings"]
+    assert [(f["cluster_id"], f["region"]) for f in findings] == [(3, None), (7, [1, 2, 3, 4])]
+
+
+def test_report_writer_refuses_a_json_path(tmp_path):
+    result = _random_result(random.Random(0), Counter())
+    with pytest.raises(InvalidInputError, match="overwritten"):
+        save_report(result, tmp_path / "r.json")
+    assert not (tmp_path / "r.json").exists()
+
+
+def _flagged_pairs(n: int) -> DetectionResult:
+    """A result of ``n`` clusters, each an original and a prediction, whose
+    ``n`` verdicts are all flagged: ``n`` findings."""
+    rng = np.random.default_rng(n)
+    boxes = BoxColumns(
+        ids=np.arange(2 * n), image_ids=np.arange(2 * n) // 20, classes=np.ones(2 * n, np.int64),
+        scores=np.where(np.arange(2 * n) % 2, rng.random(2 * n), np.nan),
+        xywh=rng.random((2 * n, 4)) * 100 + 1,
+    )
+    partition = Partition(boxes, np.arange(n), np.arange(n) // 10, np.arange(2 * n),
+                          np.arange(1, 2 * n + 1))
+    table = VerdictTable.of_values(
+        list(range(0, 2 * n, 2)), range(n), np.arange(n) // 10, rng.random(n), [True] * n,
+        ["wrong_label"] * n, [None] * n, [(1,)] * n,
+    )
+    categories = [Category(id=1, name="car", source_id=3)]
+    return DetectionResult(partition, None, None, None, None, None, table, categories)
+
+
+def test_report_writer_memory_does_not_grow_with_the_report(tmp_path):
+    peaks = []
+    for n in (2_000, 16_000):
+        result = _flagged_pairs(n)
+        tracemalloc.start()
+        try:
+            assert save_report(result, tmp_path / "report.csv")["flagged_clusters"] == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 # --- ROC writer vs. the json.dump reference -----------------------------------
@@ -407,18 +499,27 @@ def _random_roc(rng, seen):
     return RocCurve(points=points, auroc=auroc), runs
 
 
-def test_roc_writer_matches_json_dump_reference(tmp_path):
+def test_roc_writer_matches_json_dump_reference(tmp_path, monkeypatch):
     seen = Counter()
     for seed in range(300):
         curve, runs = _random_roc(random.Random(seed), seen)
-        save_roc(curve, tmp_path / "new.csv", run_aurocs=runs)
         reference_save_roc(curve, tmp_path / "ref.csv", run_aurocs=runs)
-        for name in ("new.csv", "new.json"):
-            ref = name.replace("new", "ref")
-            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes(), (seed, name)
+        for block in _BLOCKS:
+            monkeypatch.setattr(dataset_io, "_BLOCK", block)
+            save_roc(curve, tmp_path / "new.csv", run_aurocs=runs)
+            for name in ("new.csv", "new.json"):
+                ref = (tmp_path / name.replace("new", "ref")).read_bytes()
+                assert (tmp_path / name).read_bytes() == ref, (seed, block, name)
     assert all(seen[k] >= 20 for k in (
         "runs", "no runs", "repeated thresholds", "0.1+0.2", "1e-17", "0", "1",
     )), seen
+
+
+def test_roc_writer_refuses_a_json_path(tmp_path):
+    curve = RocCurve(points=[RocPoint(threshold=0.5, fpr=0.0, tpr=1.0)], auroc=1.0)
+    with pytest.raises(InvalidInputError, match="overwritten"):
+        save_roc(curve, tmp_path / "roc.json")
+    assert not (tmp_path / "roc.json").exists()
 
 
 # --- ledger and dataset writers vs. the json.dump references ---------------------
@@ -459,6 +560,7 @@ def _random_columns(rng, n, num_classes, scored, huge=False):
 def _count_awkward_values(seen, ids, xywh):
     seen["id past int64"] += any(i > _INT64_MAX for i in ids)
     seen["no short repr"] += any(len(repr(v)) > 17 for v in xywh.ravel().tolist())
+    seen["-0.0"] += any(map(_is_negative_zero, xywh.ravel().tolist()))
 
 
 def _random_ledger(rng, seen):
@@ -490,16 +592,19 @@ def _random_ledger(rng, seen):
     return ledger, categories
 
 
-def test_ledger_writer_matches_json_dump_reference(tmp_path):
+def test_ledger_writer_matches_json_dump_reference(tmp_path, monkeypatch):
     seen = Counter()
     for seed in range(300):
         ledger, categories = _random_ledger(random.Random(seed), seen)
-        save_ledger(ledger, tmp_path / "new.json", categories)
         reference_save_ledger(ledger, tmp_path / "ref.json", categories)
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), seed
+        for block in _BLOCKS:
+            monkeypatch.setattr(dataset_io, "_BLOCK", block)
+            save_ledger(ledger, tmp_path / "new.json", categories)
+            ref = (tmp_path / "ref.json").read_bytes()
+            assert (tmp_path / "new.json").read_bytes() == ref, (seed, block)
     assert all(seen[k] >= 20 for k in (
         "empty ledger", "no original", "no perturbed", "scored box", "id past int64",
-        "no short repr",
+        "no short repr", "-0.0",
     )), seen
 
 
