@@ -655,11 +655,11 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
 # ledger.json, report.json and roc.json are written by one encoder, in the
 # layout json.dump gives them with sorted keys and indent 2. A list's records
 # are written ``_BLOCK`` at a time: a block's numbers are spelled a column at
-# a time, each distinct float once, its records are str.format templates
-# filled with them, and the block takes one write. Before Python 3.13 an
-# indented json.dump runs the pure-Python encoder with one write per token,
-# and the mirror it encodes would hold every record as a dict. noisy.json is
-# flat, so json.dumps writes it through the C encoder.
+# a time, its records are str.format templates filled with them, and the
+# block takes one write. Before Python 3.13 an indented json.dump runs the
+# pure-Python encoder with one write per token, and the mirror it encodes
+# would hold every record as a dict. noisy.json is flat, so json.dumps writes
+# it through the C encoder.
 
 _BLOCK = 256  # records spelled and written at a time
 _json_str = json.encoder.encode_basestring_ascii
@@ -671,24 +671,17 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def _json_numbers(*columns: np.ndarray) -> list[list[str]]:
-    """The numbers of each column, flattened, spelled as json.dump spells
-    them: integers (int64, or Python ints past it) through ``int.__repr__``,
-    floats through ``float.__repr__``, or as json's NaN and Infinity. Each
-    distinct float of the columns is spelled once, told apart by its bits, so
-    -0.0 keeps its sign."""
-    floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
-    if floats:
-        bits, inverse = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
-        unique = bits.view(np.float64)
-        spelled = list(map(float.__repr__, unique.tolist()))
-        for k in np.flatnonzero(~np.isfinite(unique)).tolist():
-            spelled[k] = json.dumps(unique[k].item())
-        floats = iter(np.array(spelled, dtype=object)[inverse].tolist())
-    return [
-        list(islice(floats, c.size)) if c.dtype.kind == "f" else list(map(_json_int, c.tolist()))
-        for c in columns
-    ]
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """The numbers of a column spelled as json.dump spells them: integers
+    (int64, or Python ints past it) through ``int.__repr__``, floats through
+    ``float.__repr__``, with json's NaN and Infinity spellings only when the
+    column holds a non-finite float."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(int.__repr__, values))
+    if np.isfinite(column).all():
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -708,34 +701,32 @@ def _json_object(keys: tuple[str, ...], indent: int) -> str:
     return "{{" + ",".join(f'{pad}  "{k}": {{}}' for k in keys) + pad + "}}"
 
 
-def _json_bboxes(xywh: list[str], indent: int):
-    """[x, y, w, h] lists of the spelled ``xywh`` taken 4 at a time, each
-    closing ``indent`` spaces in."""
-    return map(_json_list(["{}"] * 4, indent).format, *[iter(xywh)] * 4)
+def _json_bboxes(xywh: np.ndarray, indent: int) -> list[str]:
+    """Each [x, y, w, h] row as a JSON list whose closing bracket sits
+    ``indent`` spaces in."""
+    return list(map(_json_list(["{}"] * 4, indent).format, *map(_json_numbers, xywh.T)))
 
 
 _BOX_KEYS = ("bbox", "category_id", "id", "image_id")
 
 
-def _json_boxes(boxes: BoxColumns, dense_to_source: dict, indent: int, xywh, scores) -> list[str]:
+def _json_boxes(boxes: BoxColumns, dense_to_source: dict[int, int], indent: int) -> list[str]:
     """Each box as a JSON record of its bbox, source category id, id and
     image id, and its score when it is a prediction, whose closing brace
-    sits ``indent`` spaces in; ``xywh`` and ``scores`` spell the boxes'
-    coordinates and scores. The bbox members are fields of the record."""
-    bbox = '"bbox": ' + _json_list(["{}"] * 4, indent + 2)
-    plain, scored = (
-        _json_object(keys, indent).replace('"bbox": {}', bbox)
-        for keys in (_BOX_KEYS, (*_BOX_KEYS, "score"))
-    )
+    sits ``indent`` spaces in."""
+    plain = _json_object(_BOX_KEYS, indent)
+    scored = _json_object((*_BOX_KEYS, "score"), indent)
+    predicted = boxes.predicted
+    scores = iter(_json_numbers(boxes.scores[predicted]))
     rows = zip(
-        *[iter(xywh)] * 4,
+        _json_bboxes(boxes.xywh, indent + 2),
         map(_json_int, map(dense_to_source.__getitem__, boxes.classes.tolist())),
-        map(_json_int, boxes.ids.tolist()),
-        map(_json_int, boxes.image_ids.tolist()),
+        _json_numbers(boxes.ids),
+        _json_numbers(boxes.image_ids),
     )
     return [
-        scored.format(*row, score) if p else plain.format(*row)
-        for p, score, row in zip(boxes.predicted.tolist(), scores, rows)
+        scored.format(*row, next(scores)) if p else plain.format(*row)
+        for p, row in zip(predicted.tolist(), rows)
     ]
 
 
@@ -817,18 +808,14 @@ def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category
             o_rows, p_rows = columns.original_rows[block], columns.perturbed_rows[block]
             originals = columns.original.take(o_rows[o_rows >= 0])
             perturbed = columns.perturbed.take(p_rows[p_rows >= 0])
-            ann_ids, o_xywh, o_scores, p_xywh, p_scores = _json_numbers(
-                columns.annotation_ids[block], originals.xywh, originals.scores,
-                perturbed.xywh, perturbed.scores,
-            )
-            o_json = iter(_json_boxes(originals, dense_to_source, 6, o_xywh, o_scores))
-            p_json = iter(_json_boxes(perturbed, dense_to_source, 6, p_xywh, p_scores))
+            o_json = iter(_json_boxes(originals, dense_to_source, 6))
+            p_json = iter(_json_boxes(perturbed, dense_to_source, 6))
             yield [
                 _LEDGER_ENTRY[o, p].format(
                     ann_id, _json_str(kind), *islice(o_json, o), *islice(p_json, p)
                 )
                 for ann_id, kind, o, p in zip(
-                    ann_ids, columns.kinds[block].tolist(),
+                    _json_numbers(columns.annotation_ids[block]), columns.kinds[block].tolist(),
                     (o_rows >= 0).tolist(), (p_rows >= 0).tolist(),
                 )
             ]
@@ -932,6 +919,9 @@ def _findings(report: DetectionResult) -> tuple[np.ndarray, ...]:
     found, first_hit = np.unique(finding_of[hits], return_index=True)
     region_of = np.full(len(cluster_ids), -1)
     region_of[found] = flagged[hits[first_hit]]
+    missing = np.setdiff1d(cluster_ids, partition.cluster_ids)
+    if len(missing):
+        raise InvalidInputError(f"verdicts name cluster {missing[0]}, which the partition lacks")
     by_id = np.argsort(partition.cluster_ids, kind="stable")
     rows = by_id[np.searchsorted(partition.cluster_ids[by_id], cluster_ids)]
     id_counts = np.bincount(finding_of[has_id], minlength=len(cluster_ids))
@@ -946,8 +936,10 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     Each flagged cluster is one finding, carrying its first flagged
     verdict's kind, score and classes, its flagged annotation ids, the
     first region among its flagged verdicts and every member box, all
-    found with array operations over the verdict table and the partition.
-    Findings and verdicts are then written ``_BLOCK`` rows at a time.
+    found with array operations over the verdict table and the partition;
+    a flagged verdict of a cluster the partition lacks is refused before
+    anything is written. Findings and verdicts are then written ``_BLOCK``
+    rows at a time.
     """
     path = Path(path)
     mirror = _json_mirror(path)
@@ -968,15 +960,12 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
                 np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
             ])
             has_region = region_of[block] >= 0
-            ids, image_ids, quality, region_xywh, xywh, scores = _json_numbers(
-                cluster_ids[block], partition.image_ids[rows[block]], table.quality[firsts[block]],
-                table.regions[region_of[block][has_region]], boxes.xywh, boxes.scores,
-            )
-            regions = _json_bboxes(region_xywh, 6)
-            members = iter(_json_boxes(boxes, dense_to_source, 8, xywh, scores))
+            regions = iter(_json_bboxes(table.regions[region_of[block][has_region]], 6))
+            members = iter(_json_boxes(boxes, dense_to_source, 8))
             csv_rows, records = [], []
             findings = zip(
-                ids, image_ids, firsts[block].tolist(), quality,
+                _json_numbers(cluster_ids[block]), _json_numbers(partition.image_ids[rows[block]]),
+                firsts[block].tolist(), _json_numbers(table.quality[firsts[block]]),
                 table.kinds[firsts[block]].tolist(), has_region.tolist(),
                 id_counts[block].tolist(), (splits - starts).tolist(), (stops - splits).tolist(),
             )
@@ -1003,16 +992,14 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     def verdict_blocks():
         for block in _blocks(len(table)):
             has_region = ~np.isnan(table.regions[block, 0])
-            ids, image_ids, quality, region_xywh = _json_numbers(
-                table.cluster_ids[block], table.image_ids[block], table.quality[block],
-                table.regions[block][has_region],
-            )
-            regions = _json_bboxes(region_xywh, 6)
+            regions = iter(_json_bboxes(table.regions[block][has_region], 6))
             yield list(map(
                 _VERDICT.format,
                 ["null" if a is None else _json_int(a) for a in table.annotation_ids[block]],
-                ids, ["true" if f else "false" for f in table.flagged[block].tolist()], image_ids,
-                quality, [next(regions) if r else "null" for r in has_region.tolist()],
+                _json_numbers(table.cluster_ids[block]),
+                ["true" if f else "false" for f in table.flagged[block].tolist()],
+                _json_numbers(table.image_ids[block]), _json_numbers(table.quality[block]),
+                [next(regions) if r else "null" for r in has_region.tolist()],
                 map(_json_str, table.kinds[block].tolist()),
             ))
 
@@ -1110,14 +1097,16 @@ def save_roc(
 
     points = [np.array([getattr(p, k) for p in curve.points]) for k in ("fpr", "threshold", "tpr")]
     fields = {
-        "auroc": _json_numbers(np.array([curve.auroc]))[0][0],
-        "points": (list(map(_ROC_POINT.format, *_json_numbers(*(c[b] for c in points))))
+        "auroc": _json_numbers(np.array([curve.auroc]))[0],
+        "points": (list(map(_ROC_POINT.format, *(_json_numbers(c[b]) for c in points)))
                    for b in _blocks(len(curve.points))),
     }
     if run_aurocs is not None:
         aurocs = [a for _, a in run_aurocs]
-        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0][0]
-        fields["runs"] = [list(map(_ROC_RUN.format, *_json_numbers(
-            np.array(aurocs), int_array([s for s, _ in run_aurocs])
-        )))]
+        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0]
+        fields["runs"] = [list(map(
+            _ROC_RUN.format,
+            _json_numbers(np.array(aurocs)),
+            _json_numbers(int_array([s for s, _ in run_aurocs])),
+        ))]
     _write_object(mirror, fields)

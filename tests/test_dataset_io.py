@@ -377,7 +377,6 @@ def _random_result(rng, seen):
     coords = [*boxes.xywh.ravel().tolist(), *result.table.regions.ravel().tolist()]
     seen["-0.0 coordinate"] += any(map(_is_negative_zero, coords))
     seen["-0.0 score"] += any(map(_is_negative_zero, boxes.scores.tolist()))
-    seen["quality is a coordinate"] += not set(coords).isdisjoint(result.table.quality.tolist())
     return result
 
 
@@ -398,7 +397,7 @@ def test_report_writer_matches_json_dump_reference(tmp_path, monkeypatch):
     assert all(seen[k] >= 5 for k in (
         "region", "no region", "background cluster", "flagged, no classes",
         "annotation_id None", "no flagged clusters", "empty verdicts", "-0.0 coordinate",
-        "-0.0 score", "quality is a coordinate",
+        "-0.0 score",
     )), seen
 
 
@@ -434,6 +433,27 @@ def test_report_writer_groups_verdicts_by_cluster_and_takes_the_first_region(
             assert (tmp_path / name).read_bytes() == ref, (block, name)
     findings = json.loads((tmp_path / "new.json").read_text())["findings"]
     assert [(f["cluster_id"], f["region"]) for f in findings] == [(3, None), (7, [1, 2, 3, 4])]
+
+
+@pytest.mark.parametrize("cluster_id", [1, 5, 9])
+def test_report_writer_refuses_a_verdict_of_a_cluster_the_partition_lacks(tmp_path, cluster_id):
+    """A flagged verdict naming a cluster id before, between or after the
+    partition's ids (7 and 3) is refused before anything is written."""
+    boxes = BoxColumns(
+        ids=np.array([1, 2]), image_ids=np.array([5, 5]), classes=np.array([1, 1]),
+        scores=np.array([np.nan, np.nan]), xywh=np.arange(1.0, 9.0).reshape(2, 4),
+    )
+    partition = Partition(boxes, np.array([7, 3]), np.array([5, 5]), np.arange(2),
+                          np.array([1, 1, 2, 2]))
+    table = VerdictTable.of_values(
+        [1, 2], [7, cluster_id], [5, 5], [0.5, 0.25], [True, True],
+        ["wrong_label", "wrong_label"], [None, None], [(1,), (1,)],
+    )
+    categories = [Category(id=1, name="a", source_id=4)]
+    result = DetectionResult(partition, None, None, None, None, None, table, categories)
+    with pytest.raises(InvalidInputError, match=f"cluster {cluster_id}, which the partition lacks"):
+        save_report(result, tmp_path / "report.csv")
+    assert not any(tmp_path.iterdir())
 
 
 def test_report_writer_refuses_a_json_path(tmp_path):
