@@ -155,7 +155,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     )
     noise = None
     if kind is None:
-        for flag, value in (("fraction", fraction), ("amplitude", amplitude)):
+        for flag, value in (
+            ("fraction", fraction), ("amplitude", amplitude), ("seed", flags.get("seed")),
+        ):
             if value is not None:
                 raise InvalidSpecError(f"--{flag} requires --noise-kind")
     else:

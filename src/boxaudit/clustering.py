@@ -53,6 +53,16 @@ class Partition:
         2c + 1 for a prediction."""
         return np.repeat(np.arange(len(self.ends)), np.diff(self.ends, prepend=0))
 
+    def slot_members(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``members`` of each given slot (2c for the originals of
+        cluster c, 2c + 1 for its predictions), slot after slot, and how many
+        each slot holds."""
+        stops = self.ends[slots]
+        starts = np.where(slots > 0, self.ends[slots - 1], 0)
+        sizes = stops - starts
+        heads = np.cumsum(sizes) - sizes
+        return self.members[np.repeat(starts - heads, sizes) + np.arange(sizes.sum())], sizes
+
     @classmethod
     def of_clusters(cls, clusters: list[Cluster]) -> Partition:
         boxes: list[AnnotatedBox] = []
@@ -126,6 +136,9 @@ def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
             root = flat
 
 
+IOU_THRESHOLD_RANGE = "iou_threshold must lie in (0, 1), got {}"
+
+
 def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
     """Cluster boxes from any number of images; merges on ties (iou ==
     threshold).
@@ -137,7 +150,7 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
     members keep their input order.
     """
     if not 0.0 < iou_threshold < 1.0:
-        raise InvalidInputError(f"iou_threshold must lie in (0, 1), got {iou_threshold}")
+        raise InvalidInputError(IOU_THRESHOLD_RANGE.format(iou_threshold))
     n = len(boxes)
     if not n:
         empty = np.zeros(0, np.int64)

@@ -262,28 +262,24 @@ def verdict_table(
     A missing region is the enclosing rectangle of the cluster's predicted
     boxes, from one ``reduceat`` per coordinate over all such clusters.
     """
-    counts = np.diff(partition.ends, prepend=0)
-    n_originals = counts[0::2]
+    originals, n_originals = partition.slot_members(2 * np.arange(len(partition)))
     background = n_originals == 0
     rows = np.repeat(np.arange(len(partition)), np.where(background, flagged, n_originals))
     is_region = background[rows]
     n = len(rows)
 
     annotation_ids = np.full(n, None, dtype=object)
-    originals = partition.members[partition.member_slots() % 2 == 0]
     annotation_ids[~is_region] = partition.boxes.ids[originals]
 
     regions = np.full((n, 4), np.nan)
     region_rows = rows[is_region]
     if region_rows.size:
-        starts = partition.ends[2 * region_rows]
-        sizes = counts[2 * region_rows + 1]
+        predictions, sizes = partition.slot_members(2 * region_rows + 1)
         if not sizes.all():
             empty = partition.cluster_ids[region_rows[sizes == 0][0]]
             raise InvalidInputError(f"cluster {empty} has no boxes to enclose")
         heads = np.cumsum(sizes) - sizes
-        positions = np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
-        xywh = partition.boxes.xywh[partition.members[positions]]
+        xywh = partition.boxes.xywh[predictions]
         x0 = np.minimum.reduceat(xywh[:, 0], heads)
         y0 = np.minimum.reduceat(xywh[:, 1], heads)
         x1 = np.maximum.reduceat(xywh[:, 0] + xywh[:, 2], heads)

@@ -903,74 +903,50 @@ _VERDICT = _json_object(
 )
 
 
-def _findings(report: DetectionResult) -> tuple[np.ndarray, ...]:
-    """Finding k as arrays: its cluster ``cluster_ids[k]`` (ascending) is row
-    ``rows[k]`` of the partition; of its flagged verdicts, ``firsts[k]`` is the
-    first, ``region_of[k]`` the first with a region (-1 for none) and
-    ``id_counts[k]`` how many have annotation ids, listed finding by finding in ``ann_ids``."""
-    table, partition = report.table, report.partition
-    flagged = np.flatnonzero(table.flagged)
-    cluster_ids, first_at, finding_of = np.unique(
-        table.cluster_ids[flagged], return_index=True, return_inverse=True
-    )
-    has_id = ~np.equal(table.annotation_ids[flagged], None)
-    ann_ids = table.annotation_ids[flagged[has_id]][np.argsort(finding_of[has_id], kind="stable")]
-    hits = np.flatnonzero(~np.isnan(table.regions[flagged, 0]))
-    found, first_hit = np.unique(finding_of[hits], return_index=True)
-    region_of = np.full(len(cluster_ids), -1)
-    region_of[found] = flagged[hits[first_hit]]
-    missing = np.setdiff1d(cluster_ids, partition.cluster_ids)
-    if len(missing):
-        raise InvalidInputError(f"verdicts name cluster {missing[0]}, which the partition lacks")
-    by_id = np.argsort(partition.cluster_ids, kind="stable")
-    rows = by_id[np.searchsorted(partition.cluster_ids[by_id], cluster_ids)]
-    id_counts = np.bincount(finding_of[has_id], minlength=len(cluster_ids))
-    return cluster_ids, rows, flagged[first_at], region_of, id_counts, ann_ids
-
-
 def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     """Write a findings report: ``path`` as CSV (one row per flagged cluster;
     refused if it ends in .json) and ``path.with_suffix(".json")`` with full
     cluster membership. Returns the report's summary counts.
 
-    Each flagged cluster is one finding, carrying its first flagged
-    verdict's kind, score and classes, its flagged annotation ids, the
-    first region among its flagged verdicts and every member box, all
-    found with array operations over the verdict table and the partition;
-    a flagged verdict of a cluster the partition lacks is refused before
-    anything is written. Findings and verdicts are then written ``_BLOCK``
-    rows at a time.
+    Each flagged partition row is one finding, and findings come in
+    partition row order, which is cluster id order for every
+    :func:`~boxaudit.pipeline.run_detection` result. A finding carries its
+    row's first verdict's kind, score, classes and region, the row's
+    original annotation ids and every member box. Findings and verdicts are
+    written ``_BLOCK`` rows at a time.
     """
     path = Path(path)
     mirror = _json_mirror(path)
-    table, partition = report.table, report.partition
+    table, partition, boxes = report.table, report.partition, report.partition.boxes
     dense_to_source = {c.id: c.source_id for c in report.categories}
     background = len(report.categories) + 1
-    cluster_ids, rows, firsts, region_of, id_counts, ann_ids = _findings(report)
-    n, flagged_annotations, ann_ids = len(cluster_ids), len(ann_ids), iter(ann_ids)
+    rows = np.flatnonzero(report.flagged)
+    n_originals = np.diff(partition.ends, prepend=0)[0::2]
+    # a row has a verdict per original, or one region verdict if flagged
+    counts = np.where(n_originals > 0, n_originals, report.flagged)
+    firsts = (np.cumsum(counts) - counts)[rows]
 
     def finding_blocks(write_csv: Callable):
         """The findings' JSON records by block; each block's CSV rows go to ``write_csv``."""
-        for block in _blocks(n):
-            splits, stops = partition.ends.reshape(-1, 2)[rows[block]].T
-            starts = np.where(rows[block] > 0, partition.ends[2 * rows[block] - 1], 0)
-            sizes = stops - starts
-            heads = np.cumsum(sizes) - sizes
-            boxes = partition.boxes.take(partition.members[
-                np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
-            ])
-            has_region = region_of[block] >= 0
-            regions = iter(_json_bboxes(table.regions[region_of[block][has_region]], 6))
-            members = iter(_json_boxes(boxes, dense_to_source, 8))
+        for block in _blocks(len(rows)):
+            block_rows, block_firsts = rows[block], firsts[block]
+            originals, original_counts = partition.slot_members(2 * block_rows)
+            predictions, predicted_counts = partition.slot_members(2 * block_rows + 1)
+            ann_ids = iter(_json_numbers(boxes.ids[originals]))
+            original_boxes = iter(_json_boxes(boxes.take(originals), dense_to_source, 8))
+            predicted_boxes = iter(_json_boxes(boxes.take(predictions), dense_to_source, 8))
+            has_region = ~np.isnan(table.regions[block_firsts, 0])
+            regions = iter(_json_bboxes(table.regions[block_firsts][has_region], 6))
             csv_rows, records = [], []
             findings = zip(
-                _json_numbers(cluster_ids[block]), _json_numbers(partition.image_ids[rows[block]]),
-                firsts[block].tolist(), _json_numbers(table.quality[firsts[block]]),
-                table.kinds[firsts[block]].tolist(), has_region.tolist(),
-                id_counts[block].tolist(), (splits - starts).tolist(), (stops - splits).tolist(),
+                _json_numbers(partition.cluster_ids[block_rows]),
+                _json_numbers(partition.image_ids[block_rows]),
+                block_firsts.tolist(), _json_numbers(table.quality[block_firsts]),
+                table.kinds[block_firsts].tolist(), has_region.tolist(),
+                original_counts.tolist(), predicted_counts.tolist(),
             )
-            for cluster_id, image_id, first, q, kind, region, n_ids, n_orig, n_pred in findings:
-                finding_ann_ids = list(map(_json_int, islice(ann_ids, n_ids)))
+            for cluster_id, image_id, first, q, kind, region, n_orig, n_pred in findings:
+                finding_ann_ids = list(islice(ann_ids, n_orig))
                 labels = [
                     "background" if m == background else str(dense_to_source.get(m, m))
                     for m in table.flagged_classes[first]
@@ -982,8 +958,8 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
                 records.append(_FINDING.format(
                     _json_list(finding_ann_ids, 6), cluster_id,
                     _json_list(list(map(_json_str, labels)), 6), image_id,
-                    _json_list(list(islice(members, n_orig)), 6),
-                    _json_list(list(islice(members, n_pred)), 6), q,
+                    _json_list(list(islice(original_boxes, n_orig)), 6),
+                    _json_list(list(islice(predicted_boxes, n_pred)), 6), q,
                     next(regions) if region else "null", _json_str(kind),
                 ))
             write_csv(csv_rows)
@@ -1005,8 +981,8 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
 
     summary = {
         "clusters": len(partition),
-        "flagged_clusters": n,
-        "flagged_annotations": flagged_annotations,
+        "flagged_clusters": len(rows),
+        "flagged_annotations": int(n_originals[rows].sum()),
         "missing_regions": int(np.count_nonzero(table.kinds[firsts] == "missing_region")),
     }
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -79,6 +79,9 @@ class Confusion:
         return self.tp / total if total else 0.0
 
 
+MATCH_IOU_RANGE = "match_iou must lie in (0, 1], got {}"
+
+
 def _sweep(
     verdicts: VerdictTable,
     ledger: NoiseLedger,
@@ -88,7 +91,7 @@ def _sweep(
     """Confusion counts at every threshold, from one pass over the verdict
     columns."""
     if not 0.0 < match_iou <= 1.0:
-        raise InvalidInputError(f"match_iou must lie in (0, 1], got {match_iou}")
+        raise InvalidInputError(MATCH_IOU_RANGE.format(match_iou))
     entries = ledger.columns
     missing = entries.of_kind(NoiseKind.MISSING)
     n_removed = int(np.count_nonzero(missing))

@@ -20,6 +20,7 @@ from boxaudit.confident_learning import ClassThresholds, VerdictTable
 from boxaudit.errors import InvalidInputError, InvalidSpecError
 from boxaudit.evaluation import (
     DEFAULT_MATCH_IOU,
+    MATCH_IOU_RANGE,
     RocCurve,
     dense_thresholds,
     roc_curve,
@@ -50,13 +51,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold < 1.0:
-            raise InvalidInputError(
-                f"iou threshold must lie in (0, 1), got {self.iou_threshold}"
-            )
+            raise InvalidInputError(clustering.IOU_THRESHOLD_RANGE.format(self.iou_threshold))
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.match_iou <= 1.0:
-            raise InvalidSpecError(f"match iou must lie in (0, 1], got {self.match_iou}")
+            raise InvalidSpecError(MATCH_IOU_RANGE.format(self.match_iou))
         if self.tau is not None and self.cl_mode != cl.MODE_SCORE_THRESHOLD:
             raise InvalidSpecError(
                 f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.cl_mode}"
@@ -84,8 +83,8 @@ class PipelineConfig:
 class DetectionResult:
     """What :func:`run_detection` found, held as arrays: the clusters as a
     :class:`~boxaudit.clustering.Partition`, the reduced matrices, each
-    row's quality score and flagged classes, and the verdicts as a
-    :class:`~boxaudit.confident_learning.VerdictTable`.
+    row's quality score and flagged classes, which rows the mode flags, and
+    the verdicts as a :class:`~boxaudit.confident_learning.VerdictTable`.
 
     ``list(table)`` gives the verdicts as
     :class:`~boxaudit.confident_learning.BoxVerdict` objects and
@@ -99,6 +98,7 @@ class DetectionResult:
     thresholds: ClassThresholds
     quality: np.ndarray
     flags: np.ndarray  # (rows, classes) bool
+    flagged: np.ndarray  # (rows,) bool: the findings
     table: VerdictTable
     categories: list[dataset_io.Category]
 
@@ -132,6 +132,7 @@ def run_detection(
         thresholds=thresholds,
         quality=quality,
         flags=flags,
+        flagged=flagged,
         table=table,
         categories=ds.categories,
     )

@@ -378,6 +378,21 @@ def test_eval_rejects_noise_flag_without_noise_kind(tmp_path, capsys, flag):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_rejects_seed_without_noise_kind(tmp_path, capsys):
+    """The seed seeds noise injection; with a ledger it would only relabel
+    the printed run, which stays seed 0."""
+    noisy, _, ledger, preds = _roc_inputs(tmp_path)
+    args = ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
+            "--ledger", str(ledger), "--output-dir", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main([*args, "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[invalid-spec]: --seed requires --noise-kind\n", err
+    assert not (tmp_path / "o").exists()
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("run seed=0: auroc=")
+
+
 def test_eval_without_noise_or_ledger_fails(tmp_path, capsys):
     gt, preds = write_synthetic(tmp_path, num_images=5, boxes_per_image=5, seed=13)
     rc = main(

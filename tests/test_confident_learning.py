@@ -12,10 +12,12 @@ from boxaudit.confident_learning import (
     detect_issues,
     map_to_boxes,
 )
+from boxaudit.dataset_io import PredictionSet
 from boxaudit.errors import InvalidInputError
+from boxaudit.pipeline import run_detection
 from boxaudit.reduction import ReducedMatrices, reduce_dataset
 
-from conftest import original_box, predicted_box
+from conftest import original_box, predicted_box, simple_dataset
 
 
 def _matrices(y_rows, p_rows):
@@ -304,6 +306,24 @@ def test_score_threshold_flag_sets_nest():
         current = {v.cluster_id for v in verdicts if v.flagged}
         assert previous <= current
         previous = current
+
+
+def test_flagged_cluster_without_boxes_has_no_region_to_enclose():
+    matrices = ReducedMatrices(
+        labels=np.zeros((1, 4), np.uint8), probs=np.zeros((1, 4)),
+        row_clusters=[Cluster(id=0, image_id=1)], num_classes=3,
+    )
+    rows = [RowAssessment(quality_score=0.5, flagged=False, flagged_classes=())]
+    with pytest.raises(InvalidInputError, match="^cluster 0 has no boxes to enclose$"):
+        map_to_boxes(matrices, rows, mode=MODE_SCORE_THRESHOLD, tau=1.0)
+
+
+def test_region_too_thin_for_float64_is_a_degenerate_box():
+    """A lone prediction at x = 1e20 with width 1 encloses a region of width
+    (1e20 + 1) - 1e20 = 0."""
+    preds = PredictionSet([predicted_box(1, 1, 1, 1e20, 0, 1, 1, 0.9)])
+    with pytest.raises(InvalidInputError, match="^degenerate box: width and height must be > 0"):
+        run_detection(simple_dataset([]), preds, mode=MODE_SCORE_THRESHOLD, tau=1.0)
 
 
 def test_misaligned_rows_rejected():

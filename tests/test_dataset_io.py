@@ -384,6 +384,11 @@ def test_report_writer_matches_json_dump_reference(tmp_path, monkeypatch):
     seen = Counter()
     for seed in range(300):
         result = _random_result(random.Random(seed), seen)
+        # the writer reads findings off the flagged rows
+        flagged_ids = set(result.table.cluster_ids[result.table.flagged].tolist())
+        assert result.flagged.tolist() == [
+            c in flagged_ids for c in result.partition.cluster_ids.tolist()
+        ], seed
         reference_save_report(
             DetectionReport(list(result.table), result.partition.clusters(), result.categories),
             tmp_path / "ref.csv",
@@ -399,61 +404,6 @@ def test_report_writer_matches_json_dump_reference(tmp_path, monkeypatch):
         "annotation_id None", "no flagged clusters", "empty verdicts", "-0.0 coordinate",
         "-0.0 score",
     )), seen
-
-
-def test_report_writer_groups_verdicts_by_cluster_and_takes_the_first_region(
-    tmp_path, monkeypatch
-):
-    """Verdicts of two clusters interleaved, the partition not in cluster id
-    order, and a finding whose first flagged verdict has no region while two
-    later ones do: ``run_detection`` makes none of these."""
-    boxes = BoxColumns(
-        ids=np.array([10, 1, 2, 20, 3]), image_ids=np.array([5, 5, 5, 6, 6]),
-        classes=np.array([1, 1, 2, 2, 1]), scores=np.array([np.nan, 0.5, 0.25, np.nan, 0.75]),
-        xywh=np.arange(1.0, 21.0).reshape(5, 4),
-    )
-    partition = Partition(boxes, np.array([7, 3]), np.array([5, 6]), np.arange(5),
-                          np.array([1, 3, 4, 5]))
-    table = VerdictTable.of_values(
-        [10, 20, None, None, 20], [7, 3, 7, 7, 3], [5, 6, 5, 5, 6], [0.5, 0.25, 0.125, 0.0, 1.0],
-        [True, True, True, True, False],
-        ["wrong_label", "wrong_label", "missing_region", "missing_region", "ok"],
-        [None, None, [1, 2, 3, 4], [5, 6, 7, 8], None], [(1,), (2, 3), (), (), ()],
-    )
-    categories = [Category(id=1, name="a", source_id=4), Category(id=2, name="b", source_id=9)]
-    result = DetectionResult(partition, None, None, None, None, None, table, categories)
-    reference_save_report(
-        DetectionReport(list(table), partition.clusters(), categories), tmp_path / "ref.csv"
-    )
-    for block in _BLOCKS:
-        monkeypatch.setattr(dataset_io, "_BLOCK", block)
-        save_report(result, tmp_path / "new.csv")
-        for name in ("new.csv", "new.json"):
-            ref = (tmp_path / name.replace("new", "ref")).read_bytes()
-            assert (tmp_path / name).read_bytes() == ref, (block, name)
-    findings = json.loads((tmp_path / "new.json").read_text())["findings"]
-    assert [(f["cluster_id"], f["region"]) for f in findings] == [(3, None), (7, [1, 2, 3, 4])]
-
-
-@pytest.mark.parametrize("cluster_id", [1, 5, 9])
-def test_report_writer_refuses_a_verdict_of_a_cluster_the_partition_lacks(tmp_path, cluster_id):
-    """A flagged verdict naming a cluster id before, between or after the
-    partition's ids (7 and 3) is refused before anything is written."""
-    boxes = BoxColumns(
-        ids=np.array([1, 2]), image_ids=np.array([5, 5]), classes=np.array([1, 1]),
-        scores=np.array([np.nan, np.nan]), xywh=np.arange(1.0, 9.0).reshape(2, 4),
-    )
-    partition = Partition(boxes, np.array([7, 3]), np.array([5, 5]), np.arange(2),
-                          np.array([1, 1, 2, 2]))
-    table = VerdictTable.of_values(
-        [1, 2], [7, cluster_id], [5, 5], [0.5, 0.25], [True, True],
-        ["wrong_label", "wrong_label"], [None, None], [(1,), (1,)],
-    )
-    categories = [Category(id=1, name="a", source_id=4)]
-    result = DetectionResult(partition, None, None, None, None, None, table, categories)
-    with pytest.raises(InvalidInputError, match=f"cluster {cluster_id}, which the partition lacks"):
-        save_report(result, tmp_path / "report.csv")
-    assert not any(tmp_path.iterdir())
 
 
 def test_report_writer_refuses_a_json_path(tmp_path):
@@ -478,8 +428,10 @@ def _flagged_pairs(n: int) -> DetectionResult:
         list(range(0, 2 * n, 2)), range(n), np.arange(n) // 10, rng.random(n), [True] * n,
         ["wrong_label"] * n, [None] * n, [(1,)] * n,
     )
-    categories = [Category(id=1, name="car", source_id=3)]
-    return DetectionResult(partition, None, None, None, None, None, table, categories)
+    return DetectionResult(
+        partition=partition, labels=None, probs=None, thresholds=None, quality=None, flags=None,
+        flagged=np.ones(n, bool), table=table, categories=[Category(id=1, name="car", source_id=3)],
+    )
 
 
 def test_report_writer_memory_does_not_grow_with_the_report(tmp_path):
