@@ -13,7 +13,7 @@ import sys
 from boxaudit import confident_learning as cl
 from boxaudit.errors import AuditError, InvalidSpecError
 from boxaudit.noise_injection import NoiseKind, NoiseSpec
-from boxaudit.pipeline import PipelineConfig, cmd_detect, cmd_eval, cmd_inject, cmd_roc
+from boxaudit.pipeline import SWEEPS, PipelineConfig, cmd_detect, cmd_eval, cmd_inject, cmd_roc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,11 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictions", required=True, help="COCO detection-results file"
     )
     p_detect.add_argument("--iou-threshold", type=float, help="clustering IoU threshold")
-    p_detect.add_argument(
-        "--mode",
-        choices=[cl.MODE_CONFIDENT_JOINT, cl.MODE_SCORE_THRESHOLD],
-        help="flagging mode",
-    )
+    p_detect.add_argument("--mode", choices=cl.MODES, help="flagging mode")
     p_detect.add_argument(
         "--tau", type=float, help="quality-score cutoff (score_threshold mode)"
     )
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--runs", type=int, help="independent runs aggregated by median")
     p_eval.add_argument(
         "--sweep",
-        choices=["grid", "dense"],
+        choices=SWEEPS,
         help="threshold grid 0.0..1.0 step 0.1, or every distinct score",
     )
     p_eval.add_argument(
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_roc.add_argument("--report", required=True, help="report JSON mirror from detect")
     p_roc.add_argument("--ledger", required=True, help="ledger file")
-    p_roc.add_argument("--sweep", choices=["grid", "dense"])
+    p_roc.add_argument("--sweep", choices=SWEEPS)
     p_roc.add_argument("--match-iou", type=float)
     _add_common(p_roc)
 
@@ -150,24 +146,20 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The config of the flags given; a flag left out takes its
     PipelineConfig default."""
     flags = {_FIELDS.get(k, k): v for k, v in vars(args).items() if k != "command"}
-    kind, fraction, amplitude = (
-        flags.pop(k, None) for k in ("noise_kind", "fraction", "amplitude")
+    kind, fraction, amplitude, seed = (
+        flags.pop(k, None) for k in ("noise_kind", "fraction", "amplitude", "seed")
     )
     noise = None
     if kind is None:
-        for flag, value in (
-            ("fraction", fraction), ("amplitude", amplitude), ("seed", flags.get("seed")),
-        ):
+        for flag, value in (("fraction", fraction), ("amplitude", amplitude), ("seed", seed)):
             if value is not None:
                 raise InvalidSpecError(f"--{flag} requires --noise-kind")
     else:
         if fraction is None:
             raise InvalidSpecError("--noise-kind requires --fraction")
         noise = NoiseSpec(
-            kind=NoiseKind(kind),
-            fraction=fraction,
-            amplitude=amplitude,
-            seed=flags.get("seed", PipelineConfig.seed),
+            kind=NoiseKind(kind), fraction=fraction, amplitude=amplitude,
+            seed=NoiseSpec.seed if seed is None else seed,
         )
     return PipelineConfig(noise=noise, **flags)
 

@@ -35,8 +35,9 @@ class Cluster:
 class Partition:
     """Clusters as arrays. Cluster c (``cluster_ids[c]``, on image
     ``image_ids[c]``) holds the boxes ``boxes.items[k]`` for k in
-    ``members[ends[2c-1]:ends[2c]]`` as originals and in
-    ``members[ends[2c]:ends[2c+1]]`` as predictions (``ends[-1]`` read as 0).
+    ``members[ends[2c]:ends[2c+1]]`` as originals and in
+    ``members[ends[2c+1]:ends[2c+2]]`` as predictions; other modules read
+    them through the methods below, not through ``ends``.
     """
 
     boxes: BoxColumns
@@ -48,25 +49,29 @@ class Partition:
     def __len__(self) -> int:
         return len(self.cluster_ids)
 
-    def member_slots(self) -> np.ndarray:
-        """For each entry of ``members``, 2c for an original of cluster c and
-        2c + 1 for a prediction."""
-        return np.repeat(np.arange(len(self.ends)), np.diff(self.ends, prepend=0))
+    def member_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each entry of ``members``, its cluster's row and whether it is
+        an original."""
+        slots = np.repeat(np.arange(len(self.ends) - 1), np.diff(self.ends))
+        return slots // 2, slots % 2 == 0
 
-    def slot_members(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``members`` of each given slot (2c for the originals of
-        cluster c, 2c + 1 for its predictions), slot after slot, and how many
-        each slot holds."""
-        stops = self.ends[slots]
-        starts = np.where(slots > 0, self.ends[slots - 1], 0)
-        sizes = stops - starts
+    def sizes(self, *, predicted: bool) -> np.ndarray:
+        """How many predictions (or originals) each cluster holds."""
+        return np.diff(self.ends)[int(predicted) :: 2]
+
+    def members_of(self, rows: np.ndarray, *, predicted: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The ``members`` that are predictions (or originals) of the given
+        rows' clusters, row after row, and how many each row holds."""
+        slots = 2 * rows + int(predicted)
+        starts = self.ends[slots]
+        sizes = self.ends[slots + 1] - starts
         heads = np.cumsum(sizes) - sizes
         return self.members[np.repeat(starts - heads, sizes) + np.arange(sizes.sum())], sizes
 
     @classmethod
     def of_clusters(cls, clusters: list[Cluster]) -> Partition:
         boxes: list[AnnotatedBox] = []
-        ends = []
+        ends = [0]
         for c in clusters:
             boxes += c.original_members
             ends.append(len(boxes))
@@ -84,7 +89,7 @@ class Partition:
         """The clusters as :class:`Cluster` objects holding the input boxes."""
         items = self.boxes.items
         members = [items[k] for k in self.members.tolist()]
-        ends = [0, *self.ends.tolist()]
+        ends = self.ends.tolist()
         return [
             Cluster(c, image_id, members[ends[2 * k] : ends[2 * k + 1]],
                     members[ends[2 * k + 1] : ends[2 * k + 2]])
@@ -154,7 +159,7 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
     n = len(boxes)
     if not n:
         empty = np.zeros(0, np.int64)
-        return Partition(boxes, empty, empty, empty, empty)
+        return Partition(boxes, empty, empty, empty, np.zeros(1, np.int64))
     distinct_images, image_rank = np.unique(boxes.image_ids, return_inverse=True)
     _, id_rank = np.unique(boxes.ids, return_inverse=True)
     order = np.argsort(image_rank, kind="stable")
@@ -178,7 +183,7 @@ def cluster_boxes(boxes: BoxColumns, iou_threshold: float) -> Partition:
         np.arange(len(roots)),
         distinct_images[image_rank[roots]],
         order[np.argsort(slot, kind="stable")],
-        np.cumsum(np.bincount(slot, minlength=2 * len(roots))),
+        np.cumsum(np.bincount(slot + 1, minlength=2 * len(roots) + 1)),
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
 
 MODE_CONFIDENT_JOINT = "confident_joint"
 MODE_SCORE_THRESHOLD = "score_threshold"
+MODES = (MODE_CONFIDENT_JOINT, MODE_SCORE_THRESHOLD)
 
 WRONG_LABEL = "wrong_label"
 MISSING_REGION = "missing_region"
@@ -233,6 +234,10 @@ def detect_issues(
     ]
 
 
+UNKNOWN_MODE = "unknown mode {!r}"
+TAU_RANGE = f"{MODE_SCORE_THRESHOLD} mode needs tau in [0, 1]"
+
+
 def flagged_rows(
     flagged: np.ndarray, quality: np.ndarray, mode: str, tau: float | None
 ) -> np.ndarray:
@@ -243,9 +248,9 @@ def flagged_rows(
     if mode == MODE_CONFIDENT_JOINT:
         return flagged
     if mode != MODE_SCORE_THRESHOLD:
-        raise InvalidInputError(f"unknown mode {mode!r}")
+        raise InvalidInputError(UNKNOWN_MODE.format(mode))
     if tau is None or not 0.0 <= tau <= 1.0:
-        raise InvalidInputError("score_threshold mode needs tau in [0, 1]")
+        raise InvalidInputError(TAU_RANGE)
     return quality <= tau
 
 
@@ -262,7 +267,7 @@ def verdict_table(
     A missing region is the enclosing rectangle of the cluster's predicted
     boxes, from one ``reduceat`` per coordinate over all such clusters.
     """
-    originals, n_originals = partition.slot_members(2 * np.arange(len(partition)))
+    originals, n_originals = partition.members_of(np.arange(len(partition)), predicted=False)
     background = n_originals == 0
     rows = np.repeat(np.arange(len(partition)), np.where(background, flagged, n_originals))
     is_region = background[rows]
@@ -274,7 +279,7 @@ def verdict_table(
     regions = np.full((n, 4), np.nan)
     region_rows = rows[is_region]
     if region_rows.size:
-        predictions, sizes = partition.slot_members(2 * region_rows + 1)
+        predictions, sizes = partition.members_of(region_rows, predicted=True)
         if not sizes.all():
             empty = partition.cluster_ids[region_rows[sizes == 0][0]]
             raise InvalidInputError(f"cluster {empty} has no boxes to enclose")

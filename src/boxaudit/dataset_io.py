@@ -921,7 +921,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     dense_to_source = {c.id: c.source_id for c in report.categories}
     background = len(report.categories) + 1
     rows = np.flatnonzero(report.flagged)
-    n_originals = np.diff(partition.ends, prepend=0)[0::2]
+    n_originals = partition.sizes(predicted=False)
     # a row has a verdict per original, or one region verdict if flagged
     counts = np.where(n_originals > 0, n_originals, report.flagged)
     firsts = (np.cumsum(counts) - counts)[rows]
@@ -930,8 +930,8 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
         """The findings' JSON records by block; each block's CSV rows go to ``write_csv``."""
         for block in _blocks(len(rows)):
             block_rows, block_firsts = rows[block], firsts[block]
-            originals, original_counts = partition.slot_members(2 * block_rows)
-            predictions, predicted_counts = partition.slot_members(2 * block_rows + 1)
+            originals, original_counts = partition.members_of(block_rows, predicted=False)
+            predictions, predicted_counts = partition.members_of(block_rows, predicted=True)
             ann_ids = iter(_json_numbers(boxes.ids[originals]))
             original_boxes = iter(_json_boxes(boxes.take(originals), dense_to_source, 8))
             predicted_boxes = iter(_json_boxes(boxes.take(predictions), dense_to_source, 8))
@@ -983,7 +983,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
         "clusters": len(partition),
         "flagged_clusters": len(rows),
         "flagged_annotations": int(n_originals[rows].sum()),
-        "missing_regions": int(np.count_nonzero(table.kinds[firsts] == "missing_region")),
+        "missing_regions": int(np.count_nonzero(n_originals[rows] == 0)),
     }
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -174,7 +174,7 @@ def _matched_counts(
         pairs = list(zip(ri[order].tolist(), mi[order].tolist()))
         scores = verdicts.quality[image_regions]
         before = 0
-        for tau in np.unique(scores[ri]).tolist():
+        for tau in sorted(set(scores[ri].tolist())):
             now = _greedy_matches(pairs, (scores <= tau).tolist())
             if now != before:
                 event_scores.append(tau)

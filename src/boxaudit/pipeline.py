@@ -28,7 +28,8 @@ from boxaudit.evaluation import (
 from boxaudit.noise_injection import NoiseSpec, inject
 from boxaudit.reduction import reduce_dataset  # noqa: F401
 
-__all__ = ["PipelineConfig", "DetectionResult", "run_detection", "cmd_inject", "cmd_detect", "cmd_eval", "cmd_roc"]
+__all__ = ["SWEEPS", "PipelineConfig", "DetectionResult", "run_detection", "cmd_inject", "cmd_detect", "cmd_eval", "cmd_roc"]
+SWEEPS = ("grid", "dense")  # the thresholds 0.0..1.0 step 0.1, or every distinct score
 
 
 @dataclass
@@ -45,7 +46,6 @@ class PipelineConfig:
     report_path: str | None = None
     output_dir: Path = Path(".")
     runs: int = 1
-    seed: int = 0
     sweep: str = "grid"
     match_iou: float = DEFAULT_MATCH_IOU
 
@@ -56,6 +56,10 @@ class PipelineConfig:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.match_iou <= 1.0:
             raise InvalidSpecError(MATCH_IOU_RANGE.format(self.match_iou))
+        if self.sweep not in SWEEPS:
+            raise InvalidSpecError(f"sweep must be one of {', '.join(SWEEPS)}, got {self.sweep!r}")
+        if self.cl_mode not in cl.MODES:
+            raise InvalidSpecError(cl.UNKNOWN_MODE.format(self.cl_mode))
         if self.tau is not None and self.cl_mode != cl.MODE_SCORE_THRESHOLD:
             raise InvalidSpecError(
                 f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.cl_mode}"
@@ -63,9 +67,7 @@ class PipelineConfig:
         if self.cl_mode == cl.MODE_SCORE_THRESHOLD and (
             self.tau is None or not 0.0 <= self.tau <= 1.0
         ):
-            raise InvalidSpecError(
-                f"{cl.MODE_SCORE_THRESHOLD} mode needs tau in [0, 1], got {self.tau}"
-            )
+            raise InvalidSpecError(f"{cl.TAU_RANGE}, got {self.tau}")
         if self.noise is not None and self.ledger_path is not None:
             raise InvalidSpecError(
                 "give either a noise spec (--noise-kind ...) or an existing ledger "
@@ -181,8 +183,12 @@ def cmd_eval(config: PipelineConfig) -> Path:
 
     With a noise spec: inject (per run, seeds seed..seed+runs-1), detect, and
     sweep; several runs are aggregated by their median AUROC. Without one:
-    evaluate the given (already noisy) dataset against its ledger file.
+    evaluate the given (already noisy) dataset against its ledger, as seed 0.
     """
+    if config.noise is None and config.ledger_path is None:
+        raise InvalidSpecError(
+            "eval needs either a noise spec (--noise-kind ...) or an existing ledger (--ledger)"
+        )
     ds = dataset_io.load_ground_truth(config.ground_truth_path)
     preds = dataset_io.load_predictions(config.predictions_path, ds)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -190,13 +196,8 @@ def cmd_eval(config: PipelineConfig) -> Path:
     if config.noise is not None:
         specs = (replace(config.noise, seed=config.noise.seed + run) for run in range(config.runs))
         runs = ((spec.seed, *inject(ds, spec)) for spec in specs)
-    elif config.ledger_path is None:
-        raise InvalidSpecError(
-            "eval needs either a noise spec (--noise-kind ...) or an "
-            "existing ledger (--ledger)"
-        )
     else:
-        runs = [(config.seed, ds, dataset_io.load_ledger(config.ledger_path, ds))]
+        runs = [(0, ds, dataset_io.load_ledger(config.ledger_path, ds))]
 
     curves: list[tuple[int, RocCurve]] = []
     for seed, noisy, ledger in runs:

@@ -42,21 +42,20 @@ def reduce_partition(partition: Partition, num_classes: int) -> tuple[np.ndarray
     that label (0 if none); the background probability is 1 exactly when
     all real-class probabilities are 0. The first label out of range, in
     cluster order with originals first, raises."""
-    slots = partition.member_slots()
+    rows, original = partition.member_rows()
     boxes = partition.boxes
     classes = boxes.classes[partition.members]
     bad = (classes < 1) | (classes > num_classes)
     if bad.any():
         first = int(np.argmax(bad))
         raise InvalidInputError(
-            f"{'prediction' if slots[first] % 2 else 'annotation'} "
+            f"{'annotation' if original[first] else 'prediction'} "
             f"{boxes.ids[partition.members[first]]}: "
             f"label {classes[first]} outside 1..{num_classes}"
         )
 
     n = len(partition)
-    rows, columns = slots // 2, classes.astype(np.int64) - 1
-    original = slots % 2 == 0
+    columns = classes.astype(np.int64) - 1
     labels = np.zeros((n, num_classes + 1), dtype=np.uint8)
     labels[rows[original], columns[original]] = 1
     labels[~labels.any(axis=1), num_classes] = 1

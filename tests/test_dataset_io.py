@@ -423,7 +423,7 @@ def _flagged_pairs(n: int) -> DetectionResult:
         xywh=rng.random((2 * n, 4)) * 100 + 1,
     )
     partition = Partition(boxes, np.arange(n), np.arange(n) // 10, np.arange(2 * n),
-                          np.arange(1, 2 * n + 1))
+                          np.arange(2 * n + 1))
     table = VerdictTable.of_values(
         list(range(0, 2 * n, 2)), range(n), np.arange(n) // 10, rng.random(n), [True] * n,
         ["wrong_label"] * n, [None] * n, [(1,)] * n,
