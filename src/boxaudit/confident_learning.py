@@ -121,12 +121,17 @@ class VerdictTable:
         """Which verdicts concern a region rather than an annotation."""
         return np.equal(self.annotation_ids, None)
 
+    @property
+    def has_region(self) -> np.ndarray:
+        """Which verdicts hold a region (a row that is not NaN)."""
+        return ~np.isnan(self.regions[:, 0])
+
     def __len__(self) -> int:
         return len(self.quality)
 
     def region_lists(self) -> dict[int, list[float]]:
         """The [x, y, w, h] region of every verdict that has one, by position."""
-        with_region = np.flatnonzero(~np.isnan(self.regions[:, 0]))
+        with_region = np.flatnonzero(self.has_region)
         return dict(zip(with_region.tolist(), self.regions[with_region].tolist()))
 
     def __iter__(self):

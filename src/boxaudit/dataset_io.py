@@ -668,7 +668,7 @@ _json_int = int.__repr__
 
 def _blocks(n: int):
     """Slices of ``_BLOCK`` rows covering rows 0 to ``n``."""
-    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
 
 
 def _json_numbers(column: np.ndarray) -> list[str]:
@@ -802,21 +802,21 @@ def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category
     """Persist a noise ledger; category ids are written in source-id space."""
     dense_to_source = {c.id: c.source_id for c in categories}
     columns = ledger.columns
+    # the boxes of entries start:stop are rows offsets[start]:offsets[stop] of their side
+    offsets = [np.r_[0, np.cumsum(has)] for has in (columns.has_original, columns.has_perturbed)]
 
     def entry_blocks():
         for block in _blocks(len(columns)):
-            o_rows, p_rows = columns.original_rows[block], columns.perturbed_rows[block]
-            originals = columns.original.take(o_rows[o_rows >= 0])
-            perturbed = columns.perturbed.take(p_rows[p_rows >= 0])
-            o_json = iter(_json_boxes(originals, dense_to_source, 6))
-            p_json = iter(_json_boxes(perturbed, dense_to_source, 6))
+            o_rows, p_rows = (slice(ends[block.start], ends[block.stop]) for ends in offsets)
+            o_json = iter(_json_boxes(columns.original.take(o_rows), dense_to_source, 6))
+            p_json = iter(_json_boxes(columns.perturbed.take(p_rows), dense_to_source, 6))
             yield [
                 _LEDGER_ENTRY[o, p].format(
                     ann_id, _json_str(kind), *islice(o_json, o), *islice(p_json, p)
                 )
                 for ann_id, kind, o, p in zip(
                     _json_numbers(columns.annotation_ids[block]), columns.kinds[block].tolist(),
-                    (o_rows >= 0).tolist(), (p_rows >= 0).tolist(),
+                    columns.has_original[block].tolist(), columns.has_perturbed[block].tolist(),
                 )
             ]
 
@@ -872,7 +872,7 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
             np.fromiter(map(source_to_dense.__getitem__, category_ids), np.int64, len(ids)),
             np.full(len(ids), np.nan), rows[f"{side}.bbox"][present],
         )
-        sides += [boxes, LedgerColumns.rows(present)]
+        sides += [boxes, present]
     return NoiseLedger(LedgerColumns(
         int_array(rows["annotation_id"]), np.array(rows["noise_type"], dtype=str), *sides
     ))
@@ -925,6 +925,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     # a row has a verdict per original, or one region verdict if flagged
     counts = np.where(n_originals > 0, n_originals, report.flagged)
     firsts = (np.cumsum(counts) - counts)[rows]
+    has_region = table.has_region
 
     def finding_blocks(write_csv: Callable):
         """The findings' JSON records by block; each block's CSV rows go to ``write_csv``."""
@@ -935,14 +936,14 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
             ann_ids = iter(_json_numbers(boxes.ids[originals]))
             original_boxes = iter(_json_boxes(boxes.take(originals), dense_to_source, 8))
             predicted_boxes = iter(_json_boxes(boxes.take(predictions), dense_to_source, 8))
-            has_region = ~np.isnan(table.regions[block_firsts, 0])
-            regions = iter(_json_bboxes(table.regions[block_firsts][has_region], 6))
+            with_region = has_region[block_firsts]
+            regions = iter(_json_bboxes(table.regions[block_firsts[with_region]], 6))
             csv_rows, records = [], []
             findings = zip(
                 _json_numbers(partition.cluster_ids[block_rows]),
                 _json_numbers(partition.image_ids[block_rows]),
                 block_firsts.tolist(), _json_numbers(table.quality[block_firsts]),
-                table.kinds[block_firsts].tolist(), has_region.tolist(),
+                table.kinds[block_firsts].tolist(), with_region.tolist(),
                 original_counts.tolist(), predicted_counts.tolist(),
             )
             for cluster_id, image_id, first, q, kind, region, n_orig, n_pred in findings:
@@ -967,15 +968,14 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
 
     def verdict_blocks():
         for block in _blocks(len(table)):
-            has_region = ~np.isnan(table.regions[block, 0])
-            regions = iter(_json_bboxes(table.regions[block][has_region], 6))
+            regions = iter(_json_bboxes(table.regions[block][has_region[block]], 6))
             yield list(map(
                 _VERDICT.format,
                 ["null" if a is None else _json_int(a) for a in table.annotation_ids[block]],
                 _json_numbers(table.cluster_ids[block]),
                 ["true" if f else "false" for f in table.flagged[block].tolist()],
                 _json_numbers(table.image_ids[block]), _json_numbers(table.quality[block]),
-                [next(regions) if r else "null" for r in has_region.tolist()],
+                [next(regions) if r else "null" for r in has_region[block].tolist()],
                 map(_json_str, table.kinds[block].tolist()),
             ))
 

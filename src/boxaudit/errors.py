@@ -49,7 +49,7 @@ class InvalidScoreError(AuditError):
 
 
 class InvalidSpecError(AuditError):
-    """A noise specification is inconsistent (e.g. missing amplitude)."""
+    """A flag out of range or in conflict, or an inconsistent noise spec."""
 
     category = "invalid-spec"
 

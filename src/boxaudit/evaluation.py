@@ -96,8 +96,7 @@ def _sweep(
     missing = entries.of_kind(NoiseKind.MISSING)
     n_removed = int(np.count_nonzero(missing))
     positive_ids = set(entries.annotation_ids[~missing].tolist())
-    rows = entries.original_rows[missing]
-    removed = entries.original.take(rows[rows >= 0])  # the removed records that hold a box
+    removed = entries.original.take(missing[entries.has_original])  # the removed records with a box
 
     is_region = verdicts.is_region
     ann_ids = verdicts.annotation_ids[~is_region].tolist()
@@ -151,7 +150,7 @@ def _matched_counts(
     count there; the count at a threshold is the sum of the changes at or
     below it.
     """
-    with_region = np.flatnonzero(is_region & ~np.isnan(verdicts.regions[:, 0]))
+    with_region = np.flatnonzero(is_region & verdicts.has_region)
     by_image: dict[int, tuple[list[int], list[list[float]]]] = {}
     for i, image_id in zip(with_region.tolist(), verdicts.image_ids[with_region].tolist()):
         by_image.setdefault(image_id, ([], []))[0].append(i)

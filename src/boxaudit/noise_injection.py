@@ -90,17 +90,17 @@ class LedgerEntry:
 class LedgerColumns:
     """Ledger entries as columns: entry k perturbed annotation
     ``annotation_ids[k]`` with the noise kind whose value is ``kinds[k]``;
-    its original box is row ``original_rows[k]`` of ``original`` and its
-    perturbed box row ``perturbed_rows[k]`` of ``perturbed``, or absent where
-    the row is -1. ``entries`` holds them as :class:`LedgerEntry` objects,
+    it holds an original box where ``has_original[k]`` and a perturbed one
+    where ``has_perturbed[k]``, in entry order in ``original`` and
+    ``perturbed``. ``entries`` holds them as :class:`LedgerEntry` objects,
     built on first access unless the columns were made from objects."""
 
     annotation_ids: np.ndarray
     kinds: np.ndarray  # str
     original: BoxColumns
-    original_rows: np.ndarray
+    has_original: np.ndarray  # bool
     perturbed: BoxColumns
-    perturbed_rows: np.ndarray
+    has_perturbed: np.ndarray  # bool
     _entries: list[LedgerEntry] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -110,29 +110,19 @@ class LedgerColumns:
         """Whether each entry is of ``kind``."""
         return self.kinds == kind.value
 
-    @staticmethod
-    def rows(present: list[bool]) -> np.ndarray:
-        """The row of each entry's box among the entries that have one, -1
-        where it has none."""
-        present = np.array(present, dtype=bool)
-        return np.where(present, np.cumsum(present) - 1, -1)
-
     @property
     def entries(self) -> list[LedgerEntry]:
         if self._entries is None:
-            originals, perturbed = self.original.items, self.perturbed.items
+            originals, perturbed = iter(self.original.items), iter(self.perturbed.items)
             rows = zip(
                 self.annotation_ids.tolist(),
                 self.kinds.tolist(),
-                self.original_rows.tolist(),
-                self.perturbed_rows.tolist(),
+                self.has_original.tolist(),
+                self.has_perturbed.tolist(),
             )
             object.__setattr__(self, "_entries", [
                 LedgerEntry(
-                    a,
-                    NoiseKind(k),
-                    originals[o] if o >= 0 else None,
-                    perturbed[p] if p >= 0 else None,
+                    a, NoiseKind(k), next(originals) if o else None, next(perturbed) if p else None
                 )
                 for a, k, o, p in rows
             ])
@@ -141,15 +131,13 @@ class LedgerColumns:
     @classmethod
     def of(cls, entries: list[LedgerEntry]) -> LedgerColumns:
         """The columns of ``entries``, which are kept as the entries."""
-        has_original = [e.original is not None for e in entries]
-        has_perturbed = [e.perturbed is not None for e in entries]
         return cls(
             annotation_ids=int_array([e.annotation_id for e in entries]),
             kinds=np.array([NoiseKind(e.kind).value for e in entries], dtype=str),
             original=BoxColumns.of([e.original for e in entries if e.original is not None]),
-            original_rows=cls.rows(has_original),
+            has_original=np.array([e.original is not None for e in entries], dtype=bool),
             perturbed=BoxColumns.of([e.perturbed for e in entries if e.perturbed is not None]),
-            perturbed_rows=cls.rows(has_perturbed),
+            has_perturbed=np.array([e.perturbed is not None for e in entries], dtype=bool),
             _entries=list(entries),
         )
 
@@ -291,14 +279,13 @@ def _ledger(
     rows of ``original`` and ``perturbed`` in entry order."""
     n = len(annotation_ids)
     empty = BoxColumns.of([])
-    absent, rows = np.full(n, -1), np.arange(n)
     return NoiseLedger(LedgerColumns(
         annotation_ids,
         np.full(n, kind.value),
         empty if original is None else original,
-        absent if original is None else rows,
+        np.full(n, original is not None),
         empty if perturbed is None else perturbed,
-        absent if perturbed is None else rows,
+        np.full(n, perturbed is not None),
     ))
 
 
@@ -311,22 +298,23 @@ def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
     boxes, columns = ds.columns, ledger.columns
     n = len(boxes)
     row_of = {a: k for k, a in enumerate(boxes.ids.tolist())}
-    # rows of boxes and then of the ledger's perturbed boxes; -1 removes
+    # rows of boxes and then of the ledger's perturbed boxes; None removes
     source = list(range(n))
     appended = []
+    joined_rows = iter(range(n, n + len(columns.perturbed)))
     entries = zip(
         columns.annotation_ids.tolist(),
         columns.of_kind(NoiseKind.SPURIOUS).tolist(),
         columns.of_kind(NoiseKind.MISSING).tolist(),
-        columns.perturbed_rows.tolist(),
+        columns.has_perturbed.tolist(),
     )
-    for ann_id, spurious, missing, p in entries:
+    for ann_id, spurious, missing, has_perturbed in entries:
+        p = next(joined_rows) if has_perturbed else None
         if spurious:
-            if p >= 0:
-                appended.append(n + p)
+            appended.append(p)
         else:
-            source[row_of[ann_id]] = -1 if missing or p < 0 else n + p
-    rows = np.array([k for k in source if k >= 0] + appended, dtype=np.intp)
+            source[row_of[ann_id]] = None if missing else p
+    rows = np.array([k for k in source + appended if k is not None], dtype=np.intp)
     return _with_boxes(ds, BoxColumns.join(boxes, columns.perturbed).take(rows))
 
 

@@ -17,7 +17,7 @@ from boxaudit import dataset_io
 # for per-stage tracing (bench/tracing.py)
 from boxaudit.clustering import Partition, cluster_dataset  # noqa: F401
 from boxaudit.confident_learning import ClassThresholds, VerdictTable
-from boxaudit.errors import InvalidInputError, InvalidSpecError
+from boxaudit.errors import InvalidSpecError
 from boxaudit.evaluation import (
     DEFAULT_MATCH_IOU,
     MATCH_IOU_RANGE,
@@ -51,9 +51,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold < 1.0:
-            raise InvalidInputError(clustering.IOU_THRESHOLD_RANGE.format(self.iou_threshold))
+            raise InvalidSpecError(clustering.IOU_THRESHOLD_RANGE.format(self.iou_threshold))
         if self.runs < 1:
-            raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
+            raise InvalidSpecError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.match_iou <= 1.0:
             raise InvalidSpecError(MATCH_IOU_RANGE.format(self.match_iou))
         if self.sweep not in SWEEPS:
@@ -191,7 +191,6 @@ def cmd_eval(config: PipelineConfig) -> Path:
         )
     ds = dataset_io.load_ground_truth(config.ground_truth_path)
     preds = dataset_io.load_predictions(config.predictions_path, ds)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
 
     if config.noise is not None:
         specs = (replace(config.noise, seed=config.noise.seed + run) for run in range(config.runs))
@@ -210,6 +209,7 @@ def cmd_eval(config: PipelineConfig) -> Path:
 
     roc_path = config.output_dir / "roc.csv"
     run_aurocs = [(seed, curve.auroc) for seed, curve in curves]
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     dataset_io.save_roc(
         curves[0][1], roc_path, run_aurocs=run_aurocs if len(curves) > 1 else None
     )

@@ -112,15 +112,24 @@ def test_unwritable_output_dir_reports_io_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[io-failure]:")
 
 
-def test_bad_iou_threshold_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["detect", "--iou-threshold", "1.5"],
+    ["eval", "--noise-kind", "missing", "--fraction", "0.2", "--iou-threshold", "0"],
+    ["eval", "--noise-kind", "missing", "--fraction", "0.2", "--runs", "0"],
+], ids=["detect-iou-1.5", "eval-iou-0", "eval-runs-0"])
+def test_bad_iou_threshold_rejected(tmp_path, capsys, argv):
+    """A flag out of range is an invalid spec, as every other refused flag
+    is, and is refused before the output directory is made."""
     gt = _small_gt(tmp_path)
     preds = _perfect_predictions(tmp_path, gt)
+    command, *flags = argv
     rc = main(
-        ["detect", "--ground-truth", str(gt), "--predictions", str(preds),
-         "--iou-threshold", "1.2", "--output-dir", str(tmp_path / "o")]
+        [command, "--ground-truth", str(gt), "--predictions", str(preds), *flags,
+         "--output-dir", str(tmp_path / "o")]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error[invalid-input]:")
+    _single_error_line(capsys, "invalid-spec")
+    assert not (tmp_path / "o").exists()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -433,6 +442,19 @@ def test_eval_on_clean_ledger_reports_empty_ledger(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[empty-ledger]:")
 
 
+def test_eval_that_fails_leaves_no_output_dir(tmp_path, capsys):
+    """An injection of nothing is refused after the runs start, and the
+    output directory is made only once they have succeeded."""
+    gt, preds = write_synthetic(tmp_path, num_images=20, boxes_per_image=5, seed=14)
+    rc = main(
+        ["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+         "--noise-kind", "missing", "--fraction", "0", "--output-dir", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "empty-ledger")
+    assert not (tmp_path / "out").exists()
+
+
 # --- roc (file-based handoff) --------------------------------------------------------
 
 
@@ -509,6 +531,22 @@ def test_roc_rejects_ledger_that_removed_annotations_of_the_report(tmp_path, cap
     assert _roc(gt, tmp_path / "clean" / "report.json", ledger, tmp_path / "roc") == 1
     _single_error_line(capsys, "invalid-input")
     assert not (tmp_path / "roc").exists()
+
+
+def test_eval_rejects_ledger_that_removed_annotations_and_leaves_no_output_dir(
+    tmp_path, capsys
+):
+    """``eval --ledger`` over the ground truth before injection is refused
+    once detection has run, and the output directory is not made."""
+    _, _, ledger, preds = _roc_inputs(tmp_path)
+    capsys.readouterr()
+    rc = main(
+        ["eval", "--ground-truth", str(tmp_path / "gt.json"), "--predictions", str(preds),
+         "--ledger", str(ledger), "--output-dir", str(tmp_path / "ev")]
+    )
+    assert rc == 1
+    _single_error_line(capsys, "invalid-input")
+    assert not (tmp_path / "ev").exists()
 
 
 def _set_verdict(key, value):

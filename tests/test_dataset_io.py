@@ -550,9 +550,9 @@ def _random_ledger(rng, seen):
         annotation_ids=int_array([rng.choice(_IDS) for _ in range(n)]),
         kinds=np.array([rng.choice(list(NoiseKind)).value for _ in range(n)], dtype=str),
         original=original,
-        original_rows=LedgerColumns.rows(has_original),
+        has_original=np.array(has_original, dtype=bool),
         perturbed=perturbed,
-        perturbed_rows=LedgerColumns.rows(has_perturbed),
+        has_perturbed=np.array(has_perturbed, dtype=bool),
     ))
     seen["empty ledger"] += n == 0
     seen["no original"] += not all(has_original)
