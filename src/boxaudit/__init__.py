@@ -25,7 +25,7 @@ from boxaudit.dataset_io import (
     save_ledger,
     save_report,
 )
-from boxaudit.evaluation import RocCurve, RocPoint, auroc, confusion_at, roc_curve
+from boxaudit.evaluation import RocCurve, auroc, confusion_at, roc_curve
 from boxaudit.geometry import BBox, iou
 from boxaudit.noise_injection import (
     LedgerEntry,
@@ -38,7 +38,7 @@ from boxaudit.noise_injection import (
 from boxaudit.pipeline import PipelineConfig, run_detection
 from boxaudit.reduction import ReducedMatrices, reduce_dataset
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AnnotatedBox",
@@ -58,7 +58,6 @@ __all__ = [
     "PredictionSet",
     "ReducedMatrices",
     "RocCurve",
-    "RocPoint",
     "RowAssessment",
     "auroc",
     "cluster_dataset",

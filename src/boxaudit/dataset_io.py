@@ -894,8 +894,8 @@ _SUMMARY = _json_object(
     ("clusters", "flagged_annotations", "flagged_clusters", "missing_regions"), 2
 )
 _FINDING = _json_object((
-    "annotation_ids", "cluster_id", "flagged_classes", "image_id", "original_members",
-    "predicted_members", "quality_score", "region", "verdict_kind",
+    "annotation_ids", "cluster_id", "flagged_classes", "image_id", "prediction_ids",
+    "quality_score", "region", "verdict_kind",
 ), 4)
 _VERDICT = _json_object(
     ("annotation_id", "cluster_id", "flagged", "image_id", "quality_score", "region", "verdict_kind"),
@@ -911,9 +911,11 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     Each flagged partition row is one finding, and findings come in
     partition row order, which is cluster id order for every
     :func:`~boxaudit.pipeline.run_detection` result. A finding carries its
-    row's first verdict's kind, score, classes and region, the row's
-    original annotation ids and every member box. Findings and verdicts are
-    written ``_BLOCK`` rows at a time.
+    row's first verdict's kind, score, classes and region, and names its
+    members by id: ``annotation_ids`` are its original annotations and
+    ``prediction_ids`` its predictions (each the detection's 1-based
+    position in the predictions file). Findings and verdicts are written
+    ``_BLOCK`` rows at a time.
     """
     path = Path(path)
     mirror = _json_mirror(path)
@@ -934,8 +936,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
             originals, original_counts = partition.members_of(block_rows, predicted=False)
             predictions, predicted_counts = partition.members_of(block_rows, predicted=True)
             ann_ids = iter(_json_numbers(boxes.ids[originals]))
-            original_boxes = iter(_json_boxes(boxes.take(originals), dense_to_source, 8))
-            predicted_boxes = iter(_json_boxes(boxes.take(predictions), dense_to_source, 8))
+            prediction_ids = iter(_json_numbers(boxes.ids[predictions]))
             with_region = has_region[block_firsts]
             regions = iter(_json_bboxes(table.regions[block_firsts[with_region]], 6))
             csv_rows, records = [], []
@@ -959,8 +960,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
                 records.append(_FINDING.format(
                     _json_list(finding_ann_ids, 6), cluster_id,
                     _json_list(list(map(_json_str, labels)), 6), image_id,
-                    _json_list(list(islice(original_boxes, n_orig)), 6),
-                    _json_list(list(islice(predicted_boxes, n_pred)), 6), q,
+                    _json_list(list(islice(prediction_ids, n_pred)), 6), q,
                     next(regions) if region else "null", _json_str(kind),
                 ))
             write_csv(csv_rows)
@@ -1049,6 +1049,7 @@ def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
 # --- ROC persistence -------------------------------------------------------------
 
 _ROC_POINT = _json_object(("fpr", "threshold", "tpr"), 4)
+_ROC_ROW = "{:.6f},{:.6f},{:.6f}\r\n"  # a csv.writer row: no field needs quoting
 _ROC_RUN = _json_object(("auroc", "seed"), 4)
 
 
@@ -1065,17 +1066,17 @@ def save_roc(
     path = Path(path)
     mirror = _json_mirror(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for p in curve.points:
-            writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
+        fh.write("threshold,fpr,tpr\r\n")
+        for block in _blocks(len(curve.thresholds)):
+            columns = (curve.thresholds[block], curve.fpr[block], curve.tpr[block])
+            fh.write("".join(map(_ROC_ROW.format, *(c.tolist() for c in columns))))
         fh.write(f"# auroc = {curve.auroc:.6f}\n")
 
-    points = [np.array([getattr(p, k) for p in curve.points]) for k in ("fpr", "threshold", "tpr")]
     fields = {
         "auroc": _json_numbers(np.array([curve.auroc]))[0],
-        "points": (list(map(_ROC_POINT.format, *(_json_numbers(c[b]) for c in points)))
-                   for b in _blocks(len(curve.points))),
+        "points": (list(map(_ROC_POINT.format, *map(_json_numbers, (
+                       curve.fpr[block], curve.thresholds[block], curve.tpr[block]))))
+                   for block in _blocks(len(curve.thresholds))),
     }
     if run_aurocs is not None:
         aurocs = [a for _, a in run_aurocs]

@@ -11,12 +11,14 @@ positive.
 
 The sweep is single-pass (Fawcett, "An introduction to ROC analysis", 2006):
 annotation scores are sorted once, and a cumulative sum of the perturbed ones
-read at each cutoff gives its counts. Region matches are counted per image,
-with IoUs from one vectorized matrix; each image replays its greedy match
-only at its own distinct region scores, and the changes in matched count are
-summed the same way. A sweep over every distinct score therefore costs about
-one sort, not one greedy replay per cutoff. ``confusion_at`` is the sweep at
-a single cutoff.
+read at each cutoff gives its counts. Every same-image region x removed pair
+is scored in one IoU call. A pair that shares neither its region nor its
+record with another pair matches once its region is flagged; only an image
+where some region or record is in several pairs replays its greedy match, at
+its own distinct region scores. The changes in matched count are summed the
+same way, so a sweep over every distinct score costs about one sort, not one
+greedy replay per cutoff. The curve is held as columns, one entry per
+cutoff. ``confusion_at`` is the sweep at a single cutoff.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from boxaudit.geometry import corner_iou, corners
 from boxaudit.noise_injection import NoiseKind, NoiseLedger
 
 __all__ = [
-    "RocPoint",
     "RocCurve",
     "Confusion",
     "DEFAULT_THRESHOLDS",
@@ -48,16 +49,14 @@ DEFAULT_THRESHOLDS = [i / 10 for i in range(11)]
 DEFAULT_MATCH_IOU = 0.5
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    fpr: float
-    tpr: float
-
-
 @dataclass
 class RocCurve:
-    points: list[RocPoint]
+    """The swept cutoffs and the (FPR, TPR) at each, as float64 columns,
+    and the area under those points."""
+
+    thresholds: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
     auroc: float
 
 
@@ -87,9 +86,9 @@ def _sweep(
     ledger: NoiseLedger,
     thresholds: list[float],
     match_iou: float,
-) -> list[Confusion]:
-    """Confusion counts at every threshold, from one pass over the verdict
-    columns."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tp, fp, tn and fn counts at every threshold, as int64 columns,
+    from one pass over the verdict columns."""
     if not 0.0 < match_iou <= 1.0:
         raise InvalidInputError(MATCH_IOU_RANGE.format(match_iou))
     entries = ledger.columns
@@ -126,14 +125,10 @@ def _sweep(
     region_scores = np.sort(verdicts.quality[is_region])
     flagged_regions = np.searchsorted(region_scores, taus, side="right")
     matched = _matched_counts(verdicts, is_region, removed, taus, match_iou)
-
-    counts = zip(
-        (tp + matched).tolist(),
-        (fp + flagged_regions - matched).tolist(),
-        (n_negative - fp).tolist(),
-        (n_positive - tp + n_removed - matched).tolist(),
+    return (
+        tp + matched, fp + flagged_regions - matched, n_negative - fp,
+        n_positive - tp + n_removed - matched,
     )
-    return [Confusion(tp=t, fp=f, tn=n, fn=m) for t, f, n, m in counts]
 
 
 def _matched_counts(
@@ -145,36 +140,49 @@ def _matched_counts(
 ) -> np.ndarray:
     """Greedy one-to-one region matches at every threshold.
 
-    Matching never crosses images, so each image replays its greedy match
-    only at its own distinct region scores and records the change in matched
-    count there; the count at a threshold is the sum of the changes at or
-    below it.
+    Removed records are sorted by image, so each region's same-image records
+    are one ``searchsorted`` range, and all the pairs are scored in one IoU
+    call. Matching never crosses images. On an image where no region and no
+    record is in two pairs, each pair matches from its region's score on;
+    any other image replays its greedy match at its own distinct region
+    scores. The count at a threshold is the sum of the changes at or below
+    it.
     """
-    with_region = np.flatnonzero(is_region & verdicts.has_region)
-    by_image: dict[int, tuple[list[int], list[list[float]]]] = {}
-    for i, image_id in zip(with_region.tolist(), verdicts.image_ids[with_region].tolist()):
-        by_image.setdefault(image_id, ([], []))[0].append(i)
-    for image_id, box in zip(removed.image_ids.tolist(), removed.xywh.tolist()):
-        if image_id in by_image:
-            by_image[image_id][1].append(box)
+    regions = np.flatnonzero(is_region & verdicts.has_region)
+    region_images = verdicts.image_ids[regions]
+    by_image = np.argsort(removed.image_ids, kind="stable")
+    removed_images = removed.image_ids[by_image]
+    starts = np.searchsorted(removed_images, region_images, side="left")
+    counts = np.searchsorted(removed_images, region_images, side="right") - starts
+    region_rows = np.repeat(regions, counts)
+    # the k-th pair of a region takes the k-th record of its range
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(len(region_rows))
+    removed_rows = by_image[slots]
+    ious = corner_iou(corners(verdicts.regions[region_rows]), corners(removed.xywh[removed_rows]))
+    keep = ious >= match_iou
+    # an image is named by the sorted position of its first removed record
+    region_rows, removed_rows, ious, images = (
+        a[keep] for a in (region_rows, removed_rows, ious, np.repeat(starts, counts))
+    )
+    shared = (np.bincount(region_rows)[region_rows] > 1) | (
+        np.bincount(removed_rows, minlength=len(removed))[removed_rows] > 1
+    )
+    conflicted = np.zeros(len(removed), dtype=bool)
+    conflicted[images[shared]] = True
+    replay = conflicted[images]
+    scores = verdicts.quality[region_rows]
 
-    event_scores: list[float] = []
-    event_deltas: list[int] = []
-    for image_regions, image_removed in by_image.values():
-        if not image_removed:
-            continue
-        ious = corner_iou(
-            [c[:, None] for c in corners(verdicts.regions[image_regions])], corners(image_removed)
-        )
-        ri, mi = np.nonzero(ious >= match_iou)
-        # descending IoU; nonzero's row-major order breaks ties by region,
-        # then record
-        order = np.argsort(-ious[ri, mi], kind="stable")
-        pairs = list(zip(ri[order].tolist(), mi[order].tolist()))
-        scores = verdicts.quality[image_regions]
+    event_scores = scores[~replay].tolist()
+    event_deltas = [1] * len(event_scores)
+    rows = np.flatnonzero(replay)
+    # by image, then descending IoU, ties broken by region, then record
+    rows = rows[np.lexsort((removed_rows[rows], region_rows[rows], -ious[rows], images[rows]))]
+    for image_rows in np.split(rows, np.flatnonzero(np.diff(images[rows])) + 1):
+        pairs = list(zip(region_rows[image_rows].tolist(), removed_rows[image_rows].tolist(),
+                         scores[image_rows].tolist()))
         before = 0
-        for tau in sorted(set(scores[ri].tolist())):
-            now = _greedy_matches(pairs, (scores <= tau).tolist())
+        for tau in sorted({score for _, _, score in pairs}):
+            now = _greedy_matches(pairs, tau)
             if now != before:
                 event_scores.append(tau)
                 event_deltas.append(now - before)
@@ -185,15 +193,15 @@ def _matched_counts(
     return cum_matched[np.searchsorted(np.array(event_scores)[order], taus, side="right")]
 
 
-def _greedy_matches(pairs: list[tuple[int, int]], flagged: list[bool]) -> int:
-    """Size of the greedy one-to-one match over ``pairs`` (best first) among
-    flagged regions."""
+def _greedy_matches(pairs: list[tuple[int, int, float]], tau: float) -> int:
+    """Size of the greedy one-to-one match over ``pairs`` (region, record,
+    region score; best first) among the regions flagged at ``tau``."""
     used_regions: set[int] = set()
     used_removed: set[int] = set()
-    for ri, mi in pairs:
-        if flagged[ri] and ri not in used_regions and mi not in used_removed:
-            used_regions.add(ri)
-            used_removed.add(mi)
+    for region, record, score in pairs:
+        if score <= tau and region not in used_regions and record not in used_removed:
+            used_regions.add(region)
+            used_removed.add(record)
     return len(used_removed)
 
 
@@ -205,7 +213,7 @@ def confusion_at(
     match_iou: float = DEFAULT_MATCH_IOU,
 ) -> Confusion:
     """Confusion counts of the noisy-box classifier at cutoff ``tau``."""
-    return _sweep(verdicts, ledger, [tau], match_iou)[0]
+    return Confusion(*(int(c[0]) for c in _sweep(verdicts, ledger, [tau], match_iou)))
 
 
 def roc_curve(
@@ -228,23 +236,22 @@ def roc_curve(
     if not thresholds or thresholds[0] != 0.0 or thresholds[-1] != 1.0:
         raise InvalidInputError("thresholds must contain the endpoints 0 and 1")
 
-    points = [
-        RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr)
-        for tau, c in zip(thresholds, _sweep(verdicts, ledger, thresholds, match_iou))
-    ]
-    return RocCurve(points=points, auroc=auroc([(p.fpr, p.tpr) for p in points]))
+    tp, fp, tn, fn = _sweep(verdicts, ledger, thresholds, match_iou)
+    # a rate over no boxes is 0; its numerator is then 0 too
+    fpr, tpr = fp / np.maximum(fp + tn, 1), tp / np.maximum(tp + fn, 1)
+    return RocCurve(
+        np.asarray(thresholds, dtype=np.float64), fpr, tpr, auroc(np.stack((fpr, tpr), axis=1))
+    )
 
 
-def auroc(points: list[tuple[float, float]]) -> float:
-    """Trapezoidal area under (fpr, tpr) points, sorted by fpr and anchored
-    at (0, 0) and (1, 1)."""
+def auroc(points) -> float:
+    """Trapezoidal area under (fpr, tpr) points, sorted by fpr then tpr and
+    anchored at (0, 0) and (1, 1); the trapezoids are added left to right."""
     if len(points) < 2:
         raise InvalidInputError("auroc needs at least 2 points")
-    pts = sorted(list(points) + [(0.0, 0.0), (1.0, 1.0)])
-    area = 0.0
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        area += (x2 - x1) * (y1 + y2) / 2.0
-    return area
+    pts = np.concatenate((np.asarray(points, dtype=np.float64), [[0.0, 0.0], [1.0, 1.0]]))
+    x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
+    return float(np.cumsum(np.concatenate(([0.0], np.diff(x) * (y[:-1] + y[1:]) / 2.0)))[-1])
 
 
 def dense_thresholds(verdicts: VerdictTable) -> list[float]:

@@ -1,8 +1,10 @@
 """Test-only slow reference for the ROC sweep: the per-threshold greedy
-replay that ``boxaudit.evaluation`` replaced with a single-pass sweep.
+replay that ``boxaudit.evaluation`` replaced with a single-pass sweep, and
+the trapezoid loop its ``auroc`` replaced with a sort and a running sum.
 
-``_Prepared`` is kept verbatim; ``reference_confusion_at`` and
-``reference_roc_curve`` drive it the way the public functions used to.
+``_Prepared`` and ``reference_auroc`` are kept verbatim;
+``reference_confusion_at`` and ``reference_roc_curve`` drive them the way
+the public functions used to, and the curve comes back as columns.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ import numpy as np
 
 from boxaudit.confident_learning import BoxVerdict
 from boxaudit.errors import InvalidInputError
-from boxaudit.evaluation import (
-    DEFAULT_MATCH_IOU,
-    Confusion,
-    RocCurve,
-    RocPoint,
-    auroc,
-)
+from boxaudit.evaluation import DEFAULT_MATCH_IOU, Confusion, RocCurve
 from boxaudit.geometry import iou
 from boxaudit.noise_injection import NoiseKind, NoiseLedger
 
@@ -105,5 +101,18 @@ def reference_roc_curve(
     points = []
     for tau in thresholds:
         c = prepared.confusion(tau)
-        points.append(RocPoint(threshold=tau, fpr=c.fpr, tpr=c.tpr))
-    return RocCurve(points=points, auroc=auroc([(p.fpr, p.tpr) for p in points]))
+        points.append((c.fpr, c.tpr))
+    fpr, tpr = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    return RocCurve(np.array(thresholds, dtype=np.float64), fpr, tpr, reference_auroc(points))
+
+
+def reference_auroc(points: list[tuple[float, float]]) -> float:
+    """Trapezoidal area under (fpr, tpr) points, sorted by fpr and anchored
+    at (0, 0) and (1, 1)."""
+    if len(points) < 2:
+        raise InvalidInputError("auroc needs at least 2 points")
+    pts = sorted(list(points) + [(0.0, 0.0), (1.0, 1.0)])
+    area = 0.0
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        area += (x2 - x1) * (y1 + y2) / 2.0
+    return area

@@ -5,7 +5,9 @@ per-record ``load_report`` it replaced with checks over columns.
 
 ``DetectionReport`` (the report writer's old input), ``_box_record``,
 ``_flagged_class_labels``, ``save_report`` and ``save_roc`` are kept
-verbatim. Each reference builds its whole mirror from objects and writes it
+verbatim, except that a finding names its predictions by id
+(``prediction_ids``) instead of listing its member boxes, and that the
+curve is read from its columns. Each reference builds its whole mirror from objects and writes it
 with ``json.dump``: indented for the report, ROC and ledger files, flat for
 the dataset. ``load_report`` and every helper it calls are kept verbatim
 too, so they fix the checks, their order and the error texts of the report
@@ -111,12 +113,7 @@ def save_report(report: DetectionReport, path: str | Path) -> None:
                 "flagged_classes": class_labels,
                 "annotation_ids": ann_ids,
                 "region": region.as_list() if region is not None else None,
-                "original_members": [
-                    _box_record(b, dense_to_source) for b in cluster.original_members
-                ],
-                "predicted_members": [
-                    _box_record(b, dense_to_source) for b in cluster.predicted_members
-                ],
+                "prediction_ids": [b.id for b in cluster.predicted_members],
             }
         )
 
@@ -163,13 +160,18 @@ def save_roc(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
-        for p in curve.points:
-            writer.writerow([f"{p.threshold:.6f}", f"{p.fpr:.6f}", f"{p.tpr:.6f}"])
+        for threshold, fpr, tpr in zip(
+            curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()
+        ):
+            writer.writerow([f"{threshold:.6f}", f"{fpr:.6f}", f"{tpr:.6f}"])
         fh.write(f"# auroc = {curve.auroc:.6f}\n")
 
     mirror: dict[str, Any] = {
         "points": [
-            {"threshold": p.threshold, "fpr": p.fpr, "tpr": p.tpr} for p in curve.points
+            {"threshold": threshold, "fpr": fpr, "tpr": tpr}
+            for threshold, fpr, tpr in zip(
+                curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()
+            )
         ],
         "auroc": curve.auroc,
     }

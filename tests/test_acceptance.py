@@ -185,7 +185,7 @@ def test_criterion_5_invariant_suites():
     # roc: monotone with (0,0)/(1,1) endpoints; auroc of diagonal exactly 0.5
     ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 400), 80)])
     curve = roc_curve(verdict_table(verdicts), ledger)
-    pts = [(p.fpr, p.tpr) for p in curve.points]
+    pts = list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
     if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
         failures.append("roc endpoints")
     if any(f2 < f1 or t2 < t1 for (f1, t1), (f2, t2) in zip(pts, pts[1:])):

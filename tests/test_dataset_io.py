@@ -27,7 +27,7 @@ from boxaudit.dataset_io import (
     save_report,
     save_roc,
 )
-from boxaudit.evaluation import RocCurve, RocPoint
+from boxaudit.evaluation import RocCurve
 from boxaudit.errors import (
     DanglingReferenceError,
     DuplicateIdError,
@@ -457,7 +457,7 @@ def _random_roc(rng, seen):
     without a short repr, and per-run AUROCs or none."""
     rate = lambda: rng.choice(_RATES) if rng.random() < 0.6 else rng.random()
     thresholds = sorted(rate() for _ in range(rng.randint(0, 12)))
-    points = [RocPoint(threshold=t, fpr=rate(), tpr=rate()) for t in thresholds]
+    points = [(t, rate(), rate()) for t in thresholds]
     auroc = rng.choice([rate(), float("nan"), 1])
     runs = None
     if rng.random() < 0.5:
@@ -465,10 +465,11 @@ def _random_roc(rng, seen):
     seen["runs"] += runs is not None
     seen["no runs"] += runs is None
     seen["repeated thresholds"] += len(set(thresholds)) < len(thresholds)
-    values = [v for p in points for v in (p.threshold, p.fpr, p.tpr)]
+    values = [v for p in points for v in p]
     for name, v in (("0.1+0.2", 0.1 + 0.2), ("1e-17", 1e-17), ("0", 0.0), ("1", 1.0)):
         seen[name] += v in values
-    return RocCurve(points=points, auroc=auroc), runs
+    columns = np.array(points, dtype=np.float64).reshape(-1, 3).T
+    return RocCurve(*columns, auroc=auroc), runs
 
 
 def test_roc_writer_matches_json_dump_reference(tmp_path, monkeypatch):
@@ -488,7 +489,7 @@ def test_roc_writer_matches_json_dump_reference(tmp_path, monkeypatch):
 
 
 def test_roc_writer_refuses_a_json_path(tmp_path):
-    curve = RocCurve(points=[RocPoint(threshold=0.5, fpr=0.0, tpr=1.0)], auroc=1.0)
+    curve = RocCurve(np.array([0.5]), np.array([0.0]), np.array([1.0]), auroc=1.0)
     with pytest.raises(InvalidInputError, match="overwritten"):
         save_roc(curve, tmp_path / "roc.json")
     assert not (tmp_path / "roc.json").exists()

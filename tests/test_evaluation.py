@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from boxaudit.confident_learning import BoxVerdict
@@ -16,7 +17,7 @@ from boxaudit.geometry import BBox
 from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger
 
 from conftest import original_box, verdict_table
-from evaluation_reference import reference_confusion_at, reference_roc_curve
+from evaluation_reference import reference_auroc, reference_confusion_at, reference_roc_curve
 
 # the published ROC sweep this evaluator is meant to reproduce: 11 operating
 # points of a uniform-label-noise box classifier
@@ -33,6 +34,11 @@ REFERENCE_ROC_POINTS = [
     (0.335, 0.999),
     (1.000, 1.000),
 ]
+
+
+def points(curve):
+    """The curve's (threshold, fpr, tpr) points, read off its columns."""
+    return list(zip(curve.thresholds.tolist(), curve.fpr.tolist(), curve.tpr.tolist()))
 
 
 def ann_verdict(ann_id, score, image_id=1, flagged=False):
@@ -214,13 +220,13 @@ def test_curve_contains_grid_and_is_monotone():
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 201)]
     ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 201), 40)])
     curve = roc_curve(verdict_table(verdicts), ledger)
-    testable = [(p.threshold, p.fpr, p.tpr) for p in curve.points]
+    testable = points(curve)
     assert [t for t, _, _ in testable] == DEFAULT_THRESHOLDS
     for (_, f1, t1), (_, f2, t2) in zip(testable, testable[1:]):
         assert f2 >= f1 and t2 >= t1
-    assert curve.points[0].threshold == 0.0
-    assert curve.points[-1].threshold == 1.0
-    assert curve.points[-1].fpr == 1.0 and curve.points[-1].tpr == 1.0
+    assert curve.thresholds[0] == 0.0
+    assert curve.thresholds[-1] == 1.0
+    assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
 
 
 def test_monotone_even_with_missing_noise():
@@ -242,9 +248,9 @@ def test_monotone_even_with_missing_noise():
     ledger = NoiseLedger(entries=entries)
     table = verdict_table(verdicts)
     curve = roc_curve(table, ledger, dense_thresholds(table))
-    for p1, p2 in zip(curve.points, curve.points[1:]):
-        assert p2.fpr >= p1.fpr - 1e-12
-        assert p2.tpr >= p1.tpr - 1e-12
+    for (_, f1, t1), (_, f2, t2) in zip(points(curve), points(curve)[1:]):
+        assert f2 >= f1 - 1e-12
+        assert t2 >= t1 - 1e-12
 
 
 def test_empty_ledger_is_an_error():
@@ -316,10 +322,68 @@ def test_auroc_invariant_under_monotone_score_transform():
     ]
     squashed = verdict_table(squashed)
     transformed = roc_curve(squashed, ledger, dense_thresholds(squashed))
-    assert {(p.fpr, p.tpr) for p in base.points} == {
-        (p.fpr, p.tpr) for p in transformed.points
+    assert {(f, t) for _, f, t in points(base)} == {
+        (f, t) for _, f, t in points(transformed)
     }
     assert transformed.auroc == pytest.approx(base.auroc)
+
+
+# rates that tie, repeat, sit on the anchors or have no short repr
+RATE_POOL = [0.0, -0.0, 1.0, 0.5, 0.1 + 0.2, 1 / 3, 1e-17, 2 / 3]
+
+
+def test_auroc_equals_trapezoid_loop_bit_for_bit():
+    rng = random.Random(103)
+    seen = {"tied fpr": 0, "repeated point": 0, "anchor point": 0}
+    for _ in range(1200):
+        rate = lambda: rng.choice(RATE_POOL) if rng.random() < 0.5 else rng.random()
+        pts = [(rate(), rate()) for _ in range(rng.randint(2, 14))]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # repeated points
+        rng.shuffle(pts)
+        seen["tied fpr"] += len({f for f, _ in pts}) < len(pts)
+        seen["repeated point"] += len(set(pts)) < len(pts)
+        seen["anchor point"] += (0.0, 0.0) in pts or (1.0, 1.0) in pts
+        want = reference_auroc(pts).hex()
+        assert auroc(pts).hex() == want, pts
+        assert auroc(np.array(pts)).hex() == want, pts
+    assert all(n >= 100 for n in seen.values()), seen
+
+
+def _conflict_case(regions, removed):
+    """Region verdicts (score, [x, y, w, h]) and removed records ([x, y, w, h])
+    on one image."""
+    verdicts = [
+        region_verdict(score, BBox(*box), cluster_id=100 + k) for k, (score, box) in enumerate(regions)
+    ]
+    entries = [missing_entry(50 + k, *box) for k, box in enumerate(removed)]
+    return verdicts, NoiseLedger(entries=entries)
+
+
+@pytest.mark.parametrize("regions, removed, counts", [
+    # one region overlapping two removed boxes: it matches the closer one,
+    # and the other stays missed whatever the cutoff
+    ([(0.2, [10, 10, 20, 20])], [[11, 11, 20, 20], [13, 13, 20, 20]],
+     {0.1: (0, 0, 2), 0.2: (1, 0, 1), 1.0: (1, 0, 1)}),
+    # two regions overlapping one removed box: the closer one matches once
+    # flagged, and the other is then a false positive; flagged alone, the
+    # farther one matches
+    ([(0.6, [10, 10, 20, 20]), (0.3, [13, 13, 20, 20])], [[11, 11, 20, 20]],
+     {0.1: (0, 0, 1), 0.3: (1, 0, 0), 0.6: (1, 1, 0), 1.0: (1, 1, 0)}),
+    # both regions overlap both records; the first region's second-best
+    # pair ties the second region's best one, and the tie goes to the first
+    ([(0.5, [10, 10, 20, 20]), (0.2, [14, 14, 20, 20])], [[11, 11, 20, 20], [12, 12, 20, 20]],
+     {0.2: (1, 0, 1), 0.5: (2, 0, 0)}),
+])
+def test_sweep_on_a_conflicted_image(regions, removed, counts):
+    verdicts, ledger = _conflict_case(regions, removed)
+    table = verdict_table(verdicts)
+    for tau, (tp, fp, fn) in counts.items():
+        c = confusion_at(table, ledger, tau)
+        assert (c.tp, c.fp, c.fn) == (tp, fp, fn), tau
+        assert c == reference_confusion_at(verdicts, ledger, tau)
+    thresholds = dense_thresholds(table)
+    got, want = roc_curve(table, ledger, thresholds), reference_roc_curve(verdicts, ledger, thresholds)
+    assert points(got) == points(want) and got.auroc == want.auroc
 
 
 # --- single-pass sweep vs. the per-threshold reference ----------------------------
@@ -378,7 +442,8 @@ def test_sweep_equals_per_threshold_reference(seed):
     for thresholds in (DEFAULT_THRESHOLDS, dense_thresholds(table)):
         got = roc_curve(table, ledger, thresholds, match_iou=match_iou)
         want = reference_roc_curve(verdicts, ledger, thresholds, match_iou=match_iou)
-        assert got.points == want.points
+        assert points(got) == points(want)
+        assert all(c.dtype == np.float64 for c in (got.thresholds, got.fpr, got.tpr))
         assert got.auroc == want.auroc
     scores = [v.quality_score for v in verdicts]
     for tau in [rng.random(), rng.choice(SCORE_POOL), *rng.sample(scores, min(3, len(scores)))]:
@@ -419,6 +484,6 @@ def test_dense_sweep_over_many_regions_is_fast():
     curve = roc_curve(table, ledger, thresholds)
     elapsed = time.time() - start
 
-    assert len(curve.points) == len(thresholds) > 40000
-    assert curve.points[-1].tpr == 1.0
+    assert len(curve.thresholds) == len(thresholds) > 40000
+    assert curve.tpr[-1] == 1.0
     assert elapsed < 30.0, f"dense sweep took {elapsed:.2f}s"
