@@ -244,9 +244,10 @@ def roc_curve(
     )
 
 
-def auroc(points) -> float:
-    """Trapezoidal area under (fpr, tpr) points, sorted by fpr then tpr and
-    anchored at (0, 0) and (1, 1); the trapezoids are added left to right."""
+def auroc(points: list[tuple[float, float]] | np.ndarray) -> float:
+    """Trapezoidal area under (fpr, tpr) points, given as pairs or as an
+    (n, 2) array, sorted by fpr then tpr and anchored at (0, 0) and (1, 1);
+    the trapezoids are added left to right."""
     if len(points) < 2:
         raise InvalidInputError("auroc needs at least 2 points")
     pts = np.concatenate((np.asarray(points, dtype=np.float64), [[0.0, 0.0], [1.0, 1.0]]))
