@@ -13,7 +13,6 @@ from boxaudit.confident_learning import (
 )
 from boxaudit.dataset_io import (
     AnnotatedBox,
-    BoxSource,
     Category,
     Dataset,
     ImageInfo,
@@ -38,12 +37,11 @@ from boxaudit.noise_injection import (
 from boxaudit.pipeline import PipelineConfig, run_detection
 from boxaudit.reduction import ReducedMatrices, reduce_dataset
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AnnotatedBox",
     "BBox",
-    "BoxSource",
     "BoxVerdict",
     "Category",
     "ClassThresholds",

@@ -85,9 +85,10 @@ class Partition:
             np.array(ends, dtype=np.int64),
         )
 
-    def clusters(self) -> list[Cluster]:
-        """The clusters as :class:`Cluster` objects holding the input boxes."""
-        items = self.boxes.items
+    def clusters(self, items: list[AnnotatedBox] | None = None) -> list[Cluster]:
+        """The clusters as :class:`Cluster` objects holding ``items[k]``
+        (by default ``boxes.items[k]``) for box k."""
+        items = self.boxes.items if items is None else items
         members = [items[k] for k in self.members.tolist()]
         ends = self.ends.tolist()
         return [
@@ -195,5 +196,5 @@ def cluster_dataset(
     Clusters come in ascending image-id order with ids numbered globally, so
     the result is deterministic and forms a partition of all input boxes.
     """
-    boxes = BoxColumns.of(ds.annotations + preds.boxes)
-    return cluster_boxes(boxes, iou_threshold).clusters()
+    partition = cluster_boxes(BoxColumns.join(ds.columns, preds.columns), iou_threshold)
+    return partition.clusters(ds.annotations + preds.boxes)

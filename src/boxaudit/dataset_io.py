@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import statistics
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
@@ -34,11 +33,10 @@ from boxaudit.geometry import DEGENERATE, NOT_FINITE, BBox
 if TYPE_CHECKING:
     from boxaudit.confident_learning import VerdictTable
     from boxaudit.evaluation import RocCurve
-    from boxaudit.noise_injection import LedgerColumns, NoiseLedger
+    from boxaudit.noise_injection import NoiseLedger
     from boxaudit.pipeline import DetectionResult
 
 __all__ = [
-    "BoxSource",
     "ImageInfo",
     "Category",
     "AnnotatedBox",
@@ -54,11 +52,6 @@ __all__ = [
     "load_report",
     "save_roc",
 ]
-
-
-class BoxSource(str, Enum):
-    ORIGINAL = "original"
-    PREDICTED = "predicted"
 
 
 @dataclass(frozen=True)
@@ -91,23 +84,16 @@ class Category:
 
 @dataclass(frozen=True)
 class AnnotatedBox:
-    """A labeled box, either a ground-truth annotation or a model prediction.
-
-    ``score`` is present exactly when ``source`` is predicted.
-    """
+    """A labeled box: a model prediction when it has a ``score``, else a
+    ground-truth annotation."""
 
     id: int
     image_id: int
     category_id: int
     bbox: BBox
-    source: BoxSource = BoxSource.ORIGINAL
     score: float | None = None
 
     def __post_init__(self):
-        if (self.score is not None) != (self.source == BoxSource.PREDICTED):
-            raise InvalidInputError(
-                f"annotation {self.id}: score must be present iff the box is predicted"
-            )
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise InvalidScoreError(
                 f"annotation {self.id}: score {self.score} outside [0, 1]"
@@ -132,15 +118,13 @@ _COLUMN_NAMES = ("ids", "image_ids", "classes", "scores", "xywh")
 class BoxColumns:
     """A list of boxes as columns: entry k of every array describes box k.
     Integer columns are int64, or Python ints past int64. ``items`` holds
-    the boxes as :class:`AnnotatedBox` objects, built on first access unless
-    the columns were made from objects."""
+    the boxes as :class:`AnnotatedBox` objects, built on first access."""
 
     ids: np.ndarray
     image_ids: np.ndarray
     classes: np.ndarray  # dense category ids
     scores: np.ndarray  # float64, NaN where a box has no score
     xywh: np.ndarray  # (n, 4) float64
-    _items: list[AnnotatedBox] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -150,28 +134,22 @@ class BoxColumns:
         """Whether each box is a prediction: a box has a score iff it is."""
         return ~np.isnan(self.scores)
 
-    @property
+    @cached_property
     def items(self) -> list[AnnotatedBox]:
-        if self._items is None:
-            rows = zip(
+        return [
+            AnnotatedBox(i, image_id, c, BBox(*xywh), score)
+            for i, image_id, c, xywh, score in zip(
                 self.ids.tolist(),
                 self.image_ids.tolist(),
                 self.classes.tolist(),
                 self.xywh.tolist(),
-                self.predicted.tolist(),
-                self.scores.tolist(),
+                np.where(self.predicted, self.scores, None).tolist(),
             )
-            object.__setattr__(self, "_items", [
-                AnnotatedBox(i, image_id, c, BBox(*xywh), BoxSource.PREDICTED, score)
-                if predicted
-                else AnnotatedBox(i, image_id, c, BBox(*xywh))
-                for i, image_id, c, xywh, predicted, score in rows
-            ])
-        return self._items
+        ]
 
     @classmethod
     def of(cls, boxes: list[AnnotatedBox]) -> BoxColumns:
-        """The columns of ``boxes``, which are kept as the items."""
+        """The columns of ``boxes``."""
         n = len(boxes)
         return cls(
             ids=int_array([b.id for b in boxes]),
@@ -181,41 +159,32 @@ class BoxColumns:
             xywh=np.fromiter(
                 chain.from_iterable(map(_XYWH, map(_BBOX, boxes))), np.float64, 4 * n
             ).reshape(n, 4),
-            _items=list(boxes),
         )
 
     @classmethod
     def join(cls, first: BoxColumns, second: BoxColumns) -> BoxColumns:
-        """The boxes of ``first`` followed by those of ``second``, as columns
-        only."""
+        """The boxes of ``first`` followed by those of ``second``."""
         return cls(*(
             np.concatenate((getattr(first, name), getattr(second, name)))
             for name in _COLUMN_NAMES
         ))
 
     def take(self, rows: np.ndarray) -> BoxColumns:
-        """The boxes at ``rows`` (indices or a mask), as columns only."""
+        """The boxes at ``rows`` (indices or a mask)."""
         return BoxColumns(*(getattr(self, name)[rows] for name in _COLUMN_NAMES))
 
 
-def _as_columns(boxes: list[AnnotatedBox] | BoxColumns) -> BoxColumns:
-    return boxes if isinstance(boxes, BoxColumns) else BoxColumns.of(boxes)
-
-
 class Dataset:
-    """Images, categories and annotations. The annotations are given as
-    :class:`AnnotatedBox` objects or as :class:`BoxColumns` and held as
-    ``columns``; ``annotations`` gives them as objects."""
+    """Images, categories and annotations. The annotations are held as
+    ``columns``; ``annotations`` gives them as :class:`AnnotatedBox`
+    objects."""
 
     def __init__(
-        self,
-        images: list[ImageInfo],
-        categories: list[Category],
-        annotations: list[AnnotatedBox] | BoxColumns,
+        self, images: list[ImageInfo], categories: list[Category], annotations: BoxColumns
     ):
         self.images = images
         self.categories = categories
-        self.columns = _as_columns(annotations)
+        self.columns = annotations
 
     @property
     def annotations(self) -> list[AnnotatedBox]:
@@ -244,16 +213,16 @@ class Dataset:
 
 class PredictionSet:
     """Out-of-sample model detections for a companion :class:`Dataset`,
-    given as :class:`AnnotatedBox` objects or as :class:`BoxColumns` and
-    held as ``columns``; ``boxes`` gives them as objects.
+    held as ``columns``; ``boxes`` gives them as :class:`AnnotatedBox`
+    objects.
 
     Whether the predictions really are out-of-sample (the model never trained
     on the audited images) is the caller's responsibility; it cannot be
     checked from the files.
     """
 
-    def __init__(self, boxes: list[AnnotatedBox] | BoxColumns):
-        self.columns = _as_columns(boxes)
+    def __init__(self, boxes: BoxColumns):
+        self.columns = boxes
 
     @property
     def boxes(self) -> list[AnnotatedBox]:
@@ -801,22 +770,21 @@ _LEDGER_ENTRY = {
 def save_ledger(ledger: NoiseLedger, path: str | Path, categories: list[Category]) -> None:
     """Persist a noise ledger; category ids are written in source-id space."""
     dense_to_source = {c.id: c.source_id for c in categories}
-    columns = ledger.columns
     # the boxes of entries start:stop are rows offsets[start]:offsets[stop] of their side
-    offsets = [np.r_[0, np.cumsum(has)] for has in (columns.has_original, columns.has_perturbed)]
+    offsets = [np.r_[0, np.cumsum(has)] for has in (ledger.has_original, ledger.has_perturbed)]
 
     def entry_blocks():
-        for block in _blocks(len(columns)):
+        for block in _blocks(len(ledger)):
             o_rows, p_rows = (slice(ends[block.start], ends[block.stop]) for ends in offsets)
-            o_json = iter(_json_boxes(columns.original.take(o_rows), dense_to_source, 6))
-            p_json = iter(_json_boxes(columns.perturbed.take(p_rows), dense_to_source, 6))
+            o_json = iter(_json_boxes(ledger.original.take(o_rows), dense_to_source, 6))
+            p_json = iter(_json_boxes(ledger.perturbed.take(p_rows), dense_to_source, 6))
             yield [
                 _LEDGER_ENTRY[o, p].format(
                     ann_id, _json_str(kind), *islice(o_json, o), *islice(p_json, p)
                 )
                 for ann_id, kind, o, p in zip(
-                    _json_numbers(columns.annotation_ids[block]), columns.kinds[block].tolist(),
-                    columns.has_original[block].tolist(), columns.has_perturbed[block].tolist(),
+                    _json_numbers(ledger.annotation_ids[block]), ledger.kinds[block].tolist(),
+                    ledger.has_original[block].tolist(), ledger.has_perturbed[block].tolist(),
                 )
             ]
 
@@ -850,7 +818,7 @@ _LEDGER_RULES = (
 
 def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
     """Load a noise ledger saved by :func:`save_ledger`."""
-    from boxaudit.noise_injection import LedgerColumns, NoiseKind, NoiseLedger
+    from boxaudit.noise_injection import NoiseKind, NoiseLedger
 
     (raw_entries,) = _lists(_read_json(path), path, ("entries",))
     source_to_dense = ds.source_to_dense()
@@ -873,9 +841,9 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
             np.full(len(ids), np.nan), rows[f"{side}.bbox"][present],
         )
         sides += [boxes, present]
-    return NoiseLedger(LedgerColumns(
+    return NoiseLedger(
         int_array(rows["annotation_id"]), np.array(rows["noise_type"], dtype=str), *sides
-    ))
+    )
 
 
 # --- report persistence ---------------------------------------------------------
@@ -1063,6 +1031,8 @@ def save_roc(
     line, plus a ``path.with_suffix(".json")`` mirror (with per-run AUROCs
     and their median when several runs were aggregated), refusing a
     ``path`` that already ends in .json."""
+    from boxaudit.evaluation import median
+
     path = Path(path)
     mirror = _json_mirror(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -1080,7 +1050,7 @@ def save_roc(
     }
     if run_aurocs is not None:
         aurocs = [a for _, a in run_aurocs]
-        fields["median_auroc"] = _json_numbers(np.array([statistics.median(aurocs)]))[0]
+        fields["median_auroc"] = _json_numbers(np.array([median(aurocs)]))[0]
         fields["runs"] = [list(map(
             _ROC_RUN.format,
             _json_numbers(np.array(aurocs)),

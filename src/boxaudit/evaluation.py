@@ -91,19 +91,18 @@ def _sweep(
     from one pass over the verdict columns."""
     if not 0.0 < match_iou <= 1.0:
         raise InvalidInputError(MATCH_IOU_RANGE.format(match_iou))
-    entries = ledger.columns
-    missing = entries.of_kind(NoiseKind.MISSING)
+    missing = ledger.of_kind(NoiseKind.MISSING)
     n_removed = int(np.count_nonzero(missing))
-    positive_ids = set(entries.annotation_ids[~missing].tolist())
-    removed = entries.original.take(missing[entries.has_original])  # the removed records with a box
+    positive_ids = set(ledger.annotation_ids[~missing].tolist())
+    removed = ledger.original.take(missing[ledger.has_original])  # the removed records with a box
 
     is_region = verdicts.is_region
     ann_ids = verdicts.annotation_ids[~is_region].tolist()
     for ids, problem in (
-        ([a for a, n in Counter(entries.annotation_ids.tolist()).items() if n > 1],
+        ([a for a, n in Counter(ledger.annotation_ids.tolist()).items() if n > 1],
          "lists annotations more than once"),
         (positive_ids.difference(ann_ids), "references annotations absent from the verdicts"),
-        (set(entries.annotation_ids[missing].tolist()).intersection(ann_ids),
+        (set(ledger.annotation_ids[missing].tolist()).intersection(ann_ids),
          "marks annotations removed that still have verdicts"),
     ):
         if ids:
@@ -253,6 +252,13 @@ def auroc(points: list[tuple[float, float]] | np.ndarray) -> float:
     pts = np.concatenate((np.asarray(points, dtype=np.float64), [[0.0, 0.0], [1.0, 1.0]]))
     x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
     return float(np.cumsum(np.concatenate(([0.0], np.diff(x) * (y[:-1] + y[1:]) / 2.0)))[-1])
+
+
+def median(values: list[float]) -> float:
+    """The middle value, or the mean of the middle two, as
+    ``statistics.median`` gives it (``np.median`` would load ``numpy.ma``)."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    return float((ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2)
 
 
 def dense_thresholds(verdicts: VerdictTable) -> list[float]:

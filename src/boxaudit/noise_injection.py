@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "NoiseKind",
     "NoiseSpec",
     "LedgerEntry",
-    "LedgerColumns",
     "NoiseLedger",
     "inject",
     "replay",
@@ -87,13 +87,13 @@ class LedgerEntry:
 
 
 @dataclass(frozen=True, eq=False)
-class LedgerColumns:
-    """Ledger entries as columns: entry k perturbed annotation
-    ``annotation_ids[k]`` with the noise kind whose value is ``kinds[k]``;
-    it holds an original box where ``has_original[k]`` and a perturbed one
-    where ``has_perturbed[k]``, in entry order in ``original`` and
-    ``perturbed``. ``entries`` holds them as :class:`LedgerEntry` objects,
-    built on first access unless the columns were made from objects."""
+class NoiseLedger:
+    """The realized perturbations of one injection, as columns: entry k
+    perturbed annotation ``annotation_ids[k]`` with the noise kind whose
+    value is ``kinds[k]``; it holds an original box where
+    ``has_original[k]`` and a perturbed one where ``has_perturbed[k]``, in
+    entry order in ``original`` and ``perturbed``. ``entries`` holds them
+    as :class:`LedgerEntry` objects, built on first access."""
 
     annotation_ids: np.ndarray
     kinds: np.ndarray  # str
@@ -101,36 +101,37 @@ class LedgerColumns:
     has_original: np.ndarray  # bool
     perturbed: BoxColumns
     has_perturbed: np.ndarray  # bool
-    _entries: list[LedgerEntry] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.annotation_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NoiseLedger):
+            return NotImplemented
+        return self.entries == other.entries
 
     def of_kind(self, kind: NoiseKind) -> np.ndarray:
         """Whether each entry is of ``kind``."""
         return self.kinds == kind.value
 
-    @property
+    @cached_property
     def entries(self) -> list[LedgerEntry]:
-        if self._entries is None:
-            originals, perturbed = iter(self.original.items), iter(self.perturbed.items)
-            rows = zip(
+        originals, perturbed = iter(self.original.items), iter(self.perturbed.items)
+        return [
+            LedgerEntry(
+                a, NoiseKind(k), next(originals) if o else None, next(perturbed) if p else None
+            )
+            for a, k, o, p in zip(
                 self.annotation_ids.tolist(),
                 self.kinds.tolist(),
                 self.has_original.tolist(),
                 self.has_perturbed.tolist(),
             )
-            object.__setattr__(self, "_entries", [
-                LedgerEntry(
-                    a, NoiseKind(k), next(originals) if o else None, next(perturbed) if p else None
-                )
-                for a, k, o, p in rows
-            ])
-        return self._entries
+        ]
 
     @classmethod
-    def of(cls, entries: list[LedgerEntry]) -> LedgerColumns:
-        """The columns of ``entries``, which are kept as the entries."""
+    def of(cls, entries: list[LedgerEntry]) -> NoiseLedger:
+        """The ledger of ``entries``."""
         return cls(
             annotation_ids=int_array([e.annotation_id for e in entries]),
             kinds=np.array([NoiseKind(e.kind).value for e in entries], dtype=str),
@@ -138,31 +139,7 @@ class LedgerColumns:
             has_original=np.array([e.original is not None for e in entries], dtype=bool),
             perturbed=BoxColumns.of([e.perturbed for e in entries if e.perturbed is not None]),
             has_perturbed=np.array([e.perturbed is not None for e in entries], dtype=bool),
-            _entries=list(entries),
         )
-
-
-class NoiseLedger:
-    """The realized perturbations of one injection, given as
-    :class:`LedgerEntry` objects or as :class:`LedgerColumns` and held as
-    ``columns``; ``entries`` gives them as objects."""
-
-    def __init__(self, entries: list[LedgerEntry] | LedgerColumns = ()):
-        self.columns = (
-            entries if isinstance(entries, LedgerColumns) else LedgerColumns.of(list(entries))
-        )
-
-    @property
-    def entries(self) -> list[LedgerEntry]:
-        return self.columns.entries
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NoiseLedger):
-            return NotImplemented
-        return self.entries == other.entries
 
 
 def displace_box(box: BBox, angle: float, amplitude: float, image: ImageInfo) -> BBox:
@@ -279,14 +256,14 @@ def _ledger(
     rows of ``original`` and ``perturbed`` in entry order."""
     n = len(annotation_ids)
     empty = BoxColumns.of([])
-    return NoiseLedger(LedgerColumns(
+    return NoiseLedger(
         annotation_ids,
         np.full(n, kind.value),
         empty if original is None else original,
         np.full(n, original is not None),
         empty if perturbed is None else perturbed,
         np.full(n, perturbed is not None),
-    ))
+    )
 
 
 def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
@@ -295,18 +272,18 @@ def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
     order, a missing entry removes its annotation, a spurious one appends
     its perturbed box and any other replaces its annotation by its perturbed
     box."""
-    boxes, columns = ds.columns, ledger.columns
+    boxes = ds.columns
     n = len(boxes)
     row_of = {a: k for k, a in enumerate(boxes.ids.tolist())}
     # rows of boxes and then of the ledger's perturbed boxes; None removes
     source = list(range(n))
     appended = []
-    joined_rows = iter(range(n, n + len(columns.perturbed)))
+    joined_rows = iter(range(n, n + len(ledger.perturbed)))
     entries = zip(
-        columns.annotation_ids.tolist(),
-        columns.of_kind(NoiseKind.SPURIOUS).tolist(),
-        columns.of_kind(NoiseKind.MISSING).tolist(),
-        columns.has_perturbed.tolist(),
+        ledger.annotation_ids.tolist(),
+        ledger.of_kind(NoiseKind.SPURIOUS).tolist(),
+        ledger.of_kind(NoiseKind.MISSING).tolist(),
+        ledger.has_perturbed.tolist(),
     )
     for ann_id, spurious, missing, has_perturbed in entries:
         p = next(joined_rows) if has_perturbed else None
@@ -315,7 +292,7 @@ def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
         else:
             source[row_of[ann_id]] = None if missing else p
     rows = np.array([k for k in source + appended if k is not None], dtype=np.intp)
-    return _with_boxes(ds, BoxColumns.join(boxes, columns.perturbed).take(rows))
+    return _with_boxes(ds, BoxColumns.join(boxes, ledger.perturbed).take(rows))
 
 
 def _with_boxes(ds: Dataset, boxes: BoxColumns) -> Dataset:

@@ -3,7 +3,6 @@ report/evaluate, with file-based handoff between stages."""
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from boxaudit.evaluation import (
     MATCH_IOU_RANGE,
     RocCurve,
     dense_thresholds,
+    median,
     roc_curve,
 )
 from boxaudit.noise_injection import NoiseSpec, inject
@@ -215,8 +215,7 @@ def cmd_eval(config: PipelineConfig) -> Path:
     )
     for seed, curve in curves:
         print(f"run seed={seed}: auroc={curve.auroc:.6f}")
-    median = statistics.median(a for _, a in run_aurocs)
-    print(f"median auroc = {median:.6f}")
+    print(f"median auroc = {median([a for _, a in run_aurocs]):.6f}")
     print(f"roc written to {roc_path}")
     return roc_path
 

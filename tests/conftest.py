@@ -4,7 +4,7 @@ import pytest
 
 from boxaudit.clustering import cluster_boxes
 from boxaudit.confident_learning import VerdictTable
-from boxaudit.dataset_io import AnnotatedBox, BoxColumns, BoxSource, Category, Dataset, ImageInfo
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Category, Dataset, ImageInfo
 from boxaudit.geometry import BBox
 from boxaudit.reduction import reduce_dataset
 
@@ -24,7 +24,6 @@ def original_box(ann_id, image_id, category_id, x, y, w, h):
         image_id=image_id,
         category_id=category_id,
         bbox=BBox(x, y, w, h),
-        source=BoxSource.ORIGINAL,
     )
 
 
@@ -34,7 +33,6 @@ def predicted_box(ann_id, image_id, category_id, x, y, w, h, score):
         image_id=image_id,
         category_id=category_id,
         bbox=BBox(x, y, w, h),
-        source=BoxSource.PREDICTED,
         score=score,
     )
 
@@ -42,13 +40,13 @@ def predicted_box(ann_id, image_id, category_id, x, y, w, h, score):
 def simple_dataset(annotations, num_images=4, num_classes=3, size=1000):
     images = [ImageInfo(id=i, width=size, height=size, file_name=f"{i}.jpg") for i in range(1, num_images + 1)]
     categories = [Category(id=m, name=f"class{m}", source_id=m) for m in range(1, num_classes + 1)]
-    return Dataset(images=images, categories=categories, annotations=annotations)
+    return Dataset(images=images, categories=categories, annotations=BoxColumns.of(annotations))
 
 
 def cluster_list(boxes, iou_threshold):
     """``clustering.cluster_boxes`` over a box list, in list order, as
-    :class:`Cluster` objects."""
-    return cluster_boxes(BoxColumns.of(boxes), iou_threshold).clusters()
+    :class:`Cluster` objects holding the boxes of the list."""
+    return cluster_boxes(BoxColumns.of(boxes), iou_threshold).clusters(boxes)
 
 
 def reduce_cluster(cluster, num_classes):

@@ -23,7 +23,7 @@ from boxaudit.confident_learning import (
     ClassThresholds,
     RowAssessment,
 )
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, PredictionSet
+from boxaudit.dataset_io import AnnotatedBox, Dataset, PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import BBox, iou_matrix
 from boxaudit.reduction import ReducedMatrices
@@ -89,7 +89,7 @@ def reference_cluster_image(boxes: list[AnnotatedBox], iou_threshold: float) -> 
         cluster = groups.get(root)
         if cluster is None:
             cluster = groups[root] = Cluster(id=-1, image_id=image_id)
-        if box.source == BoxSource.ORIGINAL:
+        if box.score is None:
             cluster.original_members.append(box)
         else:
             cluster.predicted_members.append(box)

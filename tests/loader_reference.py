@@ -3,25 +3,20 @@ per-record ``load_ground_truth`` and ``load_predictions`` that
 ``boxaudit.dataset_io`` replaced with loaders that check each box list in
 bulk and return columns.
 
-The loaders and every helper they call are kept verbatim, so this module
-fixes the checks, their order and the error texts the new loaders must
-reproduce.
+The loaders and every helper they call are kept verbatim, with the
+list-holding ``Dataset`` and ``PredictionSet`` they returned, so this module
+fixes the checks, their order, the error texts and the box objects the new
+loaders must reproduce.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from boxaudit.dataset_io import (
-    AnnotatedBox,
-    BoxSource,
-    Category,
-    Dataset,
-    ImageInfo,
-    PredictionSet,
-)
+from boxaudit.dataset_io import AnnotatedBox, Category, ImageInfo
 from boxaudit.errors import (
     DanglingReferenceError,
     DuplicateIdError,
@@ -31,6 +26,25 @@ from boxaudit.errors import (
     MissingFileError,
 )
 from boxaudit.geometry import BBox
+
+
+@dataclass
+class Dataset:
+    images: list[ImageInfo]
+    categories: list[Category]
+    annotations: list[AnnotatedBox]
+
+    def image_map(self) -> dict[int, ImageInfo]:
+        return {img.id: img for img in self.images}
+
+    def source_to_dense(self) -> dict[int, int]:
+        return {c.source_id: c.id for c in self.categories}
+
+
+@dataclass
+class PredictionSet:
+    boxes: list[AnnotatedBox]
+
 
 # --- JSON plumbing -----------------------------------------------------------
 #
@@ -174,7 +188,6 @@ def load_ground_truth(path: str | Path) -> Dataset:
                 image_id=image_id,
                 category_id=source_to_dense[cat_id],
                 bbox=_clamped_bbox(entry, image_map[image_id], where),
-                source=BoxSource.ORIGINAL,
             )
         )
     _check_unique((a.id for a in annotations), "annotation")
@@ -222,7 +235,6 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
                 image_id=image_id,
                 category_id=source_to_dense[cat_id],
                 bbox=_clamped_bbox(entry, image_map[image_id], where),
-                source=BoxSource.PREDICTED,
                 score=score,
             )
         )

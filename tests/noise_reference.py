@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from boxaudit.dataset_io import AnnotatedBox, BoxSource, Dataset, ImageInfo
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Dataset, ImageInfo
 from boxaudit.errors import (
     DanglingReferenceError,
     FormatError,
@@ -108,7 +108,6 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
                 image_id=image.id,
                 category_id=rng.randint(1, num_classes),
                 bbox=BBox(x, y, w, h),
-                source=BoxSource.ORIGINAL,
             )
             next_id += 1
             annotations.append(added)
@@ -147,7 +146,7 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseLedger]:
             grow = rng.random() < 0.5
             bbox = rescale_box(bbox, grow, spec.amplitude, image_map[original.image_id])
         perturbed = AnnotatedBox(
-            original.id, original.image_id, category, bbox, original.source, original.score
+            original.id, original.image_id, category, bbox, original.score
         )
         annotations[i] = perturbed
         ledger.entries.append(
@@ -180,7 +179,8 @@ def replay(ds: Dataset, ledger: NoiseLedger) -> Dataset:
 
 def _with_annotations(ds: Dataset, annotations: list[AnnotatedBox]) -> Dataset:
     return Dataset(
-        images=list(ds.images), categories=list(ds.categories), annotations=annotations
+        images=list(ds.images), categories=list(ds.categories),
+        annotations=BoxColumns.of(annotations),
     )
 
 
@@ -257,7 +257,6 @@ def _parse_box_record(
         image_id=image_id,
         category_id=source_to_dense[cat],
         bbox=BBox(x, y, w, h),
-        source=BoxSource.ORIGINAL,
     )
 
 

@@ -16,6 +16,7 @@ from boxaudit.confident_learning import (
     map_to_boxes,
 )
 from boxaudit.dataset_io import (
+    BoxColumns,
     Category,
     Dataset,
     ImageInfo,
@@ -183,7 +184,7 @@ def test_criterion_5_invariant_suites():
         previous = current
 
     # roc: monotone with (0,0)/(1,1) endpoints; auroc of diagonal exactly 0.5
-    ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 400), 80)])
+    ledger = NoiseLedger.of([label_entry(i) for i in rng.sample(range(1, 400), 80)])
     curve = roc_curve(verdict_table(verdicts), ledger)
     pts = list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
     if pts[0] != (0.0, 0.0) or pts[-1] != (1.0, 1.0):
@@ -248,8 +249,8 @@ def test_criterion_7_performance_smoke():
             predictions.append(
                 predicted_box(ann_id, image.id, category, x + 1, y + 1, w, h, 0.9)
             )
-    ds = Dataset(images=images, categories=categories, annotations=annotations)
-    preds = PredictionSet(boxes=predictions)
+    ds = Dataset(images=images, categories=categories, annotations=BoxColumns.of(annotations))
+    preds = PredictionSet(boxes=BoxColumns.of(predictions))
 
     start = time.time()
     clusters = cluster_dataset(ds, preds, 0.5)

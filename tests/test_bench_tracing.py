@@ -55,3 +55,35 @@ def test_traced_detect_and_dense_roc_run(tmp_path):
     assert code == 0
     assert tracer.counts["evaluation.thresholds"] > 2
     assert tracer.counts["evaluation.removed"] == 6
+
+
+def test_traced_eval_counts_ledger_entries_and_records(tmp_path):
+    """``eval`` with a noise spec counts the injected entries of every run;
+    ``eval --ledger`` counts the ledger's entries among the loaded records.
+    The tracer reads them as ``len(ledger)``, ``ds.annotations`` and
+    ``preds.boxes``."""
+    gt, preds = write_synthetic(tmp_path, num_images=6, boxes_per_image=5, seed=3)
+
+    tracer = tracing.Tracer("eval-missing")
+    code, _ = tracing.traced_main(
+        ["eval", "--ground-truth", str(gt), "--predictions", str(preds), "--noise-kind", "missing",
+         "--fraction", "0.2", "--runs", "2", "--output-dir", str(tmp_path / "eval")],
+        tracer,
+    )
+    assert code == 0
+    assert tracer.counts["noise_injection.ledger_entries"] == 12  # 2 runs × 6 of 30 boxes
+    assert tracer.counts["dataset_io.records_loaded"] == 60  # 30 annotations, 30 predictions
+
+    noise = tmp_path / "noise"
+    assert main(["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
+                 "--fraction", "0.2", "--seed", "1", "--output-dir", str(noise)]) == 0
+    tracer = tracing.Tracer("eval-ledger")
+    code, _ = tracing.traced_main(
+        ["eval", "--ground-truth", str(noise / "noisy.json"), "--predictions", str(preds),
+         "--ledger", str(noise / "ledger.json"), "--output-dir", str(tmp_path / "eval-ledger")],
+        tracer,
+    )
+    assert code == 0
+    assert tracer.counts["noise_injection.ledger_entries"] == 0
+    # 24 annotations, 30 predictions and 6 ledger entries
+    assert tracer.counts["dataset_io.records_loaded"] == 60

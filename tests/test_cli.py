@@ -854,8 +854,8 @@ def test_minimal_argv_builds_todays_config(monkeypatch, argv, fields):
 
 # the modules src/boxaudit imports at top level from outside the package
 _TOP_LEVEL_IMPORTS = (
-    "__future__", "argparse", "csv", "dataclasses", "enum", "itertools", "json", "math",
-    "numpy", "operator", "os", "pathlib", "random", "statistics", "sys", "typing",
+    "__future__", "argparse", "collections", "csv", "dataclasses", "enum", "functools",
+    "itertools", "json", "math", "numpy", "operator", "os", "pathlib", "random", "sys", "typing",
 )
 
 
@@ -879,6 +879,22 @@ def test_import_cli_loads_no_module_outside_the_package():
     ).stdout.split()
     assert "boxaudit.cli" in added
     assert all(name == "boxaudit" or name.startswith("boxaudit.") for name in added), added
+
+
+def test_import_cli_loads_no_statistics():
+    """``import boxaudit.cli`` loads neither ``statistics`` nor the
+    ``fractions`` and ``decimal`` it imports (≈2.8 ms of start-up)."""
+    code = "\n".join([
+        "import sys",
+        "import boxaudit.cli",
+        "print(*sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))",
+    ])
+    src = str(Path(boxaudit.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout.split()
+    assert loaded == []
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from boxaudit.clustering import cluster_dataset
-from boxaudit.dataset_io import PredictionSet
+from boxaudit.dataset_io import BoxColumns, PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.geometry import iou
 
@@ -12,9 +12,9 @@ from conftest import cluster_list, original_box, predicted_box, simple_dataset
 
 
 def _partition(clusters):
-    """Clusters as a set of frozensets of (source, id) pairs."""
+    """Clusters as a set of frozensets of (is original, id) pairs."""
     return {
-        frozenset((b.source.value, b.id) for b in c.original_members + c.predicted_members)
+        frozenset((b.score is None, b.id) for b in c.original_members + c.predicted_members)
         for c in clusters
     }
 
@@ -46,7 +46,7 @@ def _brute_force(boxes, threshold):
                     seen[nb] = True
                     queue.append(nb)
         components.add(
-            frozenset((boxes[k].source.value, boxes[k].id) for k in component)
+            frozenset((boxes[k].score is None, boxes[k].id) for k in component)
         )
     return components
 
@@ -99,7 +99,7 @@ def test_images_never_merge():
         original_box(2, 2, 1, 10, 10, 20, 20),
     ]
     ds = simple_dataset(anns)
-    clusters = cluster_dataset(ds, PredictionSet(boxes=[]), 0.5)
+    clusters = cluster_dataset(ds, PredictionSet(boxes=BoxColumns.of([])), 0.5)
     assert len(clusters) == 2
     assert {c.image_id for c in clusters} == {1, 2}
 
@@ -107,7 +107,7 @@ def test_images_never_merge():
 def test_dataset_without_predictions():
     anns = [original_box(i, 1, 1, i * 50.0, 0.0, 10, 10) for i in range(1, 4)]
     ds = simple_dataset(anns)
-    clusters = cluster_dataset(ds, PredictionSet(boxes=[]), 0.5)
+    clusters = cluster_dataset(ds, PredictionSet(boxes=BoxColumns.of([])), 0.5)
     assert all(not c.predicted_members for c in clusters)
     assert all(c.original_members for c in clusters)
 
@@ -138,7 +138,7 @@ def test_partition_property_on_random_dataset():
             )
             anns.append(box)
     ds = simple_dataset(anns, num_images=100)
-    clusters = cluster_dataset(ds, PredictionSet(boxes=preds), 0.5)
+    clusters = cluster_dataset(ds, PredictionSet(boxes=BoxColumns.of(preds)), 0.5)
     member_ids = [b.id for c in clusters for b in c.original_members + c.predicted_members]
     assert len(member_ids) == len(anns)
     assert len(set(member_ids)) == len(anns)
@@ -186,7 +186,7 @@ def test_cluster_ids_are_deterministic_and_ordered():
         original_box(4, 1, 1, 500, 500, 10, 10),
     ]
     ds = simple_dataset(anns)
-    preds = PredictionSet(boxes=[predicted_box(1, 2, 1, 300, 300, 10, 10, 0.9)])
+    preds = PredictionSet(boxes=BoxColumns.of([predicted_box(1, 2, 1, 300, 300, 10, 10, 0.9)]))
     clusters = cluster_dataset(ds, preds, 0.5)
     assert [c.id for c in clusters] == [0, 1, 2, 3]
     # ordered by image id, then smallest member annotation id

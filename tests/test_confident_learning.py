@@ -12,7 +12,7 @@ from boxaudit.confident_learning import (
     detect_issues,
     map_to_boxes,
 )
-from boxaudit.dataset_io import PredictionSet
+from boxaudit.dataset_io import BoxColumns, PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.pipeline import run_detection
 from boxaudit.reduction import ReducedMatrices, reduce_dataset
@@ -321,7 +321,7 @@ def test_flagged_cluster_without_boxes_has_no_region_to_enclose():
 def test_region_too_thin_for_float64_is_a_degenerate_box():
     """A lone prediction at x = 1e20 with width 1 encloses a region of width
     (1e20 + 1) - 1e20 = 0."""
-    preds = PredictionSet([predicted_box(1, 1, 1, 1e20, 0, 1, 1, 0.9)])
+    preds = PredictionSet(BoxColumns.of([predicted_box(1, 1, 1, 1e20, 0, 1, 1, 0.9)]))
     with pytest.raises(InvalidInputError, match="^degenerate box: width and height must be > 0"):
         run_detection(simple_dataset([]), preds, mode=MODE_SCORE_THRESHOLD, tau=1.0)
 

@@ -19,7 +19,7 @@ from boxaudit.confident_learning import (
     map_to_boxes,
     row_classes,
 )
-from boxaudit.dataset_io import PredictionSet
+from boxaudit.dataset_io import BoxColumns, PredictionSet
 from boxaudit.errors import InvalidInputError
 from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
 from boxaudit.pipeline import run_detection
@@ -89,7 +89,7 @@ def _random_case(rng):
                 )
     rng.shuffle(anns)
     rng.shuffle(preds)
-    return simple_dataset(anns, num_classes=num_classes), PredictionSet(boxes=preds)
+    return simple_dataset(anns, num_classes=num_classes), PredictionSet(boxes=BoxColumns.of(preds))
 
 
 def _identity(clusters):

@@ -13,7 +13,6 @@ from boxaudit.confident_learning import MODE_SCORE_THRESHOLD, VerdictTable
 from boxaudit.dataset_io import (
     AnnotatedBox,
     BoxColumns,
-    BoxSource,
     Category,
     Dataset,
     ImageInfo,
@@ -37,7 +36,7 @@ from boxaudit.errors import (
     MissingFileError,
 )
 from boxaudit.geometry import BBox
-from boxaudit.noise_injection import LedgerColumns, NoiseKind, NoiseLedger, NoiseSpec, inject
+from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger, NoiseSpec, inject
 from boxaudit.pipeline import DetectionResult, run_detection
 
 from conftest import coco_payload, write_json
@@ -52,7 +51,6 @@ def test_minimal_file_loads(tiny_coco_path):
     ds = load_ground_truth(tiny_coco_path)
     assert (len(ds.images), len(ds.categories), len(ds.annotations)) == (1, 1, 1)
     ann = ds.annotations[0]
-    assert ann.source == BoxSource.ORIGINAL
     assert ann.score is None
     assert ann.bbox.as_list() == [10, 10, 20, 15]
 
@@ -198,7 +196,6 @@ def test_single_prediction_maps_directly(tmp_path, tiny_coco_path):
     entries = [{"image_id": 1, "category_id": 7, "bbox": [1, 2, 3, 4], "score": 0.7}]
     preds = load_predictions(_preds_path(tmp_path, entries), ds)
     box = preds.boxes[0]
-    assert box.source == BoxSource.PREDICTED
     assert box.score == 0.7
     assert box.category_id == 1
     assert box.bbox.as_list() == [1, 2, 3, 4]
@@ -286,7 +283,9 @@ def test_ledger_file_lists_exact_ids(tmp_path):
 
 
 def test_empty_report_has_header_only(tmp_path):
-    report = run_detection(Dataset(images=[], categories=[], annotations=[]), PredictionSet([]))
+    empty = BoxColumns.of([])
+    ds = Dataset(images=[], categories=[], annotations=empty)
+    report = run_detection(ds, PredictionSet(empty))
     path = tmp_path / "report.csv"
     save_report(report, path)
     lines = path.read_text().strip().splitlines()
@@ -326,7 +325,6 @@ def _random_box(rng, box_id, image_id, num_classes, predicted):
         image_id=image_id,
         category_id=rng.randint(1, num_classes),
         bbox=_random_bbox(rng),
-        source=BoxSource.PREDICTED if predicted else BoxSource.ORIGINAL,
         score=_pick(rng, _SCORES, spread=1.0) if predicted else None,
     )
 
@@ -357,12 +355,13 @@ def _random_result(rng, seen):
             anns.append(box(rng.choice(_IDS) + j, image_id, False))
         for _ in range(rng.randint(0, 4) if num_classes else 0):
             preds.append(box(len(preds) + 1, image_id, True))
-    ds = Dataset(images=[], categories=categories, annotations=anns)
+    ds = Dataset(images=[], categories=categories, annotations=BoxColumns.of(anns))
+    predictions = PredictionSet(BoxColumns.of(preds))
     if rng.random() < 0.5:
-        result = run_detection(ds, PredictionSet(preds), rng.choice([0.3, 0.5]))
+        result = run_detection(ds, predictions, rng.choice([0.3, 0.5]))
     else:
         tau = rng.choice([0.0, 0.5, 1.0, rng.random()])
-        result = run_detection(ds, PredictionSet(preds), mode=MODE_SCORE_THRESHOLD, tau=tau)
+        result = run_detection(ds, predictions, mode=MODE_SCORE_THRESHOLD, tau=tau)
     verdicts = list(result.table)
     for v in verdicts:
         seen["region"] += v.region is not None
@@ -547,20 +546,20 @@ def _random_ledger(rng, seen):
         _random_columns(rng, sum(present), len(categories), scored=True)
         for present in (has_original, has_perturbed)
     )
-    ledger = NoiseLedger(LedgerColumns(
+    ledger = NoiseLedger(
         annotation_ids=int_array([rng.choice(_IDS) for _ in range(n)]),
         kinds=np.array([rng.choice(list(NoiseKind)).value for _ in range(n)], dtype=str),
         original=original,
         has_original=np.array(has_original, dtype=bool),
         perturbed=perturbed,
         has_perturbed=np.array(has_perturbed, dtype=bool),
-    ))
+    )
     seen["empty ledger"] += n == 0
     seen["no original"] += not all(has_original)
     seen["no perturbed"] += not all(has_perturbed)
     for boxes in (original, perturbed):
         seen["scored box"] += bool(boxes.predicted.any())
-        ids = [*ledger.columns.annotation_ids.tolist(), *boxes.ids.tolist()]
+        ids = [*ledger.annotation_ids.tolist(), *boxes.ids.tolist()]
         _count_awkward_values(seen, ids, boxes.xywh)
     return ledger, categories
 
@@ -616,4 +615,69 @@ def test_dataset_writer_matches_json_dump_reference(tmp_path):
     assert all(seen[k] >= 20 for k in (
         "escaped name", "non-ASCII name", "no boxes", "area past float range", "id past int64",
         "no short repr",
+    )), seen
+
+
+# --- object views of the columns ---------------------------------------------------
+
+
+def test_object_views_are_built_once(tmp_path, tiny_coco_path):
+    ds = load_ground_truth(tiny_coco_path)
+    entries = [{"image_id": 1, "category_id": 7, "bbox": [1, 2, 3, 4], "score": 0.7}]
+    preds = load_predictions(_preds_path(tmp_path, entries), ds)
+    _, ledger = inject(ds, NoiseSpec(kind=NoiseKind.MISSING, fraction=1.0, seed=5))
+    assert ds.annotations is ds.annotations
+    assert preds.boxes is preds.boxes
+    assert ledger.entries is ledger.entries
+    assert len(ds.annotations) == len(preds.boxes) == len(ledger.entries) == 1
+
+
+def _floats_of(boxes):
+    """Each box's coordinates and score as floats, in a form whose repr
+    tells -0.0 from 0.0."""
+    return repr([
+        ([float(v) for v in b.bbox.as_list()], None if b.score is None else float(b.score))
+        for b in boxes
+    ])
+
+
+def test_object_views_equal_the_objects_they_were_built_from():
+    """``BoxColumns.of(boxes).items`` equals ``boxes`` and
+    ``NoiseLedger.of(entries).entries`` equals ``entries``, for originals and
+    predictions, int coordinates, -0.0 and ids past int64; -0.0 keeps its
+    sign."""
+    seen = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        boxes = [
+            _random_box(rng, rng.choice(_IDS), rng.choice(_IDS), 3, rng.random() < 0.5)
+            for _ in range(rng.randint(0, 6))
+        ]
+        items = BoxColumns.of(boxes).items
+        assert items == boxes, seed
+        assert _floats_of(items) == _floats_of(boxes), seed
+
+        entries = [
+            LedgerEntry(
+                b.id, rng.choice(list(NoiseKind)),
+                original=b if rng.random() < 0.7 else None,
+                perturbed=rng.choice(boxes) if rng.random() < 0.7 else None,
+            )
+            for b in boxes
+        ]
+        ledger_entries = NoiseLedger.of(entries).entries
+        assert ledger_entries == entries, seed
+        for side in ("original", "perturbed"):
+            got, want = ([getattr(e, side) for e in es] for es in (ledger_entries, entries))
+            assert _floats_of(filter(None, got)) == _floats_of(filter(None, want)), seed
+
+        seen["original"] += any(b.score is None for b in boxes)
+        seen["prediction"] += any(b.score is not None for b in boxes)
+        seen["int coordinate"] += any(type(v) is int for b in boxes for v in b.bbox.as_list())
+        values = [v for b in boxes for v in b.bbox.as_list() + [b.score] if v is not None]
+        seen["-0.0"] += any(map(_is_negative_zero, values))
+        seen["id past int64"] += any(max(b.id, b.image_id) > _INT64_MAX for b in boxes)
+        seen["entry without a box"] += any(e.original is None for e in entries)
+    assert all(seen[k] >= 20 for k in (
+        "original", "prediction", "int coordinate", "-0.0", "id past int64", "entry without a box",
     )), seen

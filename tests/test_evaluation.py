@@ -1,4 +1,5 @@
 import random
+import statistics
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from boxaudit.evaluation import (
     auroc,
     confusion_at,
     dense_thresholds,
+    median,
     roc_curve,
 )
 from boxaudit.geometry import BBox
@@ -81,13 +83,13 @@ def missing_entry(ann_id, x, y, w, h, image_id=1):
 
 def test_empty_ledger_counts_everything_negative():
     verdicts = [ann_verdict(i, 0.9) for i in range(1, 6)]
-    c = confusion_at(verdict_table(verdicts), NoiseLedger(), 0.5)
+    c = confusion_at(verdict_table(verdicts), NoiseLedger.of([]), 0.5)
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, 5, 0)
 
 
 def test_tau_one_flags_every_annotation():
     verdicts = [ann_verdict(i, 0.2 * i) for i in range(1, 6)]
-    ledger = NoiseLedger(entries=[label_entry(2), label_entry(4)])
+    ledger = NoiseLedger.of([label_entry(2), label_entry(4)])
     c = confusion_at(verdict_table(verdicts), ledger, 1.0)
     assert c.tp == 2  # ledger entries present in the dataset
     assert c.tn == 0
@@ -96,7 +98,7 @@ def test_tau_one_flags_every_annotation():
 
 def test_exact_detection_counts():
     verdicts = [ann_verdict(i, 0.05 if i <= 2 else 0.9) for i in range(1, 11)]
-    ledger = NoiseLedger(entries=[label_entry(1), label_entry(2)])
+    ledger = NoiseLedger.of([label_entry(1), label_entry(2)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.1)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 8, 0)
     assert c.fpr == 0.0 and c.tpr == 1.0
@@ -104,7 +106,7 @@ def test_exact_detection_counts():
 
 def test_ledger_for_different_dataset_rejected():
     verdicts = [ann_verdict(1, 0.5)]
-    ledger = NoiseLedger(entries=[label_entry(99)])
+    ledger = NoiseLedger.of([label_entry(99)])
     with pytest.raises(InvalidInputError):
         confusion_at(verdict_table(verdicts), ledger, 0.5)
 
@@ -113,7 +115,7 @@ def test_removed_annotation_that_still_has_a_verdict_rejected():
     """A missing entry for an annotation the verdicts still hold would count
     as removed and as present at once."""
     verdicts = [ann_verdict(1, 0.5), ann_verdict(2, 0.9)]
-    ledger = NoiseLedger(entries=[missing_entry(1, 10, 10, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(1, 10, 10, 20, 20)])
     with pytest.raises(InvalidInputError, match=r"marks annotations removed .*\(e\.g\. \[1\]\)"):
         roc_curve(verdict_table(verdicts), ledger)
 
@@ -123,8 +125,8 @@ def test_repeated_ledger_annotation_rejected(entry):
     """Each repeat of a missing entry would count one more removed box."""
     table = verdict_table([ann_verdict(1, 0.9), region_verdict(0.1, BBox(10, 10, 20, 20))])
     with pytest.raises(InvalidInputError, match=r"more than once \(e\.g\. \[(50|1)\]\)"):
-        roc_curve(table, NoiseLedger(entries=[entry, entry]))
-    roc_curve(table, NoiseLedger(entries=[entry]))  # once is fine
+        roc_curve(table, NoiseLedger.of([entry, entry]))
+    roc_curve(table, NoiseLedger.of([entry]))  # once is fine
 
 
 def test_missing_record_matched_by_overlapping_region():
@@ -132,14 +134,14 @@ def test_missing_record_matched_by_overlapping_region():
         ann_verdict(1, 0.9),
         region_verdict(0.1, BBox(10, 10, 20, 20)),
     ]
-    ledger = NoiseLedger(entries=[missing_entry(50, 11, 11, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(50, 11, 11, 20, 20)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 0, 1, 0)
 
 
 def test_unmatched_missing_record_is_false_negative():
     verdicts = [ann_verdict(1, 0.9), region_verdict(0.1, BBox(500, 500, 10, 10))]
-    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(50, 10, 10, 20, 20)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     # region overlaps nothing: false positive; removed record missed
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 1, 1, 1)
@@ -147,7 +149,7 @@ def test_unmatched_missing_record_is_false_negative():
 
 def test_region_below_match_iou_does_not_count():
     verdicts = [region_verdict(0.1, BBox(0, 0, 10, 10))]
-    ledger = NoiseLedger(entries=[missing_entry(50, 8, 8, 10, 10)])
+    ledger = NoiseLedger.of([missing_entry(50, 8, 8, 10, 10)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fn, c.fp) == (0, 1, 1)
     # a looser matching IoU accepts the same pair
@@ -157,7 +159,7 @@ def test_region_below_match_iou_does_not_count():
 
 def test_region_on_other_image_never_matches():
     verdicts = [region_verdict(0.1, BBox(10, 10, 20, 20), image_id=2)]
-    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20, image_id=1)])
+    ledger = NoiseLedger.of([missing_entry(50, 10, 10, 20, 20, image_id=1)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fn, c.fp) == (0, 1, 1)
 
@@ -168,14 +170,14 @@ def test_greedy_matching_is_one_to_one_by_descending_iou():
         region_verdict(0.1, BBox(10, 10, 20, 20), cluster_id=1),
         region_verdict(0.1, BBox(12, 12, 20, 20), cluster_id=2),
     ]
-    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(50, 10, 10, 20, 20)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.fn) == (1, 1, 0)
 
 
 def test_region_above_tau_is_ignored():
     verdicts = [region_verdict(0.8, BBox(10, 10, 20, 20))]
-    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(50, 10, 10, 20, 20)])
     c = confusion_at(verdict_table(verdicts), ledger, 0.5)
     assert (c.tp, c.fp, c.fn) == (0, 0, 1)
 
@@ -184,7 +186,7 @@ def test_marginals_match_population():
     rng = random.Random(71)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 101)]
     noisy_ids = rng.sample(range(1, 101), 20)
-    ledger = NoiseLedger(entries=[label_entry(i) for i in noisy_ids])
+    ledger = NoiseLedger.of([label_entry(i) for i in noisy_ids])
     for tau in DEFAULT_THRESHOLDS:
         c = confusion_at(verdict_table(verdicts), ledger, tau)
         assert c.tp + c.fn == 20
@@ -196,7 +198,7 @@ def test_marginals_match_population():
 
 def test_perfect_separation_gives_auroc_one():
     verdicts = [ann_verdict(i, 0.0 if i <= 3 else 1.0) for i in range(1, 11)]
-    ledger = NoiseLedger(entries=[label_entry(i) for i in (1, 2, 3)])
+    ledger = NoiseLedger.of([label_entry(i) for i in (1, 2, 3)])
     curve = roc_curve(verdict_table(verdicts), ledger)
     assert curve.auroc == pytest.approx(1.0)
 
@@ -205,7 +207,7 @@ def test_random_scores_give_auroc_near_half():
     rng = random.Random(73)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 10001)]
     noisy = rng.sample(range(1, 10001), 2000)
-    ledger = NoiseLedger(entries=[label_entry(i) for i in noisy])
+    ledger = NoiseLedger.of([label_entry(i) for i in noisy])
     table = verdict_table(verdicts)
     curve = roc_curve(table, ledger, dense_thresholds(table))
     assert curve.auroc == pytest.approx(0.5, abs=0.05)
@@ -218,7 +220,7 @@ def test_reference_sweep_auroc():
 def test_curve_contains_grid_and_is_monotone():
     rng = random.Random(79)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 201)]
-    ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 201), 40)])
+    ledger = NoiseLedger.of([label_entry(i) for i in rng.sample(range(1, 201), 40)])
     curve = roc_curve(verdict_table(verdicts), ledger)
     testable = points(curve)
     assert [t for t, _, _ in testable] == DEFAULT_THRESHOLDS
@@ -245,7 +247,7 @@ def test_monotone_even_with_missing_noise():
                     cluster_id=2000 + j,
                 )
             )
-    ledger = NoiseLedger(entries=entries)
+    ledger = NoiseLedger.of(entries)
     table = verdict_table(verdicts)
     curve = roc_curve(table, ledger, dense_thresholds(table))
     for (_, f1, t1), (_, f2, t2) in zip(points(curve), points(curve)[1:]):
@@ -256,12 +258,12 @@ def test_monotone_even_with_missing_noise():
 def test_empty_ledger_is_an_error():
     verdicts = [ann_verdict(1, 0.5)]
     with pytest.raises(EmptyLedgerError):
-        roc_curve(verdict_table(verdicts), NoiseLedger())
+        roc_curve(verdict_table(verdicts), NoiseLedger.of([]))
 
 
 def test_bad_threshold_grids_rejected():
     verdicts = [ann_verdict(1, 0.5)]
-    ledger = NoiseLedger(entries=[label_entry(1)])
+    ledger = NoiseLedger.of([label_entry(1)])
     with pytest.raises(InvalidInputError):
         roc_curve(verdict_table(verdicts), ledger, [1.0, 0.0])
     with pytest.raises(InvalidInputError):
@@ -273,7 +275,7 @@ def test_match_iou_outside_unit_interval_rejected(match_iou):
     # at match_iou <= 0 a flagged region 500 px from the only removed box
     # would count as a true positive
     table = verdict_table([ann_verdict(1, 0.9), region_verdict(0.1, BBox(500, 500, 10, 10))])
-    ledger = NoiseLedger(entries=[missing_entry(50, 10, 10, 20, 20)])
+    ledger = NoiseLedger.of([missing_entry(50, 10, 10, 20, 20)])
     with pytest.raises(InvalidInputError, match="match_iou"):
         confusion_at(table, ledger, 0.5, match_iou=match_iou)
     with pytest.raises(InvalidInputError, match="match_iou"):
@@ -306,7 +308,7 @@ def test_auroc_in_unit_interval():
 def test_auroc_invariant_under_monotone_score_transform():
     rng = random.Random(97)
     verdicts = [ann_verdict(i, rng.random()) for i in range(1, 301)]
-    ledger = NoiseLedger(entries=[label_entry(i) for i in rng.sample(range(1, 301), 60)])
+    ledger = NoiseLedger.of([label_entry(i) for i in rng.sample(range(1, 301), 60)])
     table = verdict_table(verdicts)
     base = roc_curve(table, ledger, dense_thresholds(table))
     squashed = [
@@ -356,7 +358,7 @@ def _conflict_case(regions, removed):
         region_verdict(score, BBox(*box), cluster_id=100 + k) for k, (score, box) in enumerate(regions)
     ]
     entries = [missing_entry(50 + k, *box) for k, box in enumerate(removed)]
-    return verdicts, NoiseLedger(entries=entries)
+    return verdicts, NoiseLedger.of(entries)
 
 
 @pytest.mark.parametrize("regions, removed, counts", [
@@ -430,7 +432,7 @@ def _random_case(rng):
         ann_id += 1
         entries.append(missing_entry(ann_id, 0, 0, 20, 20))
     rng.shuffle(verdicts)
-    return verdicts, NoiseLedger(entries=entries)
+    return verdicts, NoiseLedger.of(entries)
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -476,7 +478,7 @@ def test_dense_sweep_over_many_regions_is_fast():
                     cluster_id=ann_id,
                 )
             )
-    ledger = NoiseLedger(entries=entries)
+    ledger = NoiseLedger.of(entries)
     table = verdict_table(verdicts)
     thresholds = dense_thresholds(table)
 
@@ -487,3 +489,18 @@ def test_dense_sweep_over_many_regions_is_fast():
     assert len(curve.thresholds) == len(thresholds) > 40000
     assert curve.tpr[-1] == 1.0
     assert elapsed < 30.0, f"dense sweep took {elapsed:.2f}s"
+
+
+def test_median_equals_statistics_median():
+    """On odd and even counts, with repeats, ``median`` is the float
+    ``statistics.median`` gives: the middle value, or (a + b) / 2."""
+    rng = random.Random(17)
+    lengths = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        values = [rng.choice([0.0, 0.5, 1.0, 0.1 + 0.2, rng.random()]) for _ in range(n)]
+        got = median(values)
+        assert type(got) is float
+        assert got == statistics.median(values), values
+        lengths.add(n % 2)
+    assert lengths == {0, 1}

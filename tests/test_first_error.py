@@ -11,6 +11,7 @@ import pytest
 
 from boxaudit.dataset_io import (
     AnnotatedBox,
+    BoxColumns,
     Category,
     Dataset,
     ImageInfo,
@@ -139,7 +140,7 @@ def test_ledger_later_check_at_lower_index(tmp_path):
 
 def _dataset():
     boxes = [AnnotatedBox(a, 1, 1, BBox(1.0, 2.0, 3.0, 4.0)) for a in (1, 2, 3)]
-    return Dataset([ImageInfo(1, 100, 80, "1.jpg")], [Category(1, "cat", 7)], boxes)
+    return Dataset([ImageInfo(1, 100, 80, "1.jpg")], [Category(1, "cat", 7)], BoxColumns.of(boxes))
 
 
 def _verdict(ann_id, **changes):

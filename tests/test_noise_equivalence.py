@@ -13,7 +13,7 @@ import pytest
 import noise_reference as reference
 from boxaudit.dataset_io import (
     AnnotatedBox,
-    BoxSource,
+    BoxColumns,
     Category,
     Dataset,
     ImageInfo,
@@ -72,7 +72,7 @@ def _box(rng, ann_id, image, classes, counts):
         bbox = BBox(x, y, rng.uniform(0.5, w - x), rng.uniform(0.5, h - y))
     category = rng.randint(1, classes)
     if rng.random() < 0.1:
-        return AnnotatedBox(ann_id, image.id, category, bbox, BoxSource.PREDICTED, rng.random())
+        return AnnotatedBox(ann_id, image.id, category, bbox, rng.random())
     return AnnotatedBox(ann_id, image.id, category, bbox)
 
 
@@ -91,7 +91,7 @@ def _dataset(rng, tmp_path, counts) -> tuple[Dataset, bool]:
     counts["id past int64"] += any(abs(i) >= 2**63 for i in ann_ids + image_ids + source_ids)
     counts["single class"] += classes == 1
     if rng.random() < 0.5:
-        return Dataset(images, categories, boxes), False
+        return Dataset(images, categories, BoxColumns.of(boxes)), False
     dense_to_source = {c.id: c.source_id for c in categories}
     payload = {
         "images": [{"id": i.id, "width": i.width, "height": i.height, "file_name": i.file_name}
@@ -179,7 +179,7 @@ def test_inject_and_load_ledger_equal_reference(tmp_path, made_rngs):
         path = tmp_path / "ledger.json"
         save_ledger(ledger, path, ds.categories)
         copy_path = tmp_path / "ledger-from-objects.json"
-        save_ledger(NoiseLedger(want_ledger.entries), copy_path, ds.categories)
+        save_ledger(NoiseLedger.of(want_ledger.entries), copy_path, ds.categories)
         assert path.read_bytes() == copy_path.read_bytes(), seed
         _edited_ledger(rng, path, kind, counts)
         got, got_error = _outcome(load_ledger, path, noisy)
@@ -205,7 +205,8 @@ def test_inject_and_load_ledger_equal_reference(tmp_path, made_rngs):
 
 def test_single_class_label_flip_is_refused_as_reference(made_rngs):
     images = [ImageInfo(1, 100, 100, "a.jpg")]
-    ds = Dataset(images, [Category(1, "c", 1)], [AnnotatedBox(1, 1, 1, BBox(1.0, 2.0, 3.0, 4.0))])
+    boxes = BoxColumns.of([AnnotatedBox(1, 1, 1, BBox(1.0, 2.0, 3.0, 4.0))])
+    ds = Dataset(images, [Category(1, "c", 1)], boxes)
     spec = NoiseSpec(NoiseKind.UNIFORM_LABEL, 1.0, seed=5)
     got = _injected(inject, ds, spec, made_rngs)
     assert got == _injected(reference.inject, ds, spec, made_rngs)

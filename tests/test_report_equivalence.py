@@ -11,7 +11,7 @@ import numpy as np
 
 import report_reference as reference
 from boxaudit.confident_learning import VERDICT_KINDS
-from boxaudit.dataset_io import AnnotatedBox, Category, Dataset, ImageInfo, load_report
+from boxaudit.dataset_io import AnnotatedBox, BoxColumns, Category, Dataset, ImageInfo, load_report
 from boxaudit.geometry import BBox
 
 from test_fuzz_boundary import MUTATORS
@@ -54,7 +54,7 @@ def _dataset(rng) -> Dataset:
     images = [ImageInfo(i, 100, 80, f"{k}.jpg") for k, i in enumerate(image_ids)]
     ann_ids = rng.sample([*range(1, 40), *BIG_IDS], rng.randint(0, 12))
     boxes = [AnnotatedBox(a, rng.choice(image_ids), 1, BBox(1.0, 2.0, 3.0, 4.0)) for a in ann_ids]
-    return Dataset(images, [Category(1, "c", 1)], boxes)
+    return Dataset(images, [Category(1, "c", 1)], BoxColumns.of(boxes))
 
 
 def _verdict(rng, ds, ann_id, counts):
