@@ -37,7 +37,7 @@ from boxaudit.noise_injection import (
 from boxaudit.pipeline import PipelineConfig, run_detection
 from boxaudit.reduction import ReducedMatrices, reduce_dataset
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AnnotatedBox",

@@ -31,9 +31,7 @@ def _add_noise_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         required=required,
         help="noise type to inject",
     )
-    parser.add_argument(
-        "--fraction", type=float, help="fraction of annotations to perturb"
-    )
+    parser.add_argument("--fraction", type=float, help="fraction of annotations to perturb")
     parser.add_argument(
         "--amplitude",
         type=float,
@@ -62,37 +60,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_detect = command("detect", help="report suspicious annotations")
     p_detect.add_argument("--ground-truth", required=True, help="COCO annotation file")
-    p_detect.add_argument(
-        "--predictions", required=True, help="COCO detection-results file"
-    )
+    p_detect.add_argument("--predictions", required=True, help="COCO detection-results file")
     p_detect.add_argument("--iou-threshold", type=float, help="clustering IoU threshold")
     p_detect.add_argument("--mode", choices=cl.MODES, help="flagging mode")
-    p_detect.add_argument(
-        "--tau", type=float, help="quality-score cutoff (score_threshold mode)"
-    )
+    p_detect.add_argument("--tau", type=float, help="quality-score cutoff (score_threshold mode)")
     _add_common(p_detect)
 
-    p_eval = command("eval", help="inject noise (or reuse a ledger) and measure ROC/AUROC")
-    p_eval.add_argument(
-        "--ground-truth",
-        required=True,
-        help="clean COCO file (with --noise-kind) or an already-noisy one (with --ledger)",
-    )
-    p_eval.add_argument(
-        "--predictions", required=True, help="COCO detection-results file"
-    )
-    p_eval.add_argument("--ledger", help="ledger file of an existing injection")
+    p_eval = command("eval", help="inject noise and measure ROC/AUROC")
+    p_eval.add_argument("--ground-truth", required=True, help="clean COCO annotation file")
+    p_eval.add_argument("--predictions", required=True, help="COCO detection-results file")
     p_eval.add_argument("--iou-threshold", type=float)
     p_eval.add_argument("--runs", type=int, help="independent runs aggregated by median")
     p_eval.add_argument(
-        "--sweep",
-        choices=SWEEPS,
-        help="threshold grid 0.0..1.0 step 0.1, or every distinct score",
+        "--sweep", choices=SWEEPS, help="threshold grid 0.0..1.0 step 0.1, or every distinct score"
     )
     p_eval.add_argument(
-        "--match-iou",
-        type=float,
-        help="IoU for matching missing-region findings to removed boxes",
+        "--match-iou", type=float, help="IoU for matching missing-region findings to removed boxes"
     )
     _add_noise_flags(p_eval, required=False)
     _add_common(p_eval)
@@ -132,20 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-# flags whose PipelineConfig field has another name
-_FIELDS = {
-    "ground_truth": "ground_truth_path",
-    "predictions": "predictions_path",
-    "mode": "cl_mode",
-    "ledger": "ledger_path",
-    "report": "report_path",
-}
-
-
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The config of the flags given; a flag left out takes its
     PipelineConfig default."""
-    flags = {_FIELDS.get(k, k): v for k, v in vars(args).items() if k != "command"}
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
     kind, fraction, amplitude, seed = (
         flags.pop(k, None) for k in ("noise_kind", "fraction", "amplitude", "seed")
     )

@@ -259,6 +259,13 @@ def flagged_rows(
     return quality <= tau
 
 
+def verdict_counts(n_originals: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """How many verdicts each partition row gets, given its number of
+    originals and whether it is flagged: one per original, or one region
+    verdict if the row has no original and is flagged."""
+    return np.where(n_originals > 0, n_originals, flagged)
+
+
 def verdict_table(
     partition: Partition,
     quality: np.ndarray,
@@ -274,7 +281,7 @@ def verdict_table(
     """
     originals, n_originals = partition.members_of(np.arange(len(partition)), predicted=False)
     background = n_originals == 0
-    rows = np.repeat(np.arange(len(partition)), np.where(background, flagged, n_originals))
+    rows = np.repeat(np.arange(len(partition)), verdict_counts(n_originals, flagged))
     is_region = background[rows]
     n = len(rows)
 

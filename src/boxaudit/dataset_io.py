@@ -431,6 +431,16 @@ def _repeats(values) -> np.ndarray:
     return np.fromiter(map(first.__getitem__, values), np.intp, n) != np.arange(n)
 
 
+def _sides_unlike_kind(rows: _Rows, column: str) -> np.ndarray:
+    """Ledger entries whose boxes do not fit their noise type, which
+    ``column`` holds: as inject writes them, a missing entry has only an
+    original box, a spurious one only a perturbed box and the others both."""
+    kinds = np.array(rows[column], dtype=str)
+    return (rows.given("original") != (kinds != "spurious")) | (
+        rows.given("perturbed") != (kinds != "missing")
+    )
+
+
 # The checks a rule can name, each as the mask of the rows it refuses (given
 # the rows and the rule's column), an error class and a message template. A
 # message is formatted with the row's name as ``where``, the column's
@@ -475,6 +485,11 @@ _CHECKS: dict[str, tuple[Callable[[_Rows, str], np.ndarray], type[AuditError], s
             (w <= 0 or h <= 0 for w, h in zip(rows["width"], rows["height"])), bool, len(rows)
         ),
         FormatError, "{where}: image dimensions must be positive",
+    ),
+    "sides": (
+        _sides_unlike_kind, FormatError,
+        "{where}: boxes do not fit noise_type {value!r}: missing has only an original, "
+        "spurious only a perturbed and the other kinds both",
     ),
     "repeated": (
         lambda rows, column: _repeats(rows[column]),
@@ -813,6 +828,7 @@ _LEDGER_RULES = (
     ("noise_type", "noise_type"),
     *_fields(_INT, "annotation_id"),
     *(rule for side in _LEDGER_SIDES for rule in _ledger_box(side)),
+    ("sides", "noise_type"),
 )
 
 
@@ -885,6 +901,8 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     position in the predictions file). Findings and verdicts are written
     ``_BLOCK`` rows at a time.
     """
+    from boxaudit.confident_learning import verdict_counts
+
     path = Path(path)
     mirror = _json_mirror(path)
     table, partition, boxes = report.table, report.partition, report.partition.boxes
@@ -892,8 +910,7 @@ def save_report(report: DetectionResult, path: str | Path) -> dict[str, int]:
     background = len(report.categories) + 1
     rows = np.flatnonzero(report.flagged)
     n_originals = partition.sizes(predicted=False)
-    # a row has a verdict per original, or one region verdict if flagged
-    counts = np.where(n_originals > 0, n_originals, report.flagged)
+    counts = verdict_counts(n_originals, report.flagged)
     firsts = (np.cumsum(counts) - counts)[rows]
     has_region = table.has_region
 

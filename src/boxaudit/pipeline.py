@@ -25,7 +25,7 @@ from boxaudit.evaluation import (
     median,
     roc_curve,
 )
-from boxaudit.noise_injection import NoiseSpec, inject
+from boxaudit.noise_injection import NoiseLedger, NoiseSpec, inject
 from boxaudit.reduction import reduce_dataset  # noqa: F401
 
 __all__ = ["SWEEPS", "PipelineConfig", "DetectionResult", "run_detection", "cmd_inject", "cmd_detect", "cmd_eval", "cmd_roc"]
@@ -34,16 +34,17 @@ SWEEPS = ("grid", "dense")  # the thresholds 0.0..1.0 step 0.1, or every distinc
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline stage needs; built by the CLI from flags."""
+    """Everything a pipeline stage needs; the CLI sets each field from the
+    flag of its name, and ``noise`` from the four noise flags."""
 
-    ground_truth_path: str | None = None
-    predictions_path: str | None = None
+    ground_truth: str | None = None
+    predictions: str | None = None
     iou_threshold: float = 0.5
-    cl_mode: str = cl.MODE_CONFIDENT_JOINT
+    mode: str = cl.MODE_CONFIDENT_JOINT
     tau: float | None = None
     noise: NoiseSpec | None = None
-    ledger_path: str | None = None
-    report_path: str | None = None
+    ledger: str | None = None
+    report: str | None = None
     output_dir: Path = Path(".")
     runs: int = 1
     sweep: str = "grid"
@@ -58,26 +59,16 @@ class PipelineConfig:
             raise InvalidSpecError(MATCH_IOU_RANGE.format(self.match_iou))
         if self.sweep not in SWEEPS:
             raise InvalidSpecError(f"sweep must be one of {', '.join(SWEEPS)}, got {self.sweep!r}")
-        if self.cl_mode not in cl.MODES:
-            raise InvalidSpecError(cl.UNKNOWN_MODE.format(self.cl_mode))
-        if self.tau is not None and self.cl_mode != cl.MODE_SCORE_THRESHOLD:
+        if self.mode not in cl.MODES:
+            raise InvalidSpecError(cl.UNKNOWN_MODE.format(self.mode))
+        if self.tau is not None and self.mode != cl.MODE_SCORE_THRESHOLD:
             raise InvalidSpecError(
-                f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.cl_mode}"
+                f"tau applies only to {cl.MODE_SCORE_THRESHOLD} mode, not {self.mode}"
             )
-        if self.cl_mode == cl.MODE_SCORE_THRESHOLD and (
+        if self.mode == cl.MODE_SCORE_THRESHOLD and (
             self.tau is None or not 0.0 <= self.tau <= 1.0
         ):
             raise InvalidSpecError(f"{cl.TAU_RANGE}, got {self.tau}")
-        if self.noise is not None and self.ledger_path is not None:
-            raise InvalidSpecError(
-                "give either a noise spec (--noise-kind ...) or an existing ledger "
-                "(--ledger), not both"
-            )
-        if self.runs > 1 and self.ledger_path is not None:
-            raise InvalidSpecError(
-                f"--runs {self.runs} repeats noise injection (--noise-kind ...); "
-                "an existing ledger (--ledger) is evaluated once"
-            )
         self.output_dir = Path(self.output_dir)
 
 
@@ -144,94 +135,84 @@ def cmd_inject(config: PipelineConfig) -> tuple[Path, Path]:
     """Corrupt a dataset per the noise spec; writes noisy.json + ledger.json."""
     if config.noise is None:
         raise InvalidSpecError("inject requires a noise specification")
-    ds = dataset_io.load_ground_truth(config.ground_truth_path)
+    ds = dataset_io.load_ground_truth(config.ground_truth)
     noisy, ledger = inject(ds, config.noise)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    noisy_path = config.output_dir / "noisy.json"
-    ledger_path = config.output_dir / "ledger.json"
-    dataset_io.save_dataset(noisy, noisy_path)
-    dataset_io.save_ledger(ledger, ledger_path, noisy.categories)
-    print(f"noisy dataset: {noisy_path} ({len(noisy.columns)} annotations)")
-    print(f"ledger: {ledger_path} ({len(ledger)} entries)")
-    return noisy_path, ledger_path
+    noisy_file = config.output_dir / "noisy.json"
+    ledger_file = config.output_dir / "ledger.json"
+    dataset_io.save_dataset(noisy, noisy_file)
+    dataset_io.save_ledger(ledger, ledger_file, noisy.categories)
+    print(f"noisy dataset: {noisy_file} ({len(noisy.columns)} annotations)")
+    print(f"ledger: {ledger_file} ({len(ledger)} entries)")
+    return noisy_file, ledger_file
 
 
 def cmd_detect(config: PipelineConfig) -> Path:
     """Find suspicious annotations; writes report.csv + report.json."""
-    ds = dataset_io.load_ground_truth(config.ground_truth_path)
-    preds = dataset_io.load_predictions(config.predictions_path, ds)
+    ds = dataset_io.load_ground_truth(config.ground_truth)
+    preds = dataset_io.load_predictions(config.predictions, ds)
     result = run_detection(
-        ds, preds, config.iou_threshold, mode=config.cl_mode, tau=config.tau
+        ds, preds, config.iou_threshold, mode=config.mode, tau=config.tau
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    report_path = config.output_dir / "report.csv"
-    summary = dataset_io.save_report(result, report_path)
+    report_file = config.output_dir / "report.csv"
+    summary = dataset_io.save_report(result, report_file)
     print(f"clusters: {summary['clusters']}")
     print(f"flagged rows: {summary['flagged_clusters']}")
     print(f"flagged annotations: {summary['flagged_annotations']}")
     print(f"missing regions: {summary['missing_regions']}")
-    print(f"report written to {report_path}")
-    return report_path
+    print(f"report written to {report_file}")
+    return report_file
 
 
-def _sweep_thresholds(verdicts: VerdictTable, sweep: str) -> list[float] | None:
-    return dense_thresholds(verdicts) if sweep == "dense" else None
+def _sweep(verdicts: VerdictTable, ledger: NoiseLedger, config: PipelineConfig) -> RocCurve:
+    """The ROC curve of ``verdicts`` against ``ledger`` over the config's sweep."""
+    thresholds = dense_thresholds(verdicts) if config.sweep == "dense" else None
+    return roc_curve(verdicts, ledger, thresholds, match_iou=config.match_iou)
 
 
 def cmd_eval(config: PipelineConfig) -> Path:
     """ROC/AUROC evaluation; writes roc.csv + roc.json.
 
-    With a noise spec: inject (per run, seeds seed..seed+runs-1), detect, and
-    sweep; several runs are aggregated by their median AUROC. Without one:
-    evaluate the given (already noisy) dataset against its ledger, as seed 0.
+    Each run injects noise (seeds seed..seed+runs-1), detects at ``tau`` 1.0
+    and sweeps; several runs are aggregated by their median AUROC. A saved
+    injection is scored by :func:`cmd_detect` at ``tau`` 1.0 and :func:`cmd_roc`.
     """
-    if config.noise is None and config.ledger_path is None:
-        raise InvalidSpecError(
-            "eval needs either a noise spec (--noise-kind ...) or an existing ledger (--ledger)"
-        )
-    ds = dataset_io.load_ground_truth(config.ground_truth_path)
-    preds = dataset_io.load_predictions(config.predictions_path, ds)
-
-    if config.noise is not None:
-        specs = (replace(config.noise, seed=config.noise.seed + run) for run in range(config.runs))
-        runs = ((spec.seed, *inject(ds, spec)) for spec in specs)
-    else:
-        runs = [(0, ds, dataset_io.load_ledger(config.ledger_path, ds))]
-
+    if config.noise is None:
+        raise InvalidSpecError("eval requires a noise specification")
+    ds = dataset_io.load_ground_truth(config.ground_truth)
+    preds = dataset_io.load_predictions(config.predictions, ds)
     curves: list[tuple[int, RocCurve]] = []
-    for seed, noisy, ledger in runs:
+    for seed in range(config.noise.seed, config.noise.seed + config.runs):
+        noisy, ledger = inject(ds, replace(config.noise, seed=seed))
         result = run_detection(
             noisy, preds, config.iou_threshold, mode=cl.MODE_SCORE_THRESHOLD, tau=1.0
         )
-        thresholds = _sweep_thresholds(result.table, config.sweep)
-        curve = roc_curve(result.table, ledger, thresholds, match_iou=config.match_iou)
-        curves.append((seed, curve))
+        curves.append((seed, _sweep(result.table, ledger, config)))
 
-    roc_path = config.output_dir / "roc.csv"
+    roc_file = config.output_dir / "roc.csv"
     run_aurocs = [(seed, curve.auroc) for seed, curve in curves]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     dataset_io.save_roc(
-        curves[0][1], roc_path, run_aurocs=run_aurocs if len(curves) > 1 else None
+        curves[0][1], roc_file, run_aurocs=run_aurocs if len(curves) > 1 else None
     )
     for seed, curve in curves:
         print(f"run seed={seed}: auroc={curve.auroc:.6f}")
     print(f"median auroc = {median([a for _, a in run_aurocs]):.6f}")
-    print(f"roc written to {roc_path}")
-    return roc_path
+    print(f"roc written to {roc_file}")
+    return roc_file
 
 
 def cmd_roc(config: PipelineConfig) -> Path:
     """Re-sweep an existing report (its JSON mirror) against a ledger file."""
-    if config.report_path is None or config.ledger_path is None:
+    if config.report is None or config.ledger is None:
         raise InvalidSpecError("roc requires --report and --ledger")
-    ds = dataset_io.load_ground_truth(config.ground_truth_path)
-    verdicts = dataset_io.load_report(config.report_path, ds)
-    ledger = dataset_io.load_ledger(config.ledger_path, ds)
-    thresholds = _sweep_thresholds(verdicts, config.sweep)
-    curve = roc_curve(verdicts, ledger, thresholds, match_iou=config.match_iou)
+    ds = dataset_io.load_ground_truth(config.ground_truth)
+    verdicts = dataset_io.load_report(config.report, ds)
+    curve = _sweep(verdicts, dataset_io.load_ledger(config.ledger, ds), config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    roc_path = config.output_dir / "roc.csv"
-    dataset_io.save_roc(curve, roc_path)
+    roc_file = config.output_dir / "roc.csv"
+    dataset_io.save_roc(curve, roc_file)
     print(f"auroc = {curve.auroc:.6f}")
-    print(f"roc written to {roc_path}")
-    return roc_path
+    print(f"roc written to {roc_file}")
+    return roc_file

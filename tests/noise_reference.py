@@ -7,7 +7,8 @@ They and every helper they call are kept verbatim, with the list-holding
 ``NoiseLedger`` they returned, so this module fixes the random draws, the
 perturbed values, the checks, their order and the error texts the columnar
 code must reproduce. ``load_ledger`` imports its entry types from here, not
-from the package.
+from the package. Its last check, that an entry's boxes fit its noise type,
+was added to the reference when the ledger format gained that rule.
 """
 
 from __future__ import annotations
@@ -285,6 +286,15 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
             else None
             for side in ("original", "perturbed")
         )
+        # as inject writes them: missing has only an original, spurious only a
+        # perturbed box, and the other kinds both
+        if (original is None) != (kind == NoiseKind.SPURIOUS) or (perturbed is None) != (
+            kind == NoiseKind.MISSING
+        ):
+            raise FormatError(
+                f"{where()}: boxes do not fit noise_type {kind_raw!r}: missing has only an "
+                "original, spurious only a perturbed and the other kinds both"
+            )
         entries.append(
             LedgerEntry(annotation_id=ann_id, kind=kind, original=original, perturbed=perturbed)
         )

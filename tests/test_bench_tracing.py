@@ -58,10 +58,10 @@ def test_traced_detect_and_dense_roc_run(tmp_path):
 
 
 def test_traced_eval_counts_ledger_entries_and_records(tmp_path):
-    """``eval`` with a noise spec counts the injected entries of every run;
-    ``eval --ledger`` counts the ledger's entries among the loaded records.
-    The tracer reads them as ``len(ledger)``, ``ds.annotations`` and
-    ``preds.boxes``."""
+    """``eval`` counts the injected entries of every run; ``roc`` counts the
+    ledger's entries among the loaded records. The tracer reads them as
+    ``len(ledger)``, ``ds.annotations``, ``preds.boxes`` and
+    ``len(verdicts)``."""
     gt, preds = write_synthetic(tmp_path, num_images=6, boxes_per_image=5, seed=3)
 
     tracer = tracing.Tracer("eval-missing")
@@ -77,13 +77,18 @@ def test_traced_eval_counts_ledger_entries_and_records(tmp_path):
     noise = tmp_path / "noise"
     assert main(["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
                  "--fraction", "0.2", "--seed", "1", "--output-dir", str(noise)]) == 0
-    tracer = tracing.Tracer("eval-ledger")
+    noisy = noise / "noisy.json"
+    assert main(["detect", "--ground-truth", str(noisy), "--predictions", str(preds),
+                 "--mode", "score_threshold", "--tau", "1", "--output-dir",
+                 str(tmp_path / "detect")]) == 0
+    tracer = tracing.Tracer("roc")
     code, _ = tracing.traced_main(
-        ["eval", "--ground-truth", str(noise / "noisy.json"), "--predictions", str(preds),
-         "--ledger", str(noise / "ledger.json"), "--output-dir", str(tmp_path / "eval-ledger")],
+        ["roc", "--ground-truth", str(noisy), "--report", str(tmp_path / "detect" / "report.json"),
+         "--ledger", str(noise / "ledger.json"), "--output-dir", str(tmp_path / "roc")],
         tracer,
     )
     assert code == 0
     assert tracer.counts["noise_injection.ledger_entries"] == 0
-    # 24 annotations, 30 predictions and 6 ledger entries
+    # 24 annotations, 30 verdicts (one per annotation and one per region
+    # of the 6 removed boxes) and 6 ledger entries
     assert tracer.counts["dataset_io.records_loaded"] == 60

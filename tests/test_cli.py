@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -337,55 +339,54 @@ def test_eval_is_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _eval_ledger_refused(tmp_path, *flags):
+    """``eval --ledger`` (since 0.5.0 a saved injection is scored by
+    ``detect`` and ``roc``) exits with argparse's usage code before it
+    reads a file or makes the output directory."""
+    absent = str(tmp_path / "absent.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
+              *flags, "--output-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_with_existing_ledger(tmp_path):
+    """An existing injection is scored by ``detect --mode score_threshold
+    --tau 1.0`` and ``roc``; ``eval --ledger`` is not a command."""
     gt, preds = write_synthetic(tmp_path, num_images=30, boxes_per_image=10, seed=12)
     inject_out = tmp_path / "inj"
     main(
         ["inject", "--ground-truth", str(gt), "--noise-kind", "uniform_label",
          "--fraction", "0.2", "--seed", "4", "--output-dir", str(inject_out)]
     )
+    assert main(
+        ["detect", "--ground-truth", str(inject_out / "noisy.json"),
+         "--predictions", str(preds), "--mode", "score_threshold", "--tau", "1.0",
+         "--output-dir", str(tmp_path / "det")]
+    ) == 0
     out = tmp_path / "out"
-    rc = main(
-        ["eval", "--ground-truth", str(inject_out / "noisy.json"),
-         "--predictions", str(preds), "--ledger", str(inject_out / "ledger.json"),
-         "--output-dir", str(out)]
-    )
+    rc = _roc(inject_out / "noisy.json", tmp_path / "det" / "report.json",
+              inject_out / "ledger.json", out)
     assert rc == 0
     mirror = json.loads((out / "roc.json").read_text())
     assert mirror["auroc"] >= 0.95
+    _eval_ledger_refused(tmp_path)
 
 
-def test_eval_rejects_ledger_with_noise_spec(tmp_path, capsys):
-    gt, preds = write_synthetic(tmp_path, num_images=4, boxes_per_image=5, seed=2)
-    ledger = write_json(tmp_path / "ledger.json", {"entries": []})
-    rc = main(
-        ["eval", "--ground-truth", str(gt), "--predictions", str(preds),
-         "--ledger", str(ledger), "--noise-kind", "missing", "--fraction", "0.2",
-         "--output-dir", str(tmp_path / "o")]
-    )
-    assert rc == 1
-    _single_error_line(capsys, "invalid-spec")
-    assert not (tmp_path / "o").exists()
+def test_eval_rejects_ledger_with_noise_spec(tmp_path):
+    _eval_ledger_refused(tmp_path, "--noise-kind", "missing", "--fraction", "0.2")
 
 
-def test_eval_rejects_runs_with_ledger(tmp_path, capsys):
-    """Runs repeat an injection; a ledger is evaluated once, so several runs
-    with one are refused before any file is read."""
-    absent = str(tmp_path / "absent.json")
-    rc = main(
-        ["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
-         "--runs", "3", "--output-dir", str(tmp_path / "o")]
-    )
-    assert rc == 1
-    _single_error_line(capsys, "invalid-spec")
-    assert not (tmp_path / "o").exists()
+def test_eval_rejects_runs_with_ledger(tmp_path):
+    _eval_ledger_refused(tmp_path, "--runs", "3")
 
 
 @pytest.mark.parametrize("flag", ["--amplitude", "--fraction"])
 def test_eval_rejects_noise_flag_without_noise_kind(tmp_path, capsys, flag):
     absent = str(tmp_path / "absent.json")
     rc = main(
-        ["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
+        ["eval", "--ground-truth", absent, "--predictions", absent,
          flag, "0.3", "--output-dir", str(tmp_path / "o")]
     )
     assert rc == 1
@@ -394,18 +395,17 @@ def test_eval_rejects_noise_flag_without_noise_kind(tmp_path, capsys, flag):
 
 
 def test_eval_rejects_seed_without_noise_kind(tmp_path, capsys):
-    """The seed seeds noise injection; with a ledger it would only relabel
-    the printed run, which stays seed 0."""
-    noisy, _, ledger, preds = _roc_inputs(tmp_path)
-    args = ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
-            "--ledger", str(ledger), "--output-dir", str(tmp_path / "o")]
-    capsys.readouterr()
-    assert main([*args, "--seed", "5"]) == 1
+    """The seed seeds noise injection, so it is refused without a noise
+    kind, and with one it labels the run it seeded."""
+    gt, preds = write_synthetic(tmp_path, num_images=10, boxes_per_image=5, seed=16)
+    args = ["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+            "--seed", "5", "--output-dir", str(tmp_path / "o")]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err == "error[invalid-spec]: --seed requires --noise-kind\n", err
     assert not (tmp_path / "o").exists()
-    assert main(args) == 0
-    assert capsys.readouterr().out.startswith("run seed=0: auroc=")
+    assert main([*args, "--noise-kind", "missing", "--fraction", "0.2"]) == 0
+    assert capsys.readouterr().out.startswith("run seed=5: auroc=")
 
 
 def test_eval_without_noise_or_ledger_fails(tmp_path, capsys):
@@ -415,12 +415,13 @@ def test_eval_without_noise_or_ledger_fails(tmp_path, capsys):
          "--output-dir", str(tmp_path / "out")]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error[invalid-spec]:")
+    err = capsys.readouterr().err
+    assert err == "error[invalid-spec]: eval requires a noise specification\n", err
 
 
 def test_eval_without_noise_or_ledger_fails_before_reading_inputs(tmp_path, capsys):
-    """With neither a noise spec nor a ledger, ``eval`` says so before it
-    opens an input or makes the output directory."""
+    """Without a noise spec, ``eval`` says so before it opens an input or
+    makes the output directory."""
     rc = main(
         ["eval", "--ground-truth", str(tmp_path / "absent-gt.json"),
          "--predictions", str(tmp_path / "absent-preds.json"),
@@ -431,18 +432,21 @@ def test_eval_without_noise_or_ledger_fails_before_reading_inputs(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_on_clean_ledger_reports_empty_ledger(tmp_path, capsys):
+def test_roc_on_clean_ledger_reports_empty_ledger(tmp_path, capsys):
     gt, preds = write_synthetic(tmp_path, num_images=5, boxes_per_image=5, seed=14)
     inject_out = tmp_path / "inj"
     main(
         ["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
          "--fraction", "0.0", "--output-dir", str(inject_out)]
     )
-    rc = main(
-        ["eval", "--ground-truth", str(inject_out / "noisy.json"),
-         "--predictions", str(preds), "--ledger", str(inject_out / "ledger.json"),
-         "--output-dir", str(tmp_path / "out")]
+    noisy = inject_out / "noisy.json"
+    main(
+        ["detect", "--ground-truth", str(noisy), "--predictions", str(preds),
+         "--mode", "score_threshold", "--tau", "1.0", "--output-dir", str(tmp_path / "det")]
     )
+    capsys.readouterr()
+    rc = _roc(noisy, tmp_path / "det" / "report.json", inject_out / "ledger.json",
+              tmp_path / "out")
     assert rc == 1
     assert capsys.readouterr().err.startswith("error[empty-ledger]:")
 
@@ -464,35 +468,32 @@ def test_eval_that_fails_leaves_no_output_dir(tmp_path, capsys):
 
 
 def test_roc_stage_matches_eval(tmp_path):
+    """``eval --noise-kind K --seed S`` writes the same ``roc.csv`` and
+    ``roc.json`` bytes as ``inject`` with that spec, ``detect --mode
+    score_threshold --tau 1.0`` and ``roc``, for each sweep."""
     gt, preds = write_synthetic(tmp_path, num_images=30, boxes_per_image=10, seed=15)
-    inj = tmp_path / "inj"
-    main(
-        ["inject", "--ground-truth", str(gt), "--noise-kind", "missing",
-         "--fraction", "0.2", "--seed", "5", "--output-dir", str(inj)]
-    )
-    det = tmp_path / "det"
-    main(
-        ["detect", "--ground-truth", str(inj / "noisy.json"),
-         "--predictions", str(preds), "--mode", "score_threshold", "--tau", "1.0",
-         "--output-dir", str(det)]
-    )
-    roc_out = tmp_path / "roc"
-    rc = main(
-        ["roc", "--ground-truth", str(inj / "noisy.json"),
-         "--report", str(det / "report.json"), "--ledger", str(inj / "ledger.json"),
-         "--output-dir", str(roc_out)]
-    )
-    assert rc == 0
-    eval_out = tmp_path / "ev"
-    main(
-        ["eval", "--ground-truth", str(inj / "noisy.json"),
-         "--predictions", str(preds), "--ledger", str(inj / "ledger.json"),
-         "--output-dir", str(eval_out)]
-    )
-    roc_auroc = json.loads((roc_out / "roc.json").read_text())["auroc"]
-    eval_auroc = json.loads((eval_out / "roc.json").read_text())["auroc"]
-    assert roc_auroc == pytest.approx(eval_auroc)
-    assert roc_auroc >= 0.9
+    for kind in ("missing", "uniform_label", "spurious"):
+        spec = ["--noise-kind", kind, "--fraction", "0.2", "--seed", "5"]
+        inj, det = tmp_path / kind / "inj", tmp_path / kind / "det"
+        assert main(["inject", "--ground-truth", str(gt), *spec, "--output-dir", str(inj)]) == 0
+        assert main(
+            ["detect", "--ground-truth", str(inj / "noisy.json"),
+             "--predictions", str(preds), "--mode", "score_threshold", "--tau", "1.0",
+             "--output-dir", str(det)]
+        ) == 0
+        for sweep in ("grid", "dense"):
+            roc_out, eval_out = tmp_path / kind / f"roc-{sweep}", tmp_path / kind / f"ev-{sweep}"
+            assert _roc(inj / "noisy.json", det / "report.json", inj / "ledger.json", roc_out,
+                        "--sweep", sweep) == 0
+            assert main(
+                ["eval", "--ground-truth", str(gt), "--predictions", str(preds), *spec,
+                 "--sweep", sweep, "--output-dir", str(eval_out)]
+            ) == 0
+            for name in ("roc.csv", "roc.json"):
+                assert (eval_out / name).read_bytes() == (roc_out / name).read_bytes(), (
+                    kind, sweep, name
+                )
+            assert json.loads((roc_out / "roc.json").read_text())["auroc"] >= 0.9, (kind, sweep)
 
 
 def _roc_inputs(tmp_path):
@@ -564,22 +565,6 @@ def test_roc_rejects_ledger_that_removed_annotations_of_the_report(tmp_path, cap
     assert _roc(gt, tmp_path / "clean" / "report.json", ledger, tmp_path / "roc") == 1
     _single_error_line(capsys, "invalid-input")
     assert not (tmp_path / "roc").exists()
-
-
-def test_eval_rejects_ledger_that_removed_annotations_and_leaves_no_output_dir(
-    tmp_path, capsys
-):
-    """``eval --ledger`` over the ground truth before injection is refused
-    once detection has run, and the output directory is not made."""
-    _, _, ledger, preds = _roc_inputs(tmp_path)
-    capsys.readouterr()
-    rc = main(
-        ["eval", "--ground-truth", str(tmp_path / "gt.json"), "--predictions", str(preds),
-         "--ledger", str(ledger), "--output-dir", str(tmp_path / "ev")]
-    )
-    assert rc == 1
-    _single_error_line(capsys, "invalid-input")
-    assert not (tmp_path / "ev").exists()
 
 
 def _set_verdict(key, value):
@@ -667,6 +652,52 @@ def test_roc_rejects_ledger_bbox_of_three_numbers(tmp_path, capsys):
     _single_error_line(capsys, "malformed-syntax")
 
 
+@pytest.mark.parametrize("noise_type, sides", [
+    ("missing", ()),
+    ("missing", ("perturbed",)),
+    ("missing", ("original", "perturbed")),
+    ("spurious", ("original",)),
+    ("spurious", ("original", "perturbed")),
+    ("uniform_label", ("original",)),
+    ("uniform_label", ("perturbed",)),
+    ("location", ()),
+], ids=lambda v: v if isinstance(v, str) else "+".join(v) or "no-box")
+def test_roc_rejects_ledger_entry_whose_boxes_do_not_fit_its_kind(
+    tmp_path, capsys, noise_type, sides
+):
+    """As ``inject`` writes them, a missing entry has only an original box,
+    a spurious one only a perturbed box and the other kinds both; a ledger
+    entry shaped otherwise could never be matched, and is refused."""
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    payload = json.loads(ledger.read_text())
+    box = payload["entries"][0]["original"]
+    payload["entries"].append({"annotation_id": 10**6, "noise_type": noise_type,
+                               **{side: box for side in sides}})
+    write_json(ledger, payload)
+    capsys.readouterr()
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
+    err = capsys.readouterr().err
+    n = len(payload["entries"]) - 1
+    assert err == (
+        f"error[malformed-syntax]: entries[{n}]: boxes do not fit noise_type {noise_type!r}: "
+        "missing has only an original, spurious only a perturbed and the other kinds both\n"
+    ), err
+    assert not (tmp_path / "roc").exists()
+
+
+def test_roc_reads_a_null_side_the_kind_has_not(tmp_path):
+    """A missing entry's perturbed box written as null is no box."""
+    noisy, report, ledger, _ = _roc_inputs(tmp_path)
+    assert _roc(noisy, report, ledger, tmp_path / "roc") == 0
+    payload = json.loads(ledger.read_text())
+    for entry in payload["entries"]:
+        entry["perturbed"] = None
+    write_json(ledger, payload)
+    assert _roc(noisy, report, ledger, tmp_path / "null") == 0
+    for name in ("roc.csv", "roc.json"):
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "roc" / name).read_bytes()
+
+
 @pytest.mark.parametrize("match_iou", ["0", "-1", "1.5"])
 def test_match_iou_outside_unit_interval_rejected(tmp_path, capsys, match_iou):
     noisy, report, ledger, preds = _roc_inputs(tmp_path)
@@ -674,8 +705,8 @@ def test_match_iou_outside_unit_interval_rejected(tmp_path, capsys, match_iou):
     assert _roc(noisy, report, ledger, tmp_path / "roc", "--match-iou", match_iou) == 1
     _single_error_line(capsys, "invalid-spec")
     rc = main(
-        ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
-         "--ledger", str(ledger), "--match-iou", match_iou,
+        ["eval", "--ground-truth", str(tmp_path / "gt.json"), "--predictions", str(preds),
+         "--noise-kind", "missing", "--fraction", "0.2", "--match-iou", match_iou,
          "--output-dir", str(tmp_path / "ev")]
     )
     assert rc == 1
@@ -735,17 +766,6 @@ def test_roc_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
     assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
     _single_error_line(capsys, "dangling-reference")
     assert not (tmp_path / "roc").exists()
-
-
-def test_eval_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
-    noisy, _, ledger, preds = _ledger_on_unknown_image(tmp_path)
-    capsys.readouterr()
-    rc = main(
-        ["eval", "--ground-truth", str(noisy), "--predictions", str(preds),
-         "--ledger", str(ledger), "--output-dir", str(tmp_path / "ev")]
-    )
-    assert rc == 1
-    _single_error_line(capsys, "dangling-reference")
 
 
 # --- numbers past the float range and names that are not strings -------------------
@@ -825,31 +845,46 @@ def test_inject_rejects_name_that_is_not_a_string(tmp_path, capsys, key, field, 
 # --- start-up: the config each subcommand builds and the modules it loads ----
 
 _TODAYS_DEFAULTS = dict(
-    iou_threshold=0.5, cl_mode="confident_joint", tau=None, noise=None, ledger_path=None,
-    report_path=None, output_dir=Path("."), runs=1, sweep="grid", match_iou=0.5,
+    iou_threshold=0.5, mode="confident_joint", tau=None, noise=None, ledger=None,
+    report=None, output_dir=Path("."), runs=1, sweep="grid", match_iou=0.5,
 )
 
 
 @pytest.mark.parametrize("argv, fields", [
     (["inject", "--ground-truth", "gt.json", "--noise-kind", "missing", "--fraction", "0.2"],
-     {"ground_truth_path": "gt.json", "predictions_path": None,
+     {"ground_truth": "gt.json", "predictions": None,
       "noise": NoiseSpec(NoiseKind.MISSING, 0.2, None, 0)}),
     (["detect", "--ground-truth", "gt.json", "--predictions", "p.json"],
-     {"ground_truth_path": "gt.json", "predictions_path": "p.json"}),
+     {"ground_truth": "gt.json", "predictions": "p.json"}),
     (["eval", "--ground-truth", "gt.json", "--predictions", "p.json"],
-     {"ground_truth_path": "gt.json", "predictions_path": "p.json"}),
+     {"ground_truth": "gt.json", "predictions": "p.json"}),
     (["eval", "--ground-truth", "gt.json", "--predictions", "p.json", "--noise-kind", "scale",
       "--fraction", "0.2", "--amplitude", "0.3", "--seed", "4", "--runs", "3"],
-     {"ground_truth_path": "gt.json", "predictions_path": "p.json", "runs": 3,
+     {"ground_truth": "gt.json", "predictions": "p.json", "runs": 3,
       "noise": NoiseSpec(NoiseKind.SCALE, 0.2, 0.3, 4)}),
     (["roc", "--ground-truth", "gt.json", "--report", "r.json", "--ledger", "l.json"],
-     {"ground_truth_path": "gt.json", "predictions_path": None, "report_path": "r.json",
-      "ledger_path": "l.json"}),
+     {"ground_truth": "gt.json", "predictions": None, "report": "r.json",
+      "ledger": "l.json"}),
 ], ids=["inject", "detect", "eval", "eval-noise", "roc"])
 def test_minimal_argv_builds_todays_config(monkeypatch, argv, fields):
     monkeypatch.delenv("BOXAUDIT_OUTPUT_DIR", raising=False)
     config = _build_config(build_parser().parse_args(argv))
     assert config == PipelineConfig(**{**_TODAYS_DEFAULTS, **fields})
+
+
+_NOISE_FLAGS = {"noise_kind", "fraction", "amplitude", "seed"}  # they make PipelineConfig.noise
+
+
+def test_every_flag_is_named_after_its_config_field():
+    """Each subcommand's flags, the four that make the noise spec aside,
+    set the ``PipelineConfig`` field of their own name."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands) == ["detect", "eval", "inject", "roc"]
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    for name, command in commands.items():
+        dests = {a.dest for a in command._actions} - {"help"}
+        assert dests - _NOISE_FLAGS <= fields, (name, sorted(dests - _NOISE_FLAGS - fields))
 
 
 # the modules src/boxaudit imports at top level from outside the package
@@ -899,13 +934,13 @@ def test_import_cli_loads_no_statistics():
 
 @pytest.mark.parametrize("field, value, message", [
     ("sweep", "dnese", "sweep must be one of grid, dense, got 'dnese'"),
-    ("cl_mode", "confident-joint", "unknown mode 'confident-joint'"),
+    ("mode", "confident-joint", "unknown mode 'confident-joint'"),
 ], ids=["sweep", "mode"])
 def test_config_rejects_unknown_sweep_and_mode(field, value, message):
     """A sweep or mode the commands do not know is refused when the config
     is built, before any file is read."""
     with pytest.raises(InvalidSpecError) as raised:
-        PipelineConfig(ground_truth_path="absent.json", **{field: value})
+        PipelineConfig(ground_truth="absent.json", **{field: value})
     assert str(raised.value) == message
 
 

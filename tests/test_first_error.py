@@ -138,6 +138,33 @@ def test_ledger_later_check_at_lower_index(tmp_path):
                   "degenerate box: width and height must be > 0, got w=-3.0, h=4.0")
 
 
+def test_ledger_boxes_that_do_not_fit_the_kind_are_its_last_check(tmp_path):
+    """Whether an entry's boxes fit its noise type is checked after its
+    boxes, yet a lower entry that fails it is still the error."""
+    ds = load_ground_truth(_gt(tmp_path))
+    path = tmp_path / "ledger.json"
+
+    def entries_raise(entries, error, message):
+        path.write_text(json.dumps({"entries": entries}))
+        _raises(error, message, load_ledger, path, ds)
+
+    misfit = ("boxes do not fit noise_type {!r}: missing has only an original, "
+              "spurious only a perturbed and the other kinds both")
+    entries = [{"annotation_id": 1, "noise_type": "missing", "perturbed": _ledger_box()},
+               {"annotation_id": 2, "noise_type": "scale", "original": _ledger_box(),
+                "perturbed": _ledger_box(image_id=999)}]
+    entries_raise(entries, FormatError, "entries[0]: " + misfit.format("missing"))
+
+    # within one entry, a bad box comes before the misfit
+    entries[0]["perturbed"]["category_id"] = 8
+    entries_raise(entries, DanglingReferenceError, "entries[0].perturbed: unknown category_id 8")
+
+    entries[0] = {"annotation_id": 1, "noise_type": "missing", "original": _ledger_box()}
+    entries_raise(entries, DanglingReferenceError, "entries[1].perturbed: unknown image_id 999")
+    entries[1]["perturbed"] = None
+    entries_raise(entries, FormatError, "entries[1]: " + misfit.format("scale"))
+
+
 def _dataset():
     boxes = [AnnotatedBox(a, 1, 1, BBox(1.0, 2.0, 3.0, 4.0)) for a in (1, 2, 3)]
     return Dataset([ImageInfo(1, 100, 80, "1.jpg")], [Category(1, "cat", 7)], BoxColumns.of(boxes))

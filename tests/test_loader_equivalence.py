@@ -258,13 +258,13 @@ def test_broken_boxes_and_scores_raise_as_reference(tmp_path):
 
 
 def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
-    """inject, detect, eval (with a noise spec and with a ledger) and roc
-    work on columns from load to write, the ledger's boxes included."""
+    """inject, detect, eval and roc work on columns from load to write, the
+    ledger's boxes included."""
     gt, preds = write_synthetic(tmp_path, num_images=6, boxes_per_image=5, seed=3)
     noise = tmp_path / "noise"
     box_objects.clear()
     pipeline.cmd_inject(pipeline.PipelineConfig(
-        ground_truth_path=gt, noise=NoiseSpec(NoiseKind.MISSING, 0.2, seed=1), output_dir=noise,
+        ground_truth=gt, noise=NoiseSpec(NoiseKind.MISSING, 0.2, seed=1), output_dir=noise,
     ))
     assert box_objects["boxes"] == 0
     noisy, ledger = noise / "noisy.json", noise / "ledger.json"
@@ -272,7 +272,7 @@ def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
 
     box_objects.clear()
     pipeline.cmd_detect(pipeline.PipelineConfig(
-        ground_truth_path=noisy, predictions_path=preds, cl_mode="score_threshold", tau=1.0,
+        ground_truth=noisy, predictions=preds, mode="score_threshold", tau=1.0,
         output_dir=detect_out,
     ))
     assert box_objects["boxes"] == 0
@@ -282,7 +282,7 @@ def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
                             (NoiseKind.MISSING, None)]:
         box_objects.clear()
         pipeline.cmd_eval(pipeline.PipelineConfig(
-            ground_truth_path=gt, predictions_path=preds, runs=2,
+            ground_truth=gt, predictions=preds, runs=2,
             noise=NoiseSpec(kind, 0.3, amplitude, seed=4), output_dir=tmp_path / "eval",
         ))
         assert box_objects["boxes"] == 0, kind
@@ -290,15 +290,8 @@ def test_detect_and_roc_build_no_box_objects(tmp_path, box_objects):
     entries = json.loads(ledger.read_text())["entries"]
     assert sum(e.get(side) is not None for e in entries for side in ("original", "perturbed")) > 0
     box_objects.clear()
-    pipeline.cmd_eval(pipeline.PipelineConfig(
-        ground_truth_path=noisy, predictions_path=preds, ledger_path=ledger,
-        output_dir=tmp_path / "eval-ledger",
-    ))
-    assert box_objects["boxes"] == 0
-
-    box_objects.clear()
     pipeline.cmd_roc(pipeline.PipelineConfig(
-        ground_truth_path=noisy, report_path=detect_out / "report.json", ledger_path=ledger,
+        ground_truth=noisy, report=detect_out / "report.json", ledger=ledger,
         sweep="dense", output_dir=roc_out,
     ))
     assert box_objects["boxes"] == 0

@@ -151,7 +151,7 @@ def _edited_ledger(rng, path, kind, counts):
 
 def test_inject_and_load_ledger_equal_reference(tmp_path, made_rngs):
     counts = Counter()
-    for seed in range(320):
+    for seed in range(400):
         rng = random.Random(seed)
         ds, loaded = _dataset(rng, tmp_path, counts)
         kind = KINDS[seed % len(KINDS)]
