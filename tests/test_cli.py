@@ -339,16 +339,28 @@ def test_eval_is_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _eval_ledger_refused(tmp_path, *flags):
+def _eval_ledger_refused(tmp_path, *flags, inputs=None):
     """``eval --ledger`` (since 0.5.0 a saved injection is scored by
     ``detect`` and ``roc``) exits with argparse's usage code before it
-    reads a file or makes the output directory."""
-    absent = str(tmp_path / "absent.json")
+    reads a file or makes the output directory. ``inputs`` is the
+    (ground truth, predictions, ledger) triple, absent files by default."""
+    absent = tmp_path / "absent.json"
+    gt, preds, ledger = inputs or (absent, absent, absent)
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--ground-truth", absent, "--predictions", absent, "--ledger", absent,
-              *flags, "--output-dir", str(tmp_path / "o")])
+        main(["eval", "--ground-truth", str(gt), "--predictions", str(preds),
+              "--ledger", str(ledger), *flags, "--output-dir", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def _rescore(gt, preds, ledger, work):
+    """Score a saved injection as ``eval --ledger`` did before 0.5.0:
+    ``detect --mode score_threshold --tau 1.0`` then ``roc`` into
+    ``work / "roc"``; returns roc's exit code."""
+    assert main(["detect", "--ground-truth", str(gt), "--predictions", str(preds),
+                 "--mode", "score_threshold", "--tau", "1.0",
+                 "--output-dir", str(work / "det")]) == 0
+    return _roc(gt, work / "det" / "report.json", ledger, work / "roc")
 
 
 def test_eval_with_existing_ledger(tmp_path):
@@ -567,6 +579,21 @@ def test_roc_rejects_ledger_that_removed_annotations_of_the_report(tmp_path, cap
     assert not (tmp_path / "roc").exists()
 
 
+def test_eval_rejects_ledger_that_removed_annotations_and_leaves_no_output_dir(
+    tmp_path, capsys
+):
+    """A ledger over the ground truth before injection: ``eval --ledger``
+    is no longer a command, and re-scoring it by ``detect`` and ``roc`` is
+    refused once detection has run, with no roc output directory made."""
+    _, _, ledger, preds = _roc_inputs(tmp_path)
+    gt = tmp_path / "gt.json"
+    _eval_ledger_refused(tmp_path, inputs=(gt, preds, ledger))
+    capsys.readouterr()
+    assert _rescore(gt, preds, ledger, tmp_path / "ev") == 1
+    _single_error_line(capsys, "invalid-input")
+    assert not (tmp_path / "ev" / "roc").exists()
+
+
 def _set_verdict(key, value):
     return lambda mirror: mirror["verdicts"][0].__setitem__(key, value)
 
@@ -766,6 +793,17 @@ def test_roc_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
     assert _roc(noisy, report, ledger, tmp_path / "roc") == 1
     _single_error_line(capsys, "dangling-reference")
     assert not (tmp_path / "roc").exists()
+
+
+def test_eval_rejects_ledger_box_on_unknown_image(tmp_path, capsys):
+    """``eval --ledger`` is no longer a command; re-scoring the ledger by
+    ``detect`` and ``roc`` from the predictions is refused."""
+    noisy, _, ledger, preds = _ledger_on_unknown_image(tmp_path)
+    _eval_ledger_refused(tmp_path, inputs=(noisy, preds, ledger))
+    capsys.readouterr()
+    assert _rescore(noisy, preds, ledger, tmp_path / "ev") == 1
+    _single_error_line(capsys, "dangling-reference")
+    assert not (tmp_path / "ev" / "roc").exists()
 
 
 # --- numbers past the float range and names that are not strings -------------------
