@@ -12,13 +12,12 @@ positive.
 The sweep is single-pass (Fawcett, "An introduction to ROC analysis", 2006):
 annotation scores are sorted once, and a cumulative sum of the perturbed ones
 read at each cutoff gives its counts. Every same-image region x removed pair
-is scored in one IoU call. A pair that shares neither its region nor its
-record with another pair matches once its region is flagged; only an image
-where some region or record is in several pairs replays its greedy match, at
-its own distinct region scores. The changes in matched count are summed the
-same way, so a sweep over every distinct score costs about one sort, not one
-greedy replay per cutoff. The curve is held as columns, one entry per
-cutoff. ``confusion_at`` is the sweep at a single cutoff.
+is scored in one IoU call, and each image with a pair at or above the match
+IoU replays its greedy match at its own distinct region scores. The changes
+in matched count are summed the same way, so a sweep over every distinct
+score replays each image only at its own scores, not the whole dataset at
+every cutoff. The curve is held as columns, one entry per cutoff.
+``confusion_at`` is the sweep at a single cutoff.
 """
 
 from __future__ import annotations
@@ -141,9 +140,8 @@ def _matched_counts(
 
     Removed records are sorted by image, so each region's same-image records
     are one ``searchsorted`` range, and all the pairs are scored in one IoU
-    call. Matching never crosses images. On an image where no region and no
-    record is in two pairs, each pair matches from its region's score on;
-    any other image replays its greedy match at its own distinct region
+    call. Matching never crosses images: each image with a pair at or above
+    ``match_iou`` replays its greedy match at its own distinct region
     scores. The count at a threshold is the sum of the changes at or below
     it.
     """
@@ -163,19 +161,11 @@ def _matched_counts(
     region_rows, removed_rows, ious, images = (
         a[keep] for a in (region_rows, removed_rows, ious, np.repeat(starts, counts))
     )
-    shared = (np.bincount(region_rows)[region_rows] > 1) | (
-        np.bincount(removed_rows, minlength=len(removed))[removed_rows] > 1
-    )
-    conflicted = np.zeros(len(removed), dtype=bool)
-    conflicted[images[shared]] = True
-    replay = conflicted[images]
     scores = verdicts.quality[region_rows]
 
-    event_scores = scores[~replay].tolist()
-    event_deltas = [1] * len(event_scores)
-    rows = np.flatnonzero(replay)
+    event_scores, event_deltas = [], []
     # by image, then descending IoU, ties broken by region, then record
-    rows = rows[np.lexsort((removed_rows[rows], region_rows[rows], -ious[rows], images[rows]))]
+    rows = np.lexsort((removed_rows, region_rows, -ious, images))
     for image_rows in np.split(rows, np.flatnonzero(np.diff(images[rows])) + 1):
         pairs = list(zip(region_rows[image_rows].tolist(), removed_rows[image_rows].tolist(),
                          scores[image_rows].tolist()))

@@ -131,10 +131,18 @@ def run_detection(
     )
 
 
+def _require(config: PipelineConfig, command: str, *inputs: str) -> None:
+    """Refuse, before any file is read, a config without an input of ``command``."""
+    absent = [f"--{name.replace('_', '-')}" for name in inputs if getattr(config, name) is None]
+    if absent:
+        raise InvalidSpecError(f"{command} requires {' and '.join(absent)}")
+
+
 def cmd_inject(config: PipelineConfig) -> tuple[Path, Path]:
     """Corrupt a dataset per the noise spec; writes noisy.json + ledger.json."""
     if config.noise is None:
         raise InvalidSpecError("inject requires a noise specification")
+    _require(config, "inject", "ground_truth")
     ds = dataset_io.load_ground_truth(config.ground_truth)
     noisy, ledger = inject(ds, config.noise)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -149,6 +157,7 @@ def cmd_inject(config: PipelineConfig) -> tuple[Path, Path]:
 
 def cmd_detect(config: PipelineConfig) -> Path:
     """Find suspicious annotations; writes report.csv + report.json."""
+    _require(config, "detect", "ground_truth", "predictions")
     ds = dataset_io.load_ground_truth(config.ground_truth)
     preds = dataset_io.load_predictions(config.predictions, ds)
     result = run_detection(
@@ -180,6 +189,7 @@ def cmd_eval(config: PipelineConfig) -> Path:
     """
     if config.noise is None:
         raise InvalidSpecError("eval requires a noise specification")
+    _require(config, "eval", "ground_truth", "predictions")
     ds = dataset_io.load_ground_truth(config.ground_truth)
     preds = dataset_io.load_predictions(config.predictions, ds)
     curves: list[tuple[int, RocCurve]] = []
@@ -205,8 +215,7 @@ def cmd_eval(config: PipelineConfig) -> Path:
 
 def cmd_roc(config: PipelineConfig) -> Path:
     """Re-sweep an existing report (its JSON mirror) against a ledger file."""
-    if config.report is None or config.ledger is None:
-        raise InvalidSpecError("roc requires --report and --ledger")
+    _require(config, "roc", "ground_truth", "report", "ledger")
     ds = dataset_io.load_ground_truth(config.ground_truth)
     verdicts = dataset_io.load_report(config.report, ds)
     curve = _sweep(verdicts, dataset_io.load_ledger(config.ledger, ds), config)

@@ -13,7 +13,7 @@ import boxaudit
 from boxaudit.cli import _build_config, build_parser, main
 from boxaudit.errors import InvalidSpecError
 from boxaudit.noise_injection import NoiseKind, NoiseSpec
-from boxaudit.pipeline import PipelineConfig
+from boxaudit.pipeline import PipelineConfig, cmd_detect, cmd_eval, cmd_inject, cmd_roc
 
 from conftest import coco_payload, write_json
 from harness import build_synthetic, write_synthetic
@@ -118,7 +118,11 @@ def test_unwritable_output_dir_reports_io_failure(tmp_path, capsys):
     ["detect", "--iou-threshold", "1.5"],
     ["eval", "--noise-kind", "missing", "--fraction", "0.2", "--iou-threshold", "0"],
     ["eval", "--noise-kind", "missing", "--fraction", "0.2", "--runs", "0"],
-], ids=["detect-iou-1.5", "eval-iou-0", "eval-runs-0"])
+    ["eval", "--noise-kind", "missing"],
+    ["eval", "--noise-kind", "location", "--fraction", "0.2", "--amplitude", "1.5"],
+    ["eval", "--noise-kind", "scale", "--fraction", "0.2", "--amplitude", "-0.1"],
+], ids=["detect-iou-1.5", "eval-iou-0", "eval-runs-0", "eval-kind-no-fraction",
+        "eval-location-amplitude-1.5", "eval-scale-amplitude-negative"])
 def test_bad_iou_threshold_rejected(tmp_path, capsys, argv):
     """A flag out of range is an invalid spec, as every other refused flag
     is, and is refused before the output directory is made."""
@@ -980,6 +984,31 @@ def test_config_rejects_unknown_sweep_and_mode(field, value, message):
     with pytest.raises(InvalidSpecError) as raised:
         PipelineConfig(ground_truth="absent.json", **{field: value})
     assert str(raised.value) == message
+
+
+_NOISE = NoiseSpec(NoiseKind.MISSING, 0.2)
+
+
+@pytest.mark.parametrize("command, inputs, message", [
+    (cmd_inject, {"ground_truth": "gt.json"}, "inject requires a noise specification"),
+    (cmd_inject, {"noise": _NOISE}, "inject requires --ground-truth"),
+    (cmd_detect, {"predictions": "p.json"}, "detect requires --ground-truth"),
+    (cmd_detect, {"ground_truth": "gt.json"}, "detect requires --predictions"),
+    (cmd_eval, {"noise": _NOISE, "predictions": "p.json"}, "eval requires --ground-truth"),
+    (cmd_eval, {"noise": _NOISE, "ground_truth": "gt.json"}, "eval requires --predictions"),
+    (cmd_roc, {"ground_truth": "gt.json"}, "roc requires --report and --ledger"),
+    (cmd_roc, {"report": "r.json", "ledger": "l.json"}, "roc requires --ground-truth"),
+], ids=["inject-noise", "inject-ground-truth", "detect-ground-truth", "detect-predictions",
+        "eval-ground-truth", "eval-predictions", "roc-report-ledger", "roc-ground-truth"])
+def test_library_command_refuses_missing_input(tmp_path, monkeypatch, command, inputs, message):
+    """A command called from code without one of its inputs is refused as
+    an invalid spec before any file is read: the paths it is given do not
+    exist, and no output directory is made."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidSpecError) as raised:
+        command(PipelineConfig(output_dir="o", **inputs))
+    assert str(raised.value) == message
+    assert not (tmp_path / "o").exists()
 
 
 def test_dense_roc_does_not_load_numpy_ma(tmp_path):

@@ -208,6 +208,12 @@ def test_prediction_score_out_of_range(tmp_path, tiny_coco_path):
         load_predictions(_preds_path(tmp_path, entries), ds)
 
 
+@pytest.mark.parametrize("score", [-0.1, 1.5])
+def test_annotated_box_refuses_score_outside_unit_interval(score):
+    with pytest.raises(InvalidScoreError, match=f"annotation 3: score {score} outside"):
+        AnnotatedBox(3, 1, 7, BBox(1, 2, 3, 4), score)
+
+
 def test_prediction_unknown_image(tmp_path, tiny_coco_path):
     ds = load_ground_truth(tiny_coco_path)
     entries = [{"image_id": 5, "category_id": 7, "bbox": [1, 2, 3, 4], "score": 0.5}]
