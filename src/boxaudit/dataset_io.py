@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -424,11 +425,15 @@ def _unclamped(rows: _Rows, column: str) -> np.ndarray:
     return (w <= 0) | (h <= 0)
 
 
-def _repeats(values) -> np.ndarray:
-    """Which values occur at an earlier row."""
+def _repeats(values, seen: set | None = None) -> np.ndarray:
+    """Which values occur at an earlier row or in ``seen``, which then takes them."""
     n = len(values)
     first = dict(zip(reversed(values), range(n - 1, -1, -1)))
-    return np.fromiter(map(first.__getitem__, values), np.intp, n) != np.arange(n)
+    repeats = np.fromiter(map(first.__getitem__, values), np.intp, n) != np.arange(n)
+    if seen is not None:
+        repeats |= np.fromiter(map(seen.__contains__, values), bool, n)
+        seen.update(first)
+    return repeats
 
 
 def _sides_unlike_kind(rows: _Rows, column: str) -> np.ndarray:
@@ -492,7 +497,7 @@ _CHECKS: dict[str, tuple[Callable[[_Rows, str], np.ndarray], type[AuditError], s
         "spurious only a perturbed and the other kinds both",
     ),
     "repeated": (
-        lambda rows, column: _repeats(rows[column]),
+        lambda rows, column: _repeats(rows[column], rows.context["seen"]),
         DuplicateIdError, "{where}: duplicate {key} {value}",
     ),
     "object": (
@@ -529,6 +534,157 @@ def _check_unique(ids: list, kind: str) -> None:
     repeats = np.flatnonzero(_repeats(ids))
     if len(repeats):
         raise DuplicateIdError(f"duplicate {kind} id {ids[repeats[0]]}")
+
+
+# --- reading a file a block of records at a time --------------------------------
+
+_CHUNK = 1 << 16  # characters read from a file at a time
+_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows
+_CUT = re.compile(r"}[ \t\n\r]*,[ \t\n\r]*(?={)")  # where one record may end and the next begin
+_scan = json.JSONDecoder().scan_once
+
+
+class _Reader:
+    """The JSON file at ``path`` read ``_CHUNK`` characters at a time;
+    ``text[pos:]`` is read and not consumed. Every loop consumes input,
+    reads more or ends, so no input makes it spin."""
+
+    def __init__(self, path: str | Path):
+        self.path, self.text, self.pos, self.eof = path, "", 0, False
+
+    def fill(self, n: int = 0) -> None:
+        """Read until ``n`` characters, and a chunk, are held unconsumed or the file ends."""
+        n = max(n, _CHUNK)
+        while len(self.text) - self.pos < n and not self.eof:
+            more = self.fh.read(n)
+            self.text, self.pos, self.eof = self.text[self.pos:] + more, 0, not more
+
+    def char(self, chars: str = "") -> str:
+        """The next character past whitespace, "" at the end of the file;
+        given ``chars``, it must be one of them and is consumed."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        while self.pos == len(self.text) and not self.eof:
+            self.fill()
+            self.pos = _SPACE.match(self.text, self.pos).end()
+        c = self.text[self.pos:self.pos + 1]
+        if chars and (not c or c not in chars):
+            raise ValueError(f"expected one of {chars!r}")
+        self.pos += bool(chars)
+        return c
+
+    def value(self) -> Any:
+        """Decode the value at ``pos``, doubling the text held until it
+        decodes and ends before the held text does (a number may go on)."""
+        n = 0
+        while True:
+            self.fill(n)
+            try:
+                value, end = _scan(self.text, self.pos)
+                if end < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            except (StopIteration, json.JSONDecodeError):
+                if self.eof:
+                    raise ValueError("no JSON value") from None
+            n = 2 * (len(self.text) - self.pos)
+
+    def sliced(self) -> list:
+        """The records from ``pos`` to the last possible cut held, by one
+        json.loads, else to the last one before its error; [] if neither
+        parses. The text starts at a record, so it parses only when the cut
+        falls between records: a cut in a string leaves it open, a cut in a
+        record leaves its brace open."""
+        text, pos, end, cut = self.text, self.pos, len(self.text), None
+        for _ in range(2):
+            while cut is None and (end := text.rfind("}", pos, end)) >= 0:
+                cut = _CUT.match(text, end)
+            if cut is None:
+                break
+            try:
+                records = json.loads("[" + text[pos:cut.start() + 1] + "]")
+            except json.JSONDecodeError as e:
+                end, cut = pos + e.pos - 1, None
+            else:
+                self.pos = cut.end()
+                return records
+        return []
+
+    def member(self) -> Iterator[bool | list]:
+        """Whether the value at ``pos`` is a list and then, for a list, its
+        records a block at a time: what :meth:`sliced` decodes, else one record."""
+        if self.char() != "[":
+            self.value()
+            yield False
+            return
+        self.pos += 1
+        yield True
+        end = self.char() == "]"
+        self.pos += end
+        while not end:
+            self.fill()
+            block = self.sliced()
+            if not block:
+                block = [self.value()]
+                end = self.char(",]") == "]"
+                self.char()
+            yield block
+
+    def top(self, key: str | None) -> Iterator[bool | list]:
+        """:meth:`member` of each value under ``key`` of the top-level object,
+        or of the top-level value when ``key`` is None; other values are
+        read and dropped. ``_read_json`` words why a file cannot be read."""
+        try:
+            with open(self.path, encoding="utf-8") as self.fh:
+                if key is not None and self.char() == "{":
+                    self.pos += 1
+                    more = self.char() != "}"
+                    self.pos += not more
+                    while more:
+                        if self.char() != '"':
+                            raise ValueError("expected a key")
+                        name = self.value()
+                        self.char(":")
+                        yield from (event for event in self.member() if name == key)
+                        more = self.char(",}") == ","
+                else:
+                    yield from (event for event in self.member() if key is None)
+                if self.char():
+                    raise ValueError("extra data")
+        except (OSError, ValueError, RecursionError) as e:
+            _read_json(self.path)
+            raise FormatError(f"{self.path}: invalid JSON: {e}") from e
+
+
+def _load_list(
+    path: str | Path, key: str | None, name: str, rules: tuple,
+    columns: Callable[[_Rows], tuple], **context,
+) -> list[np.ndarray]:
+    """The columns of the list under ``key`` of a JSON file's top-level
+    object (its top-level list of ``name`` when ``key`` is None), read a
+    block of records at a time: each is checked against ``rules`` and its
+    arrays taken by ``columns``. A refusal waits for the end of the file,
+    where a syntax error wins; of a repeated key the last counts."""
+    found, error = {}, None
+    for block in _Reader(path).top(key):
+        if type(block) is bool:  # a value under the key
+            found, blocks, error, start, seen = {key: [] if block else None}, [], None, 0, set()
+            continue
+        if error is None:
+            rows = _Rows(block, lambda row, s=start: f"{name}[{s + row}]", seen=seen, **context)
+            try:
+                blocks.append(columns(rows.check(rules)))
+            except AuditError as e:
+                error = e
+        start += len(block)
+    if key is None and found[key] is None:
+        raise FormatError(f"{path}: top level must be a JSON list of {name}")
+    if key is not None:
+        _lists(found, path, (key,))
+    if error is not None:
+        raise error
+    if not blocks:  # an empty list
+        blocks.append(columns(_Rows([], str, seen=seen, **context).check(rules)))
+    return [np.concatenate(arrays) for arrays in zip(*blocks)]
 
 
 # --- ground truth ------------------------------------------------------------
@@ -580,30 +736,30 @@ def load_ground_truth(path: str | Path) -> Dataset:
         for dense, src in enumerate(sorted(names), start=1)
     ]
 
-    rows = _placed_boxes(raw_anns, "annotations", images, categories, _ANNOTATION_RULES)
+    rows = _Rows(
+        raw_anns, lambda row: f"annotations[{row}]", **_placement(images, categories)
+    ).check(_ANNOTATION_RULES)
     _check_unique(rows["id"], "annotation")
     return Dataset(images, categories, BoxColumns(
-        int_array(rows["id"]), int_array(rows["image_id"]), rows["category_id"],
+        int_array(rows["id"]), int_array(rows["image_id"]), _dense(rows),
         np.full(len(rows), np.nan), rows["bbox"],
     ))
 
 
-def _placed_boxes(
-    records: list, name: str, images: list[ImageInfo], categories: list[Category], rules: tuple
-) -> _Rows:
-    """Check boxes placed on the images by image id and source category id;
-    the category ids are then dense."""
-    source_to_dense = {c.source_id: c.id for c in categories}
-    rows = _Rows(
-        records, lambda row: f"{name}[{row}]",
+def _placement(images: list[ImageInfo], categories: list[Category]) -> dict:
+    """The context of boxes placed on ``images`` by image id and source
+    category id."""
+    return dict(
         image_id={img.id: k for k, img in enumerate(images)},
-        category_id=source_to_dense,
+        category_id={c.source_id: c.id for c in categories},
         image_sizes=np.array([(float(i.width), float(i.height)) for i in images]).reshape(-1, 2),
-    ).check(rules)
-    rows.columns["category_id"] = np.fromiter(
-        map(source_to_dense.__getitem__, rows["category_id"]), np.int64, len(rows)
     )
-    return rows
+
+
+def _dense(rows: _Rows) -> np.ndarray:
+    """The dense ids of the checked source category ids of placed boxes."""
+    source_to_dense = rows.context["category_id"]
+    return np.fromiter(map(source_to_dense.__getitem__, rows["category_id"]), np.int64, len(rows))
 
 
 # --- predictions --------------------------------------------------------------
@@ -624,13 +780,13 @@ def load_predictions(path: str | Path, ds: Dataset) -> PredictionSet:
     Entries are assigned fresh sequential ids. Unknown image or category ids
     and scores outside [0, 1] are rejected.
     """
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: top level must be a JSON list of detections")
-    rows = _placed_boxes(data, "detections", ds.images, ds.categories, _DETECTION_RULES)
+    image_ids, classes, scores, xywh = _load_list(
+        path, None, "detections", _DETECTION_RULES,
+        lambda rows: (int_array(rows["image_id"]), _dense(rows), rows["score"], rows["bbox"]),
+        **_placement(ds.images, ds.categories),
+    )
     return PredictionSet(BoxColumns(
-        np.arange(1, len(rows) + 1, dtype=np.int64), int_array(rows["image_id"]),
-        rows["category_id"], rows["score"], rows["bbox"],
+        np.arange(1, len(scores) + 1, dtype=np.int64), image_ids, classes, scores, xywh
     ))
 
 
@@ -836,30 +992,34 @@ def load_ledger(path: str | Path, ds: Dataset) -> NoiseLedger:
     """Load a noise ledger saved by :func:`save_ledger`."""
     from boxaudit.noise_injection import NoiseKind, NoiseLedger
 
-    (raw_entries,) = _lists(_read_json(path), path, ("entries",))
     source_to_dense = ds.source_to_dense()
-    rows = _Rows(
-        raw_entries, lambda row: f"entries[{row}]",
+
+    def columns(rows: _Rows) -> tuple:
+        sides = []
+        for side in _LEDGER_SIDES:
+            present = rows.given(side)
+            ids, image_ids, category_ids = (
+                list(compress(rows[f"{side}.{key}"], present))
+                for key in ("id", "image_id", "category_id")
+            )
+            sides += [
+                int_array(ids), int_array(image_ids),
+                np.fromiter(map(source_to_dense.__getitem__, category_ids), np.int64, len(ids)),
+                rows[f"{side}.bbox"][present], present,
+            ]
+        return int_array(rows["annotation_id"]), np.array(rows["noise_type"], dtype=str), *sides
+
+    annotation_ids, kinds, *sides = _load_list(
+        path, "entries", "entries", _LEDGER_RULES, columns,
         noise_type=tuple(k.value for k in NoiseKind),
         category_id=source_to_dense,
         image_id={img.id for img in ds.images},
-    ).check(_LEDGER_RULES)
-    sides = []
-    for side in _LEDGER_SIDES:
-        present = rows.given(side)
-        ids, image_ids, category_ids = (
-            list(compress(rows[f"{side}.{key}"], present))
-            for key in ("id", "image_id", "category_id")
-        )
-        boxes = BoxColumns(
-            int_array(ids), int_array(image_ids),
-            np.fromiter(map(source_to_dense.__getitem__, category_ids), np.int64, len(ids)),
-            np.full(len(ids), np.nan), rows[f"{side}.bbox"][present],
-        )
-        sides += [boxes, present]
-    return NoiseLedger(
-        int_array(rows["annotation_id"]), np.array(rows["noise_type"], dtype=str), *sides
     )
+    original, perturbed = (
+        (BoxColumns(ids, image_ids, classes, np.full(len(ids), np.nan), xywh), present)
+        for ids, image_ids, classes, xywh, present in (sides[:5], sides[5:])
+    )
+    return NoiseLedger(annotation_ids, kinds, *original, *perturbed)
 
 
 # --- report persistence ---------------------------------------------------------
@@ -1010,25 +1170,27 @@ def load_report(path: str | Path, ds: Dataset) -> VerdictTable:
     Every verdict must carry a known kind, a quality score in [0, 1], a
     boolean ``flagged`` (false when absent) and ids of the dataset's images
     and annotations; an annotation may have one verdict only. The flagged
-    classes are not reloaded.
+    classes are not reloaded, and the findings are only checked for syntax.
     """
     from boxaudit.confident_learning import VERDICT_KINDS, VerdictTable
 
-    (raw,) = _lists(_read_json(path), path, ("verdicts",))
-    rows = _Rows(
-        raw, lambda row: f"verdicts[{row}]",
+    def columns(rows: _Rows) -> tuple:
+        n = len(rows)
+        annotation_ids = np.array(rows["annotation_id"], dtype=object).reshape(n)
+        annotation_ids[~rows.given("annotation_id")] = None
+        return (
+            annotation_ids, int_array(rows["cluster_id"]), int_array(rows["image_id"]),
+            rows["quality_score"], _is(rows["flagged"], True),
+            np.array(rows["verdict_kind"], dtype=object).reshape(n), rows["region"],
+        )
+
+    table = _load_list(
+        path, "verdicts", "verdicts", _VERDICT_RULES, columns,
         verdict_kind=VERDICT_KINDS,
         image_id={img.id for img in ds.images},
         annotation_id=set(ds.columns.ids.tolist()),
-    ).check(_VERDICT_RULES)
-    n = len(rows)
-    annotation_ids = np.array(rows["annotation_id"], dtype=object).reshape(n)
-    annotation_ids[~rows.given("annotation_id")] = None
-    return VerdictTable(
-        annotation_ids, int_array(rows["cluster_id"]), int_array(rows["image_id"]),
-        rows["quality_score"], _is(rows["flagged"], True),
-        np.array(rows["verdict_kind"], dtype=object).reshape(n), rows["region"], [()] * n,
     )
+    return VerdictTable(*table, [()] * len(table[0]))
 
 
 # --- ROC persistence -------------------------------------------------------------

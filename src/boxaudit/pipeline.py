@@ -199,6 +199,7 @@ def cmd_eval(config: PipelineConfig) -> Path:
             noisy, preds, config.iou_threshold, mode=cl.MODE_SCORE_THRESHOLD, tau=1.0
         )
         curves.append((seed, _sweep(result.table, ledger, config)))
+        del noisy, ledger, result  # freed before the next run builds its own
 
     roc_file = config.output_dir / "roc.csv"
     run_aurocs = [(seed, curve.auroc) for seed, curve in curves]
