@@ -257,13 +257,14 @@ _TYPES = {_INT: {int}, _NUMBER: {int, float}, _STR: {str}, _BOOL: {bool, object}
 _NO_BOX = [np.nan] * 4
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_json(path: str | Path) -> None:
+    """Word json.load's error for the file at ``path``; only ``_Reader.top`` calls it."""
     p = Path(path)
     if not p.is_file():
         raise MissingFileError(f"no such file: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
-            return json.load(fh)
+            json.load(fh)
     except json.JSONDecodeError as e:
         raise FormatError(
             f"{p}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
@@ -540,7 +541,7 @@ def _check_unique(ids: list, kind: str) -> None:
 
 _CHUNK = 1 << 16  # characters read from a file at a time
 _SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows
-_CUT = re.compile(r"}[ \t\n\r]*,[ \t\n\r]*(?={)")  # where one record may end and the next begin
+_CUT = re.compile(r"}(?=[ \t\n\r]*(,[ \t\n\r]*{|]))")  # a "}" before ", {" or "]" may end a record
 _scan = json.JSONDecoder().scan_once
 
 
@@ -573,8 +574,9 @@ class _Reader:
         return c
 
     def value(self) -> Any:
-        """Decode the value at ``pos``, doubling the text held until it
-        decodes and ends before the held text does (a number may go on)."""
+        """Decode the next value past whitespace, doubling the text held
+        until it decodes and ends before the held text does (a number may go on)."""
+        self.char()
         n = 0
         while True:
             self.fill(n)
@@ -591,8 +593,8 @@ class _Reader:
     def sliced(self) -> list:
         """The records from ``pos`` to the last possible cut held, by one
         json.loads, else to the last one before its error; [] if neither
-        parses. The text starts at a record, so it parses only when the cut
-        falls between records: a cut in a string leaves it open, a cut in a
+        parses. The text starts at a value of the list, so it parses only
+        when the cut closes one: a cut in a string leaves it open, a cut in a
         record leaves its brace open."""
         text, pos, end, cut = self.text, self.pos, len(self.text), None
         for _ in range(2):
@@ -601,7 +603,7 @@ class _Reader:
             if cut is None:
                 break
             try:
-                records = json.loads("[" + text[pos:cut.start() + 1] + "]")
+                records = json.loads("[" + text[pos:cut.end()] + "]")
             except json.JSONDecodeError as e:
                 end, cut = pos + e.pos - 1, None
             else:
@@ -609,45 +611,41 @@ class _Reader:
                 return records
         return []
 
-    def member(self) -> Iterator[bool | list]:
-        """Whether the value at ``pos`` is a list and then, for a list, its
-        records a block at a time: what :meth:`sliced` decodes, else one record."""
+    def member(self) -> Iterator[Any]:
+        """The value at ``pos`` if it is not a list, else an empty block and
+        then the list's records a block at a time, each what :meth:`sliced`
+        decodes or else one record; only the first block is empty."""
         if self.char() != "[":
-            self.value()
-            yield False
+            yield self.value()
             return
         self.pos += 1
-        yield True
+        yield []
         end = self.char() == "]"
         self.pos += end
         while not end:
             self.fill()
-            block = self.sliced()
-            if not block:
-                block = [self.value()]
-                end = self.char(",]") == "]"
-                self.char()
-            yield block
+            yield self.sliced() or [self.value()]
+            end = self.char(",]") == "]"
 
-    def top(self, key: str | None) -> Iterator[bool | list]:
-        """:meth:`member` of each value under ``key`` of the top-level object,
-        or of the top-level value when ``key`` is None; other values are
-        read and dropped. ``_read_json`` words why a file cannot be read."""
+    def top(self) -> Iterator[tuple[str | None, Any]]:
+        """(key, event) for each :meth:`member` event of each member of the
+        top-level object, with key None for a top-level value that is not an
+        object. ``_read_json`` words why a file cannot be read."""
         try:
             with open(self.path, encoding="utf-8") as self.fh:
-                if key is not None and self.char() == "{":
+                if self.char() == "{":
                     self.pos += 1
                     more = self.char() != "}"
                     self.pos += not more
                     while more:
                         if self.char() != '"':
                             raise ValueError("expected a key")
-                        name = self.value()
+                        key = self.value()
                         self.char(":")
-                        yield from (event for event in self.member() if name == key)
+                        yield from ((key, event) for event in self.member())
                         more = self.char(",}") == ","
                 else:
-                    yield from (event for event in self.member() if key is None)
+                    yield from ((None, event) for event in self.member())
                 if self.char():
                     raise ValueError("extra data")
         except (OSError, ValueError, RecursionError) as e:
@@ -664,26 +662,23 @@ def _load_list(
     block of records at a time: each is checked against ``rules`` and its
     arrays taken by ``columns``. A refusal waits for the end of the file,
     where a syntax error wins; of a repeated key the last counts."""
-    found, error = {}, None
-    for block in _Reader(path).top(key):
-        if type(block) is bool:  # a value under the key
-            found, blocks, error, start, seen = {key: [] if block else None}, [], None, 0, set()
-            continue
-        if error is None:
+    found = {}
+    for member, block in _Reader(path).top():
+        if member == key and (type(block) is not list or not block):  # a list starts empty
+            found[key], blocks, error, start, seen = block, [], None, 0, set()
+        if member == key and type(found[key]) is list and error is None:
             rows = _Rows(block, lambda row, s=start: f"{name}[{s + row}]", seen=seen, **context)
             try:
                 blocks.append(columns(rows.check(rules)))
             except AuditError as e:
                 error = e
-        start += len(block)
-    if key is None and found[key] is None:
+            start += len(block)
+    if key is None and type(found.get(key)) is not list:
         raise FormatError(f"{path}: top level must be a JSON list of {name}")
     if key is not None:
         _lists(found, path, (key,))
     if error is not None:
         raise error
-    if not blocks:  # an empty list
-        blocks.append(columns(_Rows([], str, seen=seen, **context).check(rules)))
     return [np.concatenate(arrays) for arrays in zip(*blocks)]
 
 
@@ -712,17 +707,24 @@ _ANNOTATION_RULES = (
 
 
 def load_ground_truth(path: str | Path) -> Dataset:
-    """Load and validate a COCO-format annotation file.
+    """Load and validate a COCO-format annotation file, read by the block
+    reader. Its records are held until it ends, as annotations may precede
+    their images and categories; of a repeated key the last list counts.
 
     Boxes are clamped to their image bounds; zero-area boxes, duplicate ids,
     and references to unknown images or categories are rejected with typed
     errors. ``iscrowd``, ``segmentation``, and ``area`` fields are accepted
     and ignored.
     """
-    data = _read_json(path)
-    if not isinstance(data, dict):
+    keys, found = ("images", "categories", "annotations"), {}
+    for key, event in _Reader(path).top():
+        if type(event) is not list or not event:  # a value under the key; a list starts empty
+            found[key] = event
+        elif key in keys:
+            found[key] += event
+    if None in found:
         raise FormatError(f"{path}: top level must be a JSON object")
-    raw_images, raw_cats, raw_anns = _lists(data, path, ("images", "categories", "annotations"))
+    raw_images, raw_cats, raw_anns = _lists(found, path, keys)
 
     rows = _Rows(raw_images, lambda row: f"images[{row}]").check(_IMAGE_RULES)
     _check_unique(rows["id"], "image")

@@ -1,9 +1,10 @@
-"""The prediction, ledger and report loaders read a file a block of records
-at a time. Against the ``json.load`` loaders they replaced
-(``loader_reference``, ``noise_reference``, ``report_reference``) they give
-equal columns on valid files and the same exception type and text on
-invalid ones, with chunks small enough that records straddle chunks and
-blocks. ``_read_json`` may word a syntax error but never loads the data,
+"""The four loaders (ground truth, predictions, ledgers and reports) read
+a file through one block reader. Against the ``json.load`` loaders they
+replaced (``loader_reference``, ``noise_reference``, ``report_reference``)
+they give equal results on valid files and the same exception type and
+text on invalid ones, with chunks small enough that records straddle chunks
+and blocks. ``_read_json`` may word a syntax error but never loads the data,
+so no command decodes a whole file; a list held in one chunk is one block;
 and the report loader's memory does not grow with the findings it skips."""
 
 import copy
@@ -19,6 +20,7 @@ import loader_reference
 import noise_reference
 import report_reference
 from boxaudit import dataset_io
+from boxaudit.cli import main
 from boxaudit.dataset_io import (
     AnnotatedBox,
     BoxColumns,
@@ -292,3 +294,172 @@ def test_report_reader_memory_does_not_grow_with_the_findings(tmp_path):
             tracemalloc.stop()
     # the ratio reads about 1.01 here; decoding the whole file put it near 6.6
     assert peaks[1] < 1.35 * peaks[0], peaks
+
+
+# --- ground truth ----------------------------------------------------------------
+
+GT_KEYS = ("images", "categories", "annotations")
+GT_MUTATIONS = ["early rule, late syntax", "braces in strings", "bom", "non-utf8", "long whitespace",
+                "trailing", "top level", "repeated key", "duplicate id", "token"]
+
+
+@pytest.fixture(scope="module")
+def ground_truth(tmp_path_factory):
+    """A small synthetic ground-truth payload and the path mutations of it are written to."""
+    root = tmp_path_factory.mktemp("streamed-gt")
+    gt, _ = write_synthetic(root, num_images=6, boxes_per_image=4, num_classes=4, seed=3)
+    return json.loads(gt.read_text()), root / "mutated.json"
+
+
+def _same_ground_truth(path):
+    got, got_error = _outcome(load_ground_truth, path)
+    want, want_error = _outcome(loader_reference.load_ground_truth, path)
+    if want_error and issubclass(want_error[0], (ValueError, RecursionError)):
+        # loader_reference lets json.load's own error escape; the loader words it
+        want_error = (FormatError, f"{path}: invalid JSON: {want_error[1]}")
+    assert got_error == want_error
+    if want_error is None:
+        assert (got.images, got.categories) == (want.images, want.categories)
+        assert repr(got.annotations) == repr(want.annotations)
+    return want_error
+
+
+def _break_annotation(rng, annotation) -> None:
+    """A refusal by the rules, not by the syntax."""
+    key, value = rng.choice([("image_id", 999), ("category_id", "1"), ("id", 1.5),
+                             ("bbox", [0, 0, 0, 0]), ("bbox", None)])
+    annotation[key] = value
+
+
+def _mutate_ground_truth(rng, what, payload):
+    """Mutation ``what``, seeded by ``rng``, of a valid ground-truth
+    payload; returns the file's text or bytes."""
+    annotations = payload["annotations"]
+    if what == "early rule, late syntax":
+        _break_annotation(rng, annotations[rng.randrange(2)])
+        return _late_syntax_error(rng, _dump(rng, payload))
+    if what == "braces in strings":
+        for key in GT_KEYS:
+            rng.choice(payload[key])["note"] = rng.choice(["},{", "} , {", '"},{"x": 1}, {', "}]"])
+        if rng.random() < 0.5:
+            _break_annotation(rng, rng.choice(annotations))
+        return _dump(rng, payload)
+    if what in ("bom", "non-utf8", "long whitespace", "trailing", "token"):
+        # these mutate the dumped text only, whatever the kind of file
+        return _mutate(rng, what, "predictions", payload, Counter())
+    if what == "top level":
+        return rng.choice([LONG_NUMBER, '"x"', "null", "{}", "[]", json.dumps(annotations),
+                           " \n" + json.dumps(list(payload.values())) + "\n"])
+    if what == "repeated key":
+        key = rng.choice(["annotations", "images"])
+        good = json.dumps(payload.pop(key))
+        bad = json.loads(good)
+        if key == "annotations":
+            _break_annotation(rng, rng.choice(bad))
+        else:
+            rng.choice(bad)["width"] = rng.choice([0, "800", None])
+        first, last = rng.choice([(json.dumps(bad), good), (good, json.dumps(bad)),
+                                  (good, LONG_NUMBER), (LONG_NUMBER, good), (good, "{}")])
+        rest = json.dumps(payload)[1:-1]
+        return f'{{"{key}": {first}, {rest}, "{key}": {last}}}'
+    if what == "duplicate id":
+        later = rng.randrange(len(annotations) // 2, len(annotations))
+        annotations[later]["id"] = annotations[rng.randrange(later)]["id"]
+        return _dump(rng, payload)
+    raise ValueError(what)
+
+
+def test_mutated_ground_truth_loads_as_reference(ground_truth, monkeypatch, loaded_by_read_json):
+    payload, path = ground_truth
+    counts, errors = Counter(), Counter()
+    for seed in range(600):
+        rng = random.Random(f"ground-truth-{seed}")
+        monkeypatch.setattr(dataset_io, "_CHUNK", rng.choice(CHUNKS))
+        what = GT_MUTATIONS[seed % len(GT_MUTATIONS)]
+        counts[what] += 1
+        mutated = _mutate_ground_truth(rng, what, copy.deepcopy(payload))
+        if isinstance(mutated, str):
+            path.write_text(mutated, encoding="utf-8")
+        else:
+            path.write_bytes(mutated)
+        error = _same_ground_truth(path)
+        if what == "early rule, late syntax":  # the syntax error wins over the earlier refusal
+            assert error[0] is FormatError and "invalid JSON" in error[1], (seed, error)
+        if what == "duplicate id":
+            assert error[0] is DuplicateIdError, (seed, error)
+        errors[error[0].__name__ if error else None] += 1
+    assert not loaded_by_read_json
+    assert min(counts.values()) == 60, counts
+    assert errors[None] >= 10 and errors["FormatError"] >= 100, errors
+    assert errors["DanglingReferenceError"] and errors["InvalidInputError"], errors
+
+
+def test_truncated_ground_truth_loads_as_reference(ground_truth, monkeypatch, loaded_by_read_json):
+    """A small file cut at every offset; each cut reads to its end and stops."""
+    payload, path = ground_truth
+    annotations = [a for a in payload["annotations"] if a["image_id"] <= 2][:2]
+    text = json.dumps({"annotations": annotations, "categories": payload["categories"],
+                       "images": payload["images"][:2]})
+    errors = Counter()
+    for end in range(len(text) + 1):
+        monkeypatch.setattr(dataset_io, "_CHUNK", CHUNKS[end % 3])
+        path.write_text(text[:end])
+        error = _same_ground_truth(path)
+        errors[error[0].__name__ if error else None] += 1
+    assert not loaded_by_read_json
+    assert errors == {None: 1, "FormatError": len(text)}, errors
+
+
+# --- one path per file -----------------------------------------------------------
+
+def test_a_list_held_in_one_chunk_is_checked_as_one_block(files, monkeypatch):
+    """A list that fits in one chunk is one block for the rule table, its
+    last record included, and a refused last record is named by its row."""
+    checked = []
+    check = dataset_io._Rows.check
+
+    def spy(self, rules):
+        if len(self):
+            checked.append((self.where(0), len(self)))
+        return check(self, rules)
+
+    monkeypatch.setattr(dataset_io._Rows, "check", spy)
+    path = files["path"]
+    refusals = {"predictions": ("score", 2.5), "ledger": ("noise_type", "bogus"),
+                "report": ("quality_score", 1.5)}
+    for kind, name in (("predictions", "detections"), ("ledger", "entries"), ("report", "verdicts")):
+        payload = copy.deepcopy(files["payloads"][kind])
+        records = _records(kind, payload)
+        for refused in (False, True):
+            if refused:
+                key, value = refusals[kind]
+                records[-1][key] = value
+            path.write_text(json.dumps(payload, indent=2))
+            assert len(path.read_text()) < dataset_io._CHUNK
+            checked.clear()
+            error = _same_outcome(kind, path, files["datasets"][kind])
+            assert [c for c in checked if c[0].startswith(f"{name}[")] == [
+                (f"{name}[0]", len(records))
+            ], (kind, refused, checked)
+            assert (error is not None) == refused
+            if refused:
+                assert error[1].startswith(f"{name}[{len(records) - 1}]"), error
+
+
+def test_no_command_decodes_a_whole_file(tmp_path, loaded_by_read_json):
+    """inject, detect, eval and roc read every JSON file through the block
+    reader: ``_read_json`` returns data for no path."""
+    gt, preds = write_synthetic(tmp_path, num_images=8, boxes_per_image=4, seed=5)
+    spec = ["--noise-kind", "missing", "--fraction", "0.2", "--seed", "1"]
+    inject_dir, detect_dir = tmp_path / "inject", tmp_path / "detect"
+    assert main(["inject", "--ground-truth", str(gt), *spec, "--output-dir", str(inject_dir)]) == 0
+    noisy = str(inject_dir / "noisy.json")
+    assert main(["detect", "--ground-truth", noisy, "--predictions", str(preds),
+                 "--mode", "score_threshold", "--tau", "1.0", "--output-dir", str(detect_dir)]) == 0
+    assert main(["eval", "--ground-truth", str(gt), "--predictions", str(preds), *spec,
+                 "--runs", "2", "--output-dir", str(tmp_path / "eval")]) == 0
+    assert main(["roc", "--ground-truth", noisy, "--report", str(detect_dir / "report.json"),
+                 "--ledger", str(inject_dir / "ledger.json"),
+                 "--output-dir", str(tmp_path / "roc")]) == 0
+    assert (tmp_path / "roc" / "roc.json").is_file()
+    assert not loaded_by_read_json
