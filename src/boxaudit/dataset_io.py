@@ -320,10 +320,9 @@ class _Rows:
         error = None
         for check, column, *optional in rules:
             bad, error_class, message = _CHECKS[check]
-            checked = self.given(*optional) if optional else True
-            refused = np.flatnonzero(bad(self, column) & checked)
-            if len(refused):
-                row = int(refused[0])
+            refused = bad(self, column) & self.given(*optional) if optional else bad(self, column)
+            if refused.any():
+                row = int(refused.argmax())
                 parent, key = _named(column)
                 error = error_class(message.format(
                     where=self.where(row), parent=parent, key=key, check=check,
@@ -426,14 +425,13 @@ def _unclamped(rows: _Rows, column: str) -> np.ndarray:
     return (w <= 0) | (h <= 0)
 
 
-def _repeats(values, seen: set | None = None) -> np.ndarray:
+def _repeats(values, seen: set) -> np.ndarray:
     """Which values occur at an earlier row or in ``seen``, which then takes them."""
     n = len(values)
     first = dict(zip(reversed(values), range(n - 1, -1, -1)))
     repeats = np.fromiter(map(first.__getitem__, values), np.intp, n) != np.arange(n)
-    if seen is not None:
-        repeats |= np.fromiter(map(seen.__contains__, values), bool, n)
-        seen.update(first)
+    repeats |= np.fromiter(map(seen.__contains__, values), bool, n)
+    seen.update(first)
     return repeats
 
 
@@ -531,10 +529,12 @@ def _lists(data: Any, path: str | Path, keys: tuple[str, ...]) -> list[list]:
     return [rows[key][0] for key in keys]
 
 
-def _check_unique(ids: list, kind: str) -> None:
-    repeats = np.flatnonzero(_repeats(ids))
+def _check_unique(ids: np.ndarray, kind: str) -> None:
+    """Refuse the first id equal to an earlier one."""
+    ordered = ids[order := np.argsort(ids, kind="stable")]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
     if len(repeats):
-        raise DuplicateIdError(f"duplicate {kind} id {ids[repeats[0]]}")
+        raise DuplicateIdError(f"duplicate {kind} id {ids[repeats.min()]}")
 
 
 # --- reading a file a block of records at a time --------------------------------
@@ -574,15 +574,15 @@ class _Reader:
         return c
 
     def value(self) -> Any:
-        """Decode the next value past whitespace, doubling the text held
-        until it decodes and ends before the held text does (a number may go on)."""
+        """Decode the next value past whitespace, doubling the text held until
+        it decodes and a held character follows that cannot go on a number."""
         self.char()
         n = 0
         while True:
             self.fill(n)
             try:
                 value, end = _scan(self.text, self.pos)
-                if end < len(self.text) or self.eof:
+                if self.eof or end < len(self.text) and self.text[end] not in "+-.0123456789Ee":
                     self.pos = end
                     return value
             except (StopIteration, json.JSONDecodeError):
@@ -653,33 +653,58 @@ class _Reader:
             raise FormatError(f"{self.path}: invalid JSON: {e}") from e
 
 
+def _grown(column: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``column`` followed by ``block``, in place when ``block`` casts to its type."""
+    if not np.can_cast(block.dtype, column.dtype):
+        return np.concatenate((column, block))
+    # no list is then held twice; nothing views the column
+    column.resize((len(column) + len(block), *block.shape[1:]), refcheck=False)
+    column[len(column) - len(block):] = block
+    return column
+
+
+def _read_list(
+    path: str | Path, key: str | None, name: str, rules: tuple,
+    columns: Callable[[_Rows], tuple], held: tuple[str, ...] = (), **context,
+) -> tuple[dict, list[np.ndarray], tuple[AuditError, Any] | None]:
+    """Read a JSON file a block of records at a time. Returns its top-level
+    members (a list as [] unless ``held``), the arrays ``columns`` takes of
+    each block of the list under ``key`` (the top level when None) that
+    ``rules`` pass, up to the first refusal, and that refusal with its
+    record, or None. Of a repeated key the last counts."""
+    found, arrays, refused = {}, [], None
+    for member, block in _Reader(path).top():
+        if type(block) is not list or not block:  # a value under the key; a list starts empty
+            found[member] = block
+            if member == key:
+                arrays, refused, start, seen = [], None, 0, set()
+        elif member in held:
+            found[member] += block
+        if member == key and type(found[key]) is list and refused is None:
+            rows = _Rows(block, lambda row, s=start: f"{name}[{s + row}]", seen=seen, **context)
+            try:
+                rows.check(rules)
+            except AuditError as e:
+                refused = e, block[len(rows)]
+            taken = columns(rows)
+            arrays = list(map(_grown, arrays, taken)) if arrays else [np.array(a) for a in taken]
+            start += len(block)
+    return found, arrays, refused
+
+
 def _load_list(
     path: str | Path, key: str | None, name: str, rules: tuple,
     columns: Callable[[_Rows], tuple], **context,
 ) -> list[np.ndarray]:
-    """The columns of the list under ``key`` of a JSON file's top-level
-    object (its top-level list of ``name`` when ``key`` is None), read a
-    block of records at a time: each is checked against ``rules`` and its
-    arrays taken by ``columns``. A refusal waits for the end of the file,
-    where a syntax error wins; of a repeated key the last counts."""
-    found = {}
-    for member, block in _Reader(path).top():
-        if member == key and (type(block) is not list or not block):  # a list starts empty
-            found[key], blocks, error, start, seen = block, [], None, 0, set()
-        if member == key and type(found[key]) is list and error is None:
-            rows = _Rows(block, lambda row, s=start: f"{name}[{s + row}]", seen=seen, **context)
-            try:
-                blocks.append(columns(rows.check(rules)))
-            except AuditError as e:
-                error = e
-            start += len(block)
+    """The arrays :func:`_read_list` reads; a refusal is raised once the file ends."""
+    found, arrays, refused = _read_list(path, key, name, rules, columns, **context)
     if key is None and type(found.get(key)) is not list:
         raise FormatError(f"{path}: top level must be a JSON list of {name}")
     if key is not None:
         _lists(found, path, (key,))
-    if error is not None:
-        raise error
-    return [np.concatenate(arrays) for arrays in zip(*blocks)]
+    if refused is not None:
+        raise refused[0]
+    return arrays
 
 
 # --- ground truth ------------------------------------------------------------
@@ -706,45 +731,59 @@ _ANNOTATION_RULES = (
 )
 
 
+# the annotation rules that need the images or categories check the kept
+# columns once the file ends, ``_SLICE`` rows at a time; the others each block
+_PLACING = ("known", "clamped", "finite", "degenerate")
+_PLACING_RULES = tuple(rule for rule in _ANNOTATION_RULES if rule[0] in _PLACING)
+_BLOCK_RULES = tuple(rule for rule in _ANNOTATION_RULES if rule not in _PLACING_RULES)
+_SLICE = 1 << 12
+
+
 def load_ground_truth(path: str | Path) -> Dataset:
     """Load and validate a COCO-format annotation file, read by the block
-    reader. Its records are held until it ends, as annotations may precede
-    their images and categories; of a repeated key the last list counts.
+    reader and kept as columns; the annotation rules that need images or
+    categories wait for its end. Of a repeated key the last list counts.
 
     Boxes are clamped to their image bounds; zero-area boxes, duplicate ids,
     and references to unknown images or categories are rejected with typed
     errors. ``iscrowd``, ``segmentation``, and ``area`` fields are accepted
     and ignored.
     """
-    keys, found = ("images", "categories", "annotations"), {}
-    for key, event in _Reader(path).top():
-        if type(event) is not list or not event:  # a value under the key; a list starts empty
-            found[key] = event
-        elif key in keys:
-            found[key] += event
+    found, arrays, refused = _read_list(
+        path, "annotations", "annotations", _BLOCK_RULES,
+        lambda rows: (*map(int_array, (rows["id"], rows["image_id"], rows["category_id"])),
+                      _xywh(rows, "bbox")),
+        held=("images", "categories"),
+    )
     if None in found:
         raise FormatError(f"{path}: top level must be a JSON object")
-    raw_images, raw_cats, raw_anns = _lists(found, path, keys)
+    raw_images, raw_cats, _ = _lists(found, path, ("images", "categories", "annotations"))
 
     rows = _Rows(raw_images, lambda row: f"images[{row}]").check(_IMAGE_RULES)
-    _check_unique(rows["id"], "image")
+    _check_unique(int_array(rows["id"]), "image")
     images = [ImageInfo(r["id"], r["width"], r["height"], r["file_name"]) for r in raw_images]
 
     rows = _Rows(raw_cats, lambda row: f"categories[{row}]").check(_CATEGORY_RULES)
-    _check_unique(rows["id"], "category")
+    _check_unique(int_array(rows["id"]), "category")
     names = dict(zip(rows["id"], rows["name"]))
-    categories = [
-        Category(id=dense, name=names[src], source_id=src)
-        for dense, src in enumerate(sorted(names), start=1)
-    ]
+    categories = [Category(dense, names[src], src) for dense, src in enumerate(sorted(names), 1)]
 
-    rows = _Rows(
-        raw_anns, lambda row: f"annotations[{row}]", **_placement(images, categories)
-    ).check(_ANNOTATION_RULES)
-    _check_unique(rows["id"], "annotation")
+    del found, raw_images  # so the image records are not held while the boxes are checked
+    ids, image_ids, category_ids, xywh = arrays
+    placement, classes = _placement(images, categories), np.empty(len(ids), np.int64)
+    for start in range(0, len(ids), _SLICE):
+        part = slice(start, start + _SLICE)
+        rows = _Rows(ids[part], lambda row, s=start: f"annotations[{s + row}]", **placement)
+        rows.columns.update(image_id=image_ids[part].tolist(),
+                            category_id=category_ids[part].tolist(), bbox=xywh[part])
+        classes[part], xywh[part] = _dense(rows.check(_PLACING_RULES)), rows["bbox"]
+    if refused is not None:  # its row may fail a rule before the one that refused it
+        _Rows([refused[1]], lambda _: f"annotations[{len(ids)}]", **placement).check(
+            _ANNOTATION_RULES)
+        raise refused[0]
+    _check_unique(ids, "annotation")
     return Dataset(images, categories, BoxColumns(
-        int_array(rows["id"]), int_array(rows["image_id"]), _dense(rows),
-        np.full(len(rows), np.nan), rows["bbox"],
+        ids, image_ids, classes, np.full(len(ids), np.nan), xywh
     ))
 
 

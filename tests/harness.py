@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 IMG_W, IMG_H = 800, 600
 GRID_COLS, GRID_ROWS = 4, 3
@@ -67,6 +68,15 @@ def build_synthetic(num_images=500, boxes_per_image=10, num_classes=12, seed=101
     categories = [{"id": m, "name": f"class{m}"} for m in range(1, num_classes + 1)]
     gt = {"images": images, "categories": categories, "annotations": annotations}
     return gt, predictions
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_synthetic(tmp_path, **kwargs):

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,6 +39,7 @@ from boxaudit.noise_injection import LedgerEntry, NoiseKind, NoiseLedger, NoiseS
 from boxaudit.pipeline import DetectionResult, run_detection
 
 from conftest import coco_payload, write_json
+from harness import traced_peak
 from report_reference import DetectionReport
 from report_reference import save_dataset as reference_save_dataset
 from report_reference import save_ledger as reference_save_ledger
@@ -442,13 +442,9 @@ def _flagged_pairs(n: int) -> DetectionResult:
 def test_report_writer_memory_does_not_grow_with_the_report(tmp_path):
     peaks = []
     for n in (2_000, 16_000):
-        result = _flagged_pairs(n)
-        tracemalloc.start()
-        try:
-            assert save_report(result, tmp_path / "report.csv")["flagged_clusters"] == n
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        summary, peak = traced_peak(save_report, _flagged_pairs(n), tmp_path / "report.csv")
+        assert summary["flagged_clusters"] == n
+        peaks.append(peak)
     assert peaks[1] < 2 * peaks[0], peaks
 
 

@@ -11,7 +11,6 @@ import copy
 import json
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -34,12 +33,12 @@ from boxaudit.dataset_io import (
     save_ledger,
     save_report,
 )
-from boxaudit.errors import DuplicateIdError, FormatError
+from boxaudit.errors import DanglingReferenceError, DuplicateIdError, FormatError, InvalidInputError
 from boxaudit.geometry import BBox
 from boxaudit.noise_injection import NoiseKind, NoiseSpec, inject
 from boxaudit.pipeline import run_detection
 
-from harness import write_synthetic
+from harness import build_synthetic, traced_peak, write_synthetic
 from test_report_equivalence import _assert_same_table
 
 CHUNKS = [7, 16, 50, 128, 1000]
@@ -286,21 +285,38 @@ def test_report_reader_memory_does_not_grow_with_the_findings(tmp_path):
     for findings in (2_000, 16_000):
         path = tmp_path / f"report-{findings}.json"
         path.write_text(_report_text(1_000, findings))
-        tracemalloc.start()
-        try:
-            assert len(load_report(path, ds)) == 1_000
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(load_report, path, ds)
+        assert len(table) == 1_000
+        peaks.append(peak)
     # the ratio reads about 1.01 here; decoding the whole file put it near 6.6
     assert peaks[1] < 1.35 * peaks[0], peaks
+
+
+def test_ground_truth_reader_memory_grows_only_with_the_columns(tmp_path):
+    """2,000 and 16,000 annotations on 10 boxes an image, in the sorted
+    layout ``save_dataset`` writes (annotations first): the annotations are
+    kept as columns, not as records until the file ends."""
+    peaks = []
+    for n in (2_000, 16_000):
+        gt, _ = build_synthetic(num_images=n // 10, boxes_per_image=10, seed=1)
+        path = tmp_path / f"gt-{n}.json"
+        path.write_text(json.dumps(gt, sort_keys=True))
+        ds, peak = traced_peak(load_ground_truth, path)
+        assert len(ds.columns) == n
+        peaks.append(peak)
+    # about 92 B per annotation here; holding the records until the end cost about 690
+    assert peaks[1] - peaks[0] <= 200 * 14_000, peaks
 
 
 # --- ground truth ----------------------------------------------------------------
 
 GT_KEYS = ("images", "categories", "annotations")
 GT_MUTATIONS = ["early rule, late syntax", "braces in strings", "bom", "non-utf8", "long whitespace",
-                "trailing", "top level", "repeated key", "duplicate id", "token"]
+                "trailing", "top level", "repeated key", "duplicate id", "token",
+                "placing rule, later type rule", "type rule, later placing rule",
+                "catalog after a refused annotation", "bbox and unknown image"]
+# the refusals of the rules that need the images or categories, checked when the file ends
+PLACING_ERRORS = (DanglingReferenceError, InvalidInputError)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +344,20 @@ def _break_annotation(rng, annotation) -> None:
     """A refusal by the rules, not by the syntax."""
     key, value = rng.choice([("image_id", 999), ("category_id", "1"), ("id", 1.5),
                              ("bbox", [0, 0, 0, 0]), ("bbox", None)])
+    annotation[key] = value
+
+
+def _break_placing(rng, annotation) -> None:
+    """A refusal by a rule that needs the images (800 x 600) or categories."""
+    key, value = rng.choice([("image_id", 999), ("category_id", 999),
+                             ("bbox", [-90.0, 5.0, 40.0, 30.0]), ("bbox", [810, 5, 40, 30])])
+    annotation[key] = value
+
+
+def _break_type(rng, annotation) -> None:
+    """A refusal by a rule that needs neither."""
+    key, value = rng.choice([("id", 1.5), ("image_id", "1"), ("category_id", None),
+                             ("bbox", None), ("bbox", [1, 2, 3]), ("bbox", [0, 0, "8", 8])])
     annotation[key] = value
 
 
@@ -366,13 +396,36 @@ def _mutate_ground_truth(rng, what, payload):
         later = rng.randrange(len(annotations) // 2, len(annotations))
         annotations[later]["id"] = annotations[rng.randrange(later)]["id"]
         return _dump(rng, payload)
+    if what in ("placing rule, later type rule", "type rule, later placing rule"):
+        # the first two rows and the last two lie in different blocks at every chunk size
+        first, later = annotations[rng.randrange(2)], annotations[rng.randrange(-2, 0)]
+        if what.startswith("placing"):
+            _break_placing(rng, first)
+            _break_type(rng, later)
+        else:
+            _break_type(rng, first)
+            _break_placing(rng, later)
+        return _dump(rng, payload)
+    if what == "catalog after a refused annotation":  # sorted keys: annotations come first
+        _break_annotation(rng, rng.choice(annotations))
+        if rng.random() < 0.5:
+            rng.choice(payload["images"])["width"] = rng.choice([0, "800", None])
+        else:
+            rng.choice(payload["categories"])["id"] = rng.choice([5.5, None, "7"])
+        return json.dumps(payload, indent=rng.choice([None, 2]), sort_keys=True)
+    if what == "bbox and unknown image":
+        annotation = rng.choice(annotations)
+        annotation["image_id"] = 999
+        annotation["bbox"] = rng.choice([None, [1, 2, 3], [0, 0, "8", 8], [0, 0, 0, 0],
+                                         [-90.0, 5.0, 40.0, 30.0], [0, 0, float("nan"), 1]])
+        return _dump(rng, payload)
     raise ValueError(what)
 
 
 def test_mutated_ground_truth_loads_as_reference(ground_truth, monkeypatch, loaded_by_read_json):
     payload, path = ground_truth
     counts, errors = Counter(), Counter()
-    for seed in range(600):
+    for seed in range(60 * len(GT_MUTATIONS)):
         rng = random.Random(f"ground-truth-{seed}")
         monkeypatch.setattr(dataset_io, "_CHUNK", rng.choice(CHUNKS))
         what = GT_MUTATIONS[seed % len(GT_MUTATIONS)]
@@ -387,6 +440,15 @@ def test_mutated_ground_truth_loads_as_reference(ground_truth, monkeypatch, load
             assert error[0] is FormatError and "invalid JSON" in error[1], (seed, error)
         if what == "duplicate id":
             assert error[0] is DuplicateIdError, (seed, error)
+        if what.endswith("type rule"):  # the lower row wins, whichever rule refuses it
+            assert issubclass(error[0], PLACING_ERRORS), (seed, error)
+        if what.endswith("placing rule"):
+            assert error[0] is FormatError, (seed, error)
+        if what == "catalog after a refused annotation":
+            assert error[1].startswith(("images[", "categories[")), (seed, error)
+        if what == "bbox and unknown image":  # "known image_id" comes before the bbox rules
+            assert error[0] is DanglingReferenceError, (seed, error)
+            assert error[1].endswith("unknown image_id 999"), (seed, error)
         errors[error[0].__name__ if error else None] += 1
     assert not loaded_by_read_json
     assert min(counts.values()) == 60, counts
@@ -444,6 +506,16 @@ def test_a_list_held_in_one_chunk_is_checked_as_one_block(files, monkeypatch):
             assert (error is not None) == refused
             if refused:
                 assert error[1].startswith(f"{name}[{len(records) - 1}]"), error
+
+
+def test_a_number_cut_by_a_chunk_is_read_whole(ground_truth, monkeypatch):
+    """A top-level number cut after its "." or "e" at a chunk's end is read
+    on, not taken as the number before the cut."""
+    _, path = ground_truth
+    path.write_text('{"annotations": [], "area": -1234567.5e+3, "categories": [], "images": []}')
+    for chunk in range(7, 40):
+        monkeypatch.setattr(dataset_io, "_CHUNK", chunk)
+        assert _same_ground_truth(path) is None, chunk
 
 
 def test_no_command_decodes_a_whole_file(tmp_path, loaded_by_read_json):
